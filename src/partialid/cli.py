@@ -44,7 +44,6 @@ from .latepoint import (TailSpec, check_iam_implication,
                         conservative_union_ci, estimate_trimmed_sets,
                         known_tail_estimate, wald_estimate)
 from .roy import RoyDistribution, check_roy_refutable, potential_outcome_bounds
-from .simulate import SimDesign, run_coverage
 from .structures import (binary_decidability, check_extension,
                          confirmable_sets, load_space_json, nonrefutable_sets)
 
@@ -357,9 +356,14 @@ def _cmd_dilate_region(args):
 
 
 def _cmd_simulate_coverage(args):
+    # local: scipy, which the design's truth needs, loads only here
+    from .simulate import SimDesign, run_coverage
+
     if args.design != "builtin:sec33":
         raise ConfigError(f"unknown design {args.design!r}; available: "
                           "builtin:sec33")
+    if args.n < 2:
+        raise ConfigError("n must be at least 2")
     design = SimDesign.sec33()
     cfg = default_simulation_config(args.n, design.band, alpha=args.alpha,
                                     seed=args.seed, tails=design.tails)

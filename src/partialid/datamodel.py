@@ -234,7 +234,7 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
 
     Requires n >= 20; the rules are unreliable below that.
     """
-    from .density import Kernel, estimate_density_diff  # local: avoid cycle
+    from .density import Kernel, cell_sum  # local: avoid cycle
     from .latepoint import TailSpec
 
     n = sample.n
@@ -253,10 +253,12 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
     if m_l >= m_u:
         raise ConfigError("degenerate 1%/99% quantile band")
 
-    emp = build_empirical(sample)
-    kernel = Kernel()
-    est = estimate_density_diff(emp, sample, kernel, h, np.sort(sample.y))
-    density_level = float(np.mean(est.f1 + est.f0))
+    # the density differences at the observations, summed directly: tied
+    # outcomes would make them an invalid DensityEstimate grid
+    kernel, ys = Kernel(), np.sort(sample.y)
+    f1 = cell_sum(sample, kernel, h, ys, 1, 1) - cell_sum(sample, kernel, h, ys, 1, 0)
+    f0 = cell_sum(sample, kernel, h, ys, 0, 0) - cell_sum(sample, kernel, h, ys, 0, 1)
+    density_level = float(np.mean(f1 + f0))
 
     def trimming_rule(m, _lvl=density_level):
         val = m ** (-1.0 / 4.0) * _lvl

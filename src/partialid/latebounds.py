@@ -15,15 +15,16 @@ difference carries the correction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ConfigError, WeakIdentificationError
 from .datamodel import Sample
 from .density import Kernel, cell_sum
-from .latepoint import DEFAULT_MIN_MASS, TrimmedSet, _weights, estimate_late
+from .latepoint import (DEFAULT_MIN_MASS, TrimmedSet, _Columns, estimate_late,
+                        late_variance)
 
 #: density floor below which the threshold-variance correction is flagged
 DENSITY_FLOOR = 1e-6
@@ -68,7 +69,7 @@ class BoundEstimate:
     def ci(self, alpha):
         """Bound-wise normal interval: lower bound minus its margin up to
         upper bound plus its margin."""
-        zq = norm.ppf(1.0 - alpha / 2.0)
+        zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         lo = self.lower - (0 if self.sigma_lower is None else zq * self.sigma_lower / np.sqrt(self.n))
         hi = self.upper + (0 if self.sigma_upper is None else zq * self.sigma_upper / np.sqrt(self.n))
         return lo, hi
@@ -94,9 +95,7 @@ def estimate_delta(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     """Difference of the two estimated complier masses and its regime."""
     if kappa <= 0:
         raise ConfigError("kappa must be positive")
-    _, _, w1, w0 = _weights(sample)
-    mass1 = float(np.mean(w1 * set1.contains(sample.y)))
-    mass0 = float(np.mean(w0 * set0.contains(sample.y)))
+    mass0, mass1 = (float(np.mean(c)) for c in _Columns(sample, set1, set0).mass)
     delta = mass1 - mass0
     if delta < -kappa:
         regime = "below"
@@ -109,26 +108,6 @@ def estimate_delta(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         mass1=mass1, mass0=mass0,
         near_boundary=bool(0.5 * kappa <= abs(delta) <= 2.0 * kappa),
     )
-
-
-def _min_pair_weights(sample: Sample, set1: TrimmedSet, set0: TrimmedSet, side_d):
-    """Per-observation weights estimating the pointwise minimum of the two
-    sub-densities on the corrected side.
-
-    On the trimmed set the own-arm sub-density is the larger one, so the
-    minimum is estimated from the opposite arm there and from the own arm on
-    the complement.
-    """
-    m1, m0, _, _ = _weights(sample)
-    if side_d == 1:
-        inset = set1.contains(sample.y)
-        own = ((sample.d == 1) & (sample.z == 1)).astype(float) / m1
-        other = ((sample.d == 1) & (sample.z == 0)).astype(float) / m0
-    else:
-        inset = set0.contains(sample.y)
-        own = ((sample.d == 0) & (sample.z == 0)).astype(float) / m0
-        other = ((sample.d == 0) & (sample.z == 1)).astype(float) / m1
-    return other * inset + own * (~inset)
 
 
 def _scan_threshold(y, contrib, target, direction):
@@ -173,25 +152,14 @@ def estimate_threshold(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise ConfigError("thresholds are undefined in the point regime")
     if side not in ("lower", "upper"):
         raise ConfigError("side must be 'lower' or 'upper'")
+    return _threshold(_Columns(sample, set1, set0), delta, side)
+
+
+def _threshold(cols, delta, side):
     side_d = 1 if delta.regime == "below" else 0
-    contrib = _min_pair_weights(sample, set1, set0, side_d) / sample.n
+    contrib = cols.column(cols.min_pair_parts(side_d)) / cols.sample.n
     direction = "low" if side == "lower" else "high"
-    return _scan_threshold(sample.y, contrib, abs(delta.delta), direction)
-
-
-def _corrected_numerator(sample, set1, set0, side_d, t, direction):
-    """Trimmed-set contrast mean plus the minimum-density correction mass
-    collected below (direction 'low') or above ('high') the threshold."""
-    m1, m0, w1, w0 = _weights(sample)
-    y = sample.y
-    if side_d == 1:
-        base = float(np.mean(y * w1 * set1.contains(y)))
-    else:
-        base = float(np.mean(y * w0 * set0.contains(y)))
-    minw = _min_pair_weights(sample, set1, set0, side_d)
-    cut = (y <= t) if direction == "low" else (y >= t)
-    corr = float(np.mean(y * minw * cut))
-    return base + corr
+    return _scan_threshold(cols.y, contrib, abs(delta.delta), direction)
 
 
 def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
@@ -212,7 +180,6 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         point = estimate_late(sample, set1, set0, min_mass=min_mass)
         sig = None
         if compute_variance:
-            from .latepoint import late_variance
             sig, _ = late_variance(sample, set1, set0, min_mass=min_mass)
         return BoundEstimate(
             lower=point.point, upper=point.point, regime="point",
@@ -224,35 +191,41 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise WeakIdentificationError(
             f"larger complier mass {denom:.3g} below floor", mass=denom)
 
-    t_lower, mult_lo, sat_lo = estimate_threshold(sample, set1, set0, delta, "lower")
-    t_upper, mult_hi, sat_hi = estimate_threshold(sample, set1, set0, delta, "upper")
+    cols = _Columns(sample, set1, set0)
+    t_lower, mult_lo, sat_lo = _threshold(cols, delta, "lower")
+    t_upper, mult_hi, sat_hi = _threshold(cols, delta, "upper")
     if mult_lo or mult_hi:
         flags.append("threshold_minimizer_not_unique")
     if sat_lo or sat_hi:
         flags.append("threshold_saturated")
 
-    m1, m0, w1, w0 = _weights(sample)
-    y = sample.y
-    base1 = float(np.mean(y * w1 * set1.contains(y)))
-    base0 = float(np.mean(y * w0 * set0.contains(y)))
+    side_d = 1 if delta.regime == "below" else 0
+    y = cols.y
+    minw = cols.column(cols.min_pair_parts(side_d))
+    base = [float(np.mean(y * c)) for c in cols.mass]
 
-    if delta.regime == "below":
-        # d=1 complier mean is corrected; low correction gives the lower bound
-        lower = (_corrected_numerator(sample, set1, set0, 1, t_lower, "low") - base0) / denom
-        upper = (_corrected_numerator(sample, set1, set0, 1, t_upper, "high") - base0) / denom
-    else:
-        # d=0 complier mean is corrected; high correction gives the lower bound
-        lower = (base1 - _corrected_numerator(sample, set1, set0, 0, t_upper, "high")) / denom
-        upper = (base1 - _corrected_numerator(sample, set1, set0, 0, t_lower, "low")) / denom
+    def numerator(t, direction):
+        """Contrast numerator with the corrected side's mean topped up by
+        the minimum-density mass collected below ('low') or above ('high')
+        the threshold."""
+        cut = (y <= t) if direction == "low" else (y >= t)
+        nums = list(base)
+        nums[side_d] += float(np.mean(y * minw * cut))
+        return nums[1] - nums[0]
+
+    # the d=1 complier mean is added, so its low correction gives the lower
+    # bound; the d=0 mean is subtracted, so its high correction does
+    low, high = numerator(t_lower, "low"), numerator(t_upper, "high")
+    lower, upper = (low, high) if side_d == 1 else (high, low)
+    lower, upper = lower / denom, upper / denom
 
     sig_lo = sig_hi = None
     if compute_variance:
-        t_for_lo = t_lower if delta.regime == "below" else t_upper
-        t_for_hi = t_upper if delta.regime == "below" else t_lower
-        sig_lo, comp_lo = bound_variance(sample, set1, set0, delta, t_for_lo,
-                                         "lower", kernel=kernel, h=h)
-        sig_hi, comp_hi = bound_variance(sample, set1, set0, delta, t_for_hi,
-                                         "upper", kernel=kernel, h=h)
+        t_for_lo, t_for_hi = (t_lower, t_upper) if side_d == 1 else (t_upper, t_lower)
+        sig_lo, comp_lo = _bound_variance(cols, delta, t_for_lo, "lower",
+                                          kernel, h)
+        sig_hi, comp_hi = _bound_variance(cols, delta, t_for_hi, "upper",
+                                          kernel, h)
         if comp_lo["unstable"] or comp_hi["unstable"]:
             flags.append("variance_unstable_low_density_at_threshold")
 
@@ -261,11 +234,6 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         t_lower=t_lower, t_upper=t_upper,
         sigma_lower=sig_lo, sigma_upper=sig_hi, flags=tuple(flags),
     )
-
-
-def _arm_deriv(A, B, m1, m0):
-    """d/dm1 of A/m1 + B/m0 with m0 = 1 - m1 (A, B are raw z-part means)."""
-    return -A / m1 ** 2 + B / m0 ** 2
 
 
 def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
@@ -289,56 +257,26 @@ def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise ConfigError("bound variance is only defined in a bound regime")
     if which not in ("lower", "upper"):
         raise ConfigError("which must be 'lower' or 'upper'")
+    return _bound_variance(_Columns(sample, set1, set0), delta, t, which,
+                           kernel, h)
+
+
+def _bound_variance(cols, delta, t, which, kernel, h):
     kernel = kernel or Kernel()
     if h is None:
-        h = sample.n ** (-1.0 / 5.0)
+        h = cols.sample.n ** (-1.0 / 5.0)
 
     side_d = 1 if delta.regime == "below" else 0
     # low-end correction serves the lower bound on the d=1 side but the
     # upper bound on the d=0 side
-    if (delta.regime == "below") == (which == "lower"):
-        direction = "low"
-    else:
-        direction = "high"
+    direction = "low" if (side_d == 1) == (which == "lower") else "high"
 
-    m1, m0, w1, w0 = _weights(sample)
-    y = sample.y
-    n = sample.n
-    in1 = set1.contains(y)
-    in0 = set0.contains(y)
-    d1z1 = ((sample.d == 1) & (sample.z == 1)).astype(float)
-    d1z0 = ((sample.d == 1) & (sample.z == 0)).astype(float)
-    d0z0 = ((sample.d == 0) & (sample.z == 0)).astype(float)
-    d0z1 = ((sample.d == 0) & (sample.z == 1)).astype(float)
-
+    y = cols.y
     cut = (y <= t) if direction == "low" else (y >= t)
-    minw = _min_pair_weights(sample, set1, set0, side_d)
-
-    if side_d == 1:
-        base_core = y * w1 * in1
-        other_core = y * w0 * in0
-        den_side = float(np.mean(w1 * in1))
-        base_z1_raw, base_z0_raw = y * d1z1 * in1, -(y * d1z0 * in1)
-        corr_z1_raw = y * d1z1 * (~in1) * cut
-        corr_z0_raw = y * d1z0 * in1 * cut
-        g_z1_raw = d1z1 * (~in1) * cut
-        g_z0_raw = d1z0 * in1 * cut
-        other_z1_raw, other_z0_raw = -(y * d0z1 * in0), y * d0z0 * in0
-        den1_z1_raw, den1_z0_raw = d1z1 * in1, -(d1z0 * in1)
-        den0_z1_raw, den0_z0_raw = -(d0z1 * in0), d0z0 * in0
-    else:
-        base_core = y * w0 * in0
-        other_core = y * w1 * in1
-        den_side = float(np.mean(w0 * in0))
-        base_z1_raw, base_z0_raw = -(y * d0z1 * in0), y * d0z0 * in0
-        corr_z1_raw = y * d0z1 * in0 * cut
-        corr_z0_raw = y * d0z0 * (~in0) * cut
-        g_z1_raw = d0z1 * in0 * cut
-        g_z0_raw = d0z0 * (~in0) * cut
-        other_z1_raw, other_z0_raw = y * d1z1 * in1, -(y * d1z0 * in1)
-        den1_z1_raw, den1_z0_raw = d1z1 * in1, -(d1z0 * in1)
-        den0_z1_raw, den0_z0_raw = -(d0z1 * in0), d0z0 * in0
-
+    min_parts = cols.min_pair_parts(side_d)
+    minw = cols.column(min_parts)
+    base_core = y * cols.mass[side_d]
+    other_core = y * cols.mass[1 - side_d]
     corr_core = y * minw * cut
     g_core = minw * cut
 
@@ -347,29 +285,26 @@ def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         base_core,              # 0: corrected-side contrast mean
         corr_core,              # 1: correction mass (with Y)
         other_core,             # 2: uncorrected-side contrast mean
-        w1 * in1,               # 3: complier mass d=1
-        w0 * in0,               # 4: complier mass d=0
+        cols.mass[1],           # 3: complier mass d=1
+        cols.mass[0],           # 4: complier mass d=0
         g_core,                 # 5: criterion mass at the threshold
-        (sample.z == 1).astype(float),  # 6: arm frequency
+        cols.z1,                # 6: arm frequency
     ])
     Sigma = np.cov(U, rowvar=False, ddof=0)
 
-    def deriv(z1_raw, z0_raw):
-        return _arm_deriv(float(np.mean(z1_raw)), float(np.mean(z0_raw)), m1, m0)
-
+    # each coordinate plus its arm-frequency slope on the arm coordinate
     e = np.eye(7)
-    w_base = e[0] + deriv(base_z1_raw, base_z0_raw) * e[6]
-    w_corr_fixed_t = e[1] + deriv(corr_z1_raw, corr_z0_raw) * e[6]
-    w_other = e[2] + deriv(other_z1_raw, other_z0_raw) * e[6]
-    w_den1 = e[3] + deriv(den1_z1_raw, den1_z0_raw) * e[6]
-    w_den0 = e[4] + deriv(den0_z1_raw, den0_z0_raw) * e[6]
-    w_g = e[5] + deriv(g_z1_raw, g_z0_raw) * e[6]
+    w_base = e[0] + cols.arm_slope(cols.mass_parts(side_d), y) * e[6]
+    w_corr_fixed_t = e[1] + cols.arm_slope(min_parts, y * cut) * e[6]
+    w_other = e[2] + cols.arm_slope(cols.mass_parts(1 - side_d), y) * e[6]
+    w_den1 = e[3] + cols.arm_slope(cols.mass_parts(1)) * e[6]
+    w_den0 = e[4] + cols.arm_slope(cols.mass_parts(0)) * e[6]
+    w_g = e[5] + cols.arm_slope(min_parts, cut) * e[6]
 
-    # sub-density levels at the threshold (own arm and opposite arm)
-    zs = (1, 0) if side_d == 1 else (0, 1)
-    own_dens = float(cell_sum(sample, kernel, h, [t], d=side_d, z=zs[0])[0])
-    opp_dens = float(cell_sum(sample, kernel, h, [t], d=side_d, z=zs[1])[0])
-    t_in = bool((set1 if side_d == 1 else set0).contains(np.array([t]))[0])
+    # sub-density levels at the threshold (own arm Z=d and opposite arm)
+    own_dens = float(cell_sum(cols.sample, kernel, h, [t], d=side_d, z=side_d)[0])
+    opp_dens = float(cell_sum(cols.sample, kernel, h, [t], d=side_d, z=1 - side_d)[0])
+    t_in = bool(cols.sets[side_d].contains(np.array([t]))[0])
     min_dens = opp_dens if t_in else own_dens
     unstable = min_dens < DENSITY_FLOOR
     g_slope = max(min_dens, DENSITY_FLOOR)
@@ -386,11 +321,11 @@ def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     denom = max(delta.mass1, delta.mass0)
     w_denom = w_den1 if delta.mass1 >= delta.mass0 else w_den0
 
-    corr_val = float(np.mean(corr_core))
-    numerator = float(np.mean(base_core)) + corr_val - float(np.mean(other_core))
-    if side_d == 0:
-        # the corrected side is subtracted: L = (other - base - corr)/denom
-        numerator = float(np.mean(other_core)) - float(np.mean(base_core)) - corr_val
+    base_val, corr_val, other_val = (float(np.mean(c)) for c in
+                                     (base_core, corr_core, other_core))
+    # the corrected side is subtracted for d=0: L = (other - base - corr)/denom
+    numerator = (base_val + corr_val - other_val if side_d == 1
+                 else other_val - base_val - corr_val)
     L = numerator / denom
 
     sign_corr = 1.0 if side_d == 1 else -1.0
@@ -405,6 +340,6 @@ def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     components = {
         "Gamma": Gamma, "M1": M1, "M2": M2, "Sigma": Sigma,
         "unstable": unstable, "min_density_at_t": min_dens,
-        "den_side": den_side,
+        "den_side": float(np.mean(cols.mass[side_d])),
     }
     return sigma, components

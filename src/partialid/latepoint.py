@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ConfigError, WeakIdentificationError
 from .datamodel import Sample
@@ -165,18 +165,59 @@ class LateEstimate:
         return out
 
 
-def _weights(sample: Sample):
-    """Per-observation instrument-arm weights and the complier contrast
-    weights w1, w0 using estimated arm probabilities."""
-    m1 = float(np.mean(sample.z == 1))
-    m0 = 1.0 - m1
-    d1z1 = ((sample.d == 1) & (sample.z == 1)).astype(float)
-    d1z0 = ((sample.d == 1) & (sample.z == 0)).astype(float)
-    d0z0 = ((sample.d == 0) & (sample.z == 0)).astype(float)
-    d0z1 = ((sample.d == 0) & (sample.z == 1)).astype(float)
-    w1 = d1z1 / m1 - d1z0 / m0
-    w0 = d0z0 / m0 - d0z1 / m1
-    return m1, m0, w1, w0
+class _Columns:
+    """Per-observation columns of one fit (sample, set1, set0), shared by
+    every estimator that reads it: the outcome, the Z=1 indicator, the two
+    arm frequencies, the four (D, Z) cell indicators and each side's region
+    membership.
+
+    Side d's own arm is Z=d.  Each side-d column is a sum over the two arms
+    of a raw part divided by that arm's frequency; ``mass_parts`` and
+    ``min_pair_parts`` give the raw parts, ``column`` the column and
+    ``arm_slope`` its derivative in Pr(Z=1).
+    """
+
+    def __init__(self, sample: Sample, set1: TrimmedSet, set0: TrimmedSet):
+        self.sample = sample
+        self.y = sample.y
+        self.z1 = (sample.z == 1).astype(float)
+        m1 = float(np.mean(self.z1))
+        self.m = (1.0 - m1, m1)  # indexed by z
+        self.cell = {(d, z): ((sample.d == d) & (sample.z == z)).astype(float)
+                     for d in (0, 1) for z in (0, 1)}
+        self.sets = (set0, set1)
+        self.inside = (set0.contains(self.y), set1.contains(self.y))
+        self.mass = [self.column(self.mass_parts(d)) for d in (0, 1)]
+
+    def mass_parts(self, d):
+        """Side d's contrast weight inside its region: the own-arm cell
+        minus the opposite-arm cell.  Its column ``mass[d]`` has the
+        estimated complier mass as mean."""
+        inset = self.inside[d]
+        return {d: self.cell[d, d] * inset,
+                1 - d: -(self.cell[d, 1 - d] * inset)}
+
+    def min_pair_parts(self, d):
+        """Side d's min-pair weight, estimating the pointwise minimum of the
+        two sub-densities: inside the region the own arm's is the larger,
+        so the opposite arm gives the minimum there and the own arm
+        outside."""
+        inset = self.inside[d]
+        return {d: self.cell[d, d] * ~inset,
+                1 - d: self.cell[d, 1 - d] * inset}
+
+    def column(self, parts):
+        return parts[0] / self.m[0] + parts[1] / self.m[1]
+
+    def arm_means(self, parts, v=1.0):
+        """Means of v times each raw part: {z: mean}."""
+        return {z: float(np.mean(v * parts[z])) for z in (0, 1)}
+
+    def arm_slope(self, parts, v=1.0):
+        """Derivative of mean(v * column(parts)) in Pr(Z=1), with
+        Pr(Z=0) = 1 - Pr(Z=1)."""
+        raw = self.arm_means(parts, v)
+        return -raw[1] / self.m[1] ** 2 + raw[0] / self.m[0] ** 2
 
 
 def estimate_late(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
@@ -187,13 +228,9 @@ def estimate_late(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     treatment-cell indicators inside the region; denominators are the same
     means without Y (the estimated complier masses).
     """
-    _, _, w1, w0 = _weights(sample)
-    in1 = set1.contains(sample.y).astype(float)
-    in0 = set0.contains(sample.y).astype(float)
-    num1 = float(np.mean(sample.y * w1 * in1))
-    den1 = float(np.mean(w1 * in1))
-    num0 = float(np.mean(sample.y * w0 * in0))
-    den0 = float(np.mean(w0 * in0))
+    cols = _Columns(sample, set1, set0)
+    num0, num1 = (float(np.mean(cols.y * c)) for c in cols.mass)
+    den0, den1 = (float(np.mean(c)) for c in cols.mass)
     for label, mass in (("d=1", den1), ("d=0", den0)):
         if mass < min_mass:
             raise WeakIdentificationError(
@@ -230,57 +267,36 @@ def late_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     if method not in ("outcome", "gradient"):
         raise ConfigError(
             f"variance method must be 'outcome' or 'gradient', got {method!r}")
-    m1, m0, w1, w0 = _weights(sample)
-    y = sample.y
-    in1 = set1.contains(y).astype(float)
-    in0 = set0.contains(y).astype(float)
-
-    v3 = y * w1 * in1
-    v4 = y * w0 * in0
-    v5 = w1 * in1
-    v6 = w0 * in0
-    pi = np.array([v3.mean(), v4.mean(), v5.mean(), v6.mean()])
+    cols = _Columns(sample, set1, set0)
+    y = cols.y
+    # core means: Y-weighted contrast d=1, d=0, complier mass d=1, d=0
+    cores = [y * cols.mass[1], y * cols.mass[0], cols.mass[1], cols.mass[0]]
+    pi = np.array([c.mean() for c in cores])
     if pi[2] < min_mass or pi[3] < min_mass:
         raise WeakIdentificationError(
             "complier mass below identification floor in variance step",
             mass=float(min(pi[2], pi[3])),
         )
-
-    z1 = (sample.z == 1).astype(float)
-    z0 = 1.0 - z1
-    V = np.column_stack([z1, z0, v3, v4, v5, v6])
+    V = np.column_stack([cols.z1, 1.0 - cols.z1] + cores)
     Sigma = np.cov(V, rowvar=False, ddof=0)
 
-    D = np.diag([-1.0 / m1 ** 2, -1.0 / m0 ** 2, 1.0, 1.0, 1.0, 1.0])
+    D = np.diag([-1.0 / cols.m[1] ** 2, -1.0 / cols.m[0] ** 2,
+                 1.0, 1.0, 1.0, 1.0])
 
-    d1z1 = (sample.d == 1) & (sample.z == 1)
-    d1z0 = (sample.d == 1) & (sample.z == 0)
-    d0z0 = (sample.d == 0) & (sample.z == 0)
-    d0z1 = (sample.d == 0) & (sample.z == 1)
-    a1 = float(np.mean(y * d1z1 * in1))  # E[Y 1(D=1,Z=1) 1(Y in Y1)]
-    a2 = float(np.mean(y * d1z0 * in1))
-    b1 = float(np.mean(y * d0z0 * in0))
-    b2 = float(np.mean(y * d0z1 * in0))
-    c1 = float(np.mean(d1z1 * in1))
-    c2 = float(np.mean(d1z0 * in1))
-    e1 = float(np.mean(d0z0 * in0))
-    e2 = float(np.mean(d0z1 * in0))
     if method == "outcome":
-        # outcome-weighted cross moments in every column, own-arm
-        # region for the opposite-arm entries
-        g2 = float(np.mean(y * d1z0 * in0))
-        g4 = float(np.mean(y * d0z1 * in1))
-        gamma_star = np.array([
-            [a1, b1, a1, b1],   # Z=1 arm row
-            [g2, g4, g2, g4],   # Z=0 arm row
-        ])
+        # outcome-weighted cross moments in every column: the own-arm
+        # moment in the Z=1 row, the opposite-arm cell inside the other
+        # side's region in the Z=0 row
+        own = [cols.arm_means(cols.mass_parts(d), y)[d] for d in (1, 0)]
+        cross = [float(np.mean(y * cols.cell[d, 1 - d] * cols.inside[1 - d]))
+                 for d in (1, 0)]
+        gamma_star = np.array([own + own, cross + cross])
     else:
         # arm-derivative block: column j gives the moments whose rescaled
         # arm deviations reproduce d pi_j / d (arm frequency)
-        gamma_star = np.array([
-            [a1, -b2, c1, -e2],   # Z=1 arm row
-            [-a2, b1, -c2, e1],   # Z=0 arm row
-        ])
+        raw = [cols.arm_means(cols.mass_parts(d), v)
+               for v in (y, 1.0) for d in (1, 0)]
+        gamma_star = np.array([[r[1] for r in raw], [r[0] for r in raw]])
     Gamma = np.vstack([gamma_star, np.eye(4)])
 
     Pi = np.array([1.0 / pi[2], -1.0 / pi[3],
@@ -304,7 +320,7 @@ def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
     base = estimate_late(sample, set1, set0, min_mass=min_mass)
     sigma, _ = late_variance(sample, set1, set0, min_mass=min_mass,
                              method=variance_method)
-    zq = norm.ppf(1.0 - alpha / 2.0)
+    zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = zq * sigma / np.sqrt(sample.n)
     return LateEstimate(
         point=base.point, mass1=base.mass1, mass0=base.mass0, n=base.n,

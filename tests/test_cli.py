@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import partialid
 from partialid.cli import run
+from partialid.datamodel import Sample
 
 from conftest import make_sample, write_sample_csv
 
@@ -107,6 +112,36 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "late", "point", "--input", sample_csv,
                              "--h", "-1")
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def tied_csv(tmp_path_factory):
+    """The built-in design at n=5000 with outcomes rounded to 0.1, so that
+    nearly every outcome value is tied."""
+    from partialid.simulate import SimDesign, draw_sample
+    s = draw_sample(SimDesign.sec33(), 5000, 1)
+    path = tmp_path_factory.mktemp("tied") / "tied.csv"
+    write_sample_csv(path, Sample(y=np.round(s.y, 1), d=s.d, z=s.z))
+    return str(path)
+
+
+class TestTiedOutcomes:
+    # the tuning rules run on every `late` command, overrides or not, and
+    # must not build a density grid from the tied outcomes ("grid must be
+    # strictly increasing")
+    @pytest.mark.parametrize("argv", [["bounds"], ["test"],
+                                      ["point", "--b", "0.05", "--h", "0.3"]])
+    def test_late_commands_accept_ties(self, capsys, tied_csv, argv):
+        code, out, err = run_cli(capsys, "late", *argv, "--input", tied_csv)
+        assert code == 0, err
+        assert json.loads(out)["results"]
+
+    def test_point_estimate(self, capsys, tied_csv):
+        code, out, err = run_cli(capsys, "late", "point", "--input", tied_csv)
+        assert code == 0, err
+        res = json.loads(out)["results"]
+        assert res["estimate"] == pytest.approx(2.0983242357, rel=1e-6)
+        assert res["ci"][0] < res["estimate"] < res["ci"][1]
 
 
 class TestLatePoint:
@@ -278,3 +313,26 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "coverage", "--n", "200",
                              "--m", "2", "--design", "builtin:other")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_n_below_two_is_2(self, capsys, n):
+        code, _, err = run_cli(capsys, "simulate", "coverage", "--n", n,
+                               "--m", "2")
+        assert code == 2
+        assert err == "error: n must be at least 2\n"
+
+
+class TestImports:
+    def test_cli_path_loads_no_scipy(self):
+        # scipy is needed only by `partialid.simulate`, which the CLI
+        # imports inside the command that runs it
+        src = os.path.dirname(os.path.dirname(partialid.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys, partialid.cli, partialid.roy; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -156,14 +156,19 @@ class TestBoundsOracle:
         # flipping both treatment and instrument negates the estimand, so
         # the bounds swap and change sign
         s, set1, set0 = gap_population()
+        # with variances, so the d=0 side of bound_variance is pinned to
+        # the d=1 side: the standard errors swap with the bounds
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        be = estimate_bounds(s, set1, set0, de)
+        be = estimate_bounds(s, set1, set0, de, compute_variance=True)
         flipped = Sample(y=s.y, d=1 - s.d, z=1 - s.z)
         de_f = estimate_delta(flipped, set0, set1, kappa=0.01)
-        be_f = estimate_bounds(flipped, set0, set1, de_f)
+        be_f = estimate_bounds(flipped, set0, set1, de_f,
+                               compute_variance=True)
         assert be_f.regime == "above"
         assert be_f.lower == pytest.approx(-be.upper, abs=1e-12)
         assert be_f.upper == pytest.approx(-be.lower, abs=1e-12)
+        assert be_f.sigma_lower == pytest.approx(be.sigma_upper, abs=1e-12)
+        assert be_f.sigma_upper == pytest.approx(be.sigma_lower, abs=1e-12)
 
     def test_weak_identification(self):
         s, set1, set0 = gap_population()
