@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -107,7 +108,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed for all randomized steps")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap on parallel workers")
+                        help="cap on parallel workers, clamped to "
+                             "[1, number of CPUs]")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--timing", action="store_true",
                         help="attach wall-clock seconds to the report")
@@ -125,6 +127,14 @@ def _add_tuning(parser):
                         default=None,
                         help="apply --b as an absolute density level or "
                              "relative to the per-state density peak")
+
+
+def _clamp_threads(threads):
+    """``--threads`` clamped to [1, os.cpu_count()]; None keeps the pool's
+    default."""
+    if threads is None:
+        return None
+    return min(max(threads, 1), os.cpu_count() or 1)
 
 
 def _parse_band(text):
@@ -376,7 +386,8 @@ def _cmd_simulate_coverage(args):
         cfg = dataclasses.replace(cfg, **updates)
     estimator = "union" if args.union else "known"
     result = run_coverage(design, estimator, args.n, args.m, cfg,
-                          seed=args.seed, threads=args.threads)
+                          seed=args.seed,
+                          threads=_clamp_threads(args.threads))
     if args.records_out:
         with open(args.records_out, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -253,8 +253,8 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
     if m_l >= m_u:
         raise ConfigError("degenerate 1%/99% quantile band")
 
-    # the density differences at the observations, summed directly: tied
-    # outcomes would make them an invalid DensityEstimate grid
+    # the density differences at the sorted observations, from the cell
+    # sums: tied outcomes would make them an invalid DensityEstimate grid
     kernel, ys = Kernel(), np.sort(sample.y)
     f1 = cell_sum(sample, kernel, h, ys, 1, 1) - cell_sum(sample, kernel, h, ys, 1, 0)
     f0 = cell_sum(sample, kernel, h, ys, 0, 0) - cell_sum(sample, kernel, h, ys, 0, 1)

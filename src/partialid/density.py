@@ -2,8 +2,9 @@
 
 ``f1(y)`` estimates p(y,1) - q(y,1) and ``f0(y)`` estimates q(y,0) - p(y,0),
 where p / q are the sub-densities of (Y, D=d) conditional on the two
-instrument arms.  Evaluation uses exact direct sums (no binning or FFT) so
-results are bit-reproducible at desk scale.
+instrument arms.  Evaluation uses exact sorted sweeps over the outcomes (no
+binning or FFT): results are deterministic and within 1e-12 of the direct
+kernel sums.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .datamodel import EmpiricalPQ, Sample
+
+#: each kernel shape on its support [-1, 1] as c0 + c1 |s| + c2 s^2
+_POLYNOMIAL = {"epanechnikov": (0.75, 0.0, -0.75),
+               "triangular": (1.0, -1.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,7 @@ class Kernel:
     A: float = 1.0
 
     def __post_init__(self):
-        if self.shape not in ("epanechnikov", "triangular"):
+        if self.shape not in _POLYNOMIAL:
             raise ConfigError(f"unknown kernel shape {self.shape!r}")
         if self.A <= 0:
             raise ConfigError("kernel support half-width must be positive")
@@ -44,7 +49,7 @@ class Kernel:
 
     @property
     def max_value(self):
-        return (0.75 if self.shape == "epanechnikov" else 1.0) / self.A
+        return _POLYNOMIAL[self.shape][0] / self.A
 
 
 @dataclass(frozen=True)
@@ -86,23 +91,61 @@ def default_grid(band, h, kernel=None, num=512):
 
 
 def cell_sum(sample: Sample, kernel: Kernel, h, points, d, z):
-    """Direct kernel sum over the (D=d, Z=z) cell, divided by the z-arm size.
+    """Kernel sum over the (D=d, Z=z) cell, divided by h times the z-arm size.
 
     Estimates the sub-density of (Y, D=d) conditional on Z=z at ``points``.
+
+    Both kernel shapes are polynomials in |s| on their support, with
+    s = (y - x) / w and w = A h, so the sum is an exact sorted sweep (Fan &
+    Marron 1994, JCGS): the cell outcomes within w of a point x form a
+    ``searchsorted`` window, and prefix sums of 1, s and s^2 give the
+    polynomial's sum over it.  The prefix sums are taken about the centres
+    of 4w-wide blocks of outcomes, so every term stays O(1) however far the
+    data spread in units of w (about one centre for the whole cell, the
+    rounding grows with the squared spread and misses 1e-12 at small h),
+    and a window, 2w wide, meets at most two blocks.  Cost
+    O((n + points) log n); the result is deterministic and within 1e-12 of
+    the direct sum.
     """
+    if h <= 0:
+        raise ConfigError("bandwidth must be positive")
     points = np.atleast_1d(np.asarray(points, dtype=float))
     mask = (sample.d == d) & (sample.z == z)
     n_arm = int(np.count_nonzero(sample.z == z))
-    ys = sample.y[mask]
+    ys = np.sort(sample.y[mask])
     if ys.size == 0:
         return np.zeros(points.size)
-    out = np.empty(points.size)
-    # chunk the grid to bound the temporary (grid x cell) matrix
-    step = max(1, int(4e6 // max(ys.size, 1)))
-    for i in range(0, points.size, step):
-        block = points[i:i + step]
-        out[i:i + step] = kernel((ys[None, :] - block[:, None]) / h).sum(axis=1)
-    return out / (h * n_arm)
+    w = kernel.A * h
+    # outcomes in units of w from the smallest, cut into blocks of width 4;
+    # v is the offset from the block's centre, within [-2, 2]
+    rel = (ys - ys[0]) / w
+    block = np.floor(rel / 4.0)
+    v = rel - (4.0 * block + 2.0)
+    p1 = np.concatenate(([0.0], np.cumsum(v)))
+    p2 = np.concatenate(([0.0], np.cumsum(v * v)))
+
+    lo = np.searchsorted(ys, points - w, "left")
+    mid = np.searchsorted(ys, points, "left")  # s < 0 below mid
+    hi = np.searchsorted(ys, points + w, "right")
+    b0 = block[np.minimum(lo, ys.size - 1)]
+    # the window's block b0 + 1, if any, starts at cut
+    cut = np.clip(np.searchsorted(block, b0 + 1.0), lo, hi)
+    x = (points - ys[0]) / w
+    c0, c1, c2 = _POLYNOMIAL[kernel.shape]
+    left_end, right_start = np.minimum(cut, mid), np.maximum(cut, mid)
+    total = np.zeros(points.size)
+    # the window's four pieces: (start, stop, block, sign of s)
+    for start, stop, b, sign in ((lo, left_end, b0, -1.0),
+                                 (left_end, cut, b0, 1.0),
+                                 (cut, right_start, b0 + 1.0, -1.0),
+                                 (right_start, hi, b0 + 1.0, 1.0)):
+        count = stop - start
+        shift = 4.0 * b + 2.0 - x  # s = v + shift
+        sum_v = p1[stop] - p1[start]
+        sum_s = sum_v + shift * count
+        sum_s2 = p2[stop] - p2[start] + shift * (2.0 * sum_v + shift * count)
+        total += c0 * count + c1 * sign * sum_s + c2 * sum_s2
+    return total / (w * n_arm)
 
 
 def estimate_density_diff(emp: EmpiricalPQ, sample: Sample, kernel: Kernel,

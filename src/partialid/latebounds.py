@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ConfigError, WeakIdentificationError
 from .datamodel import Sample
 from .density import Kernel, cell_sum
-from .latepoint import (DEFAULT_MIN_MASS, TrimmedSet, _Columns, estimate_late,
-                        late_variance)
+from .latepoint import (DEFAULT_MIN_MASS, TrimmedSet, _Columns, _estimate_late,
+                        _late_variance)
 
 #: density floor below which the threshold-variance correction is flagged
 DENSITY_FLOOR = 1e-6
@@ -176,11 +176,12 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     flags = []
     if delta.near_boundary:
         flags.append("delta_near_regime_boundary")
+    cols = _Columns(sample, set1, set0)
     if delta.regime == "point":
-        point = estimate_late(sample, set1, set0, min_mass=min_mass)
+        point = _estimate_late(cols, min_mass)
         sig = None
         if compute_variance:
-            sig, _ = late_variance(sample, set1, set0, min_mass=min_mass)
+            sig, _ = _late_variance(cols, min_mass, "outcome")
         return BoundEstimate(
             lower=point.point, upper=point.point, regime="point",
             n=sample.n, sigma_lower=sig, sigma_upper=sig, flags=tuple(flags),
@@ -191,7 +192,6 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise WeakIdentificationError(
             f"larger complier mass {denom:.3g} below floor", mass=denom)
 
-    cols = _Columns(sample, set1, set0)
     t_lower, mult_lo, sat_lo = _threshold(cols, delta, "lower")
     t_upper, mult_hi, sat_hi = _threshold(cols, delta, "upper")
     if mult_lo or mult_hi:

@@ -228,7 +228,10 @@ def estimate_late(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     treatment-cell indicators inside the region; denominators are the same
     means without Y (the estimated complier masses).
     """
-    cols = _Columns(sample, set1, set0)
+    return _estimate_late(_Columns(sample, set1, set0), min_mass)
+
+
+def _estimate_late(cols, min_mass):
     num0, num1 = (float(np.mean(cols.y * c)) for c in cols.mass)
     den0, den1 = (float(np.mean(c)) for c in cols.mass)
     for label, mass in (("d=1", den1), ("d=0", den0)):
@@ -238,7 +241,7 @@ def estimate_late(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
                 mass=mass,
             )
     point = num1 / den1 - num0 / den0
-    return LateEstimate(point=point, mass1=den1, mass0=den0, n=sample.n)
+    return LateEstimate(point=point, mass1=den1, mass0=den0, n=cols.sample.n)
 
 
 def late_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
@@ -264,10 +267,13 @@ def late_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     Returns ``(sigma, components)`` with components a dict of Pi, Gamma, D,
     Sigma and the pi vector.
     """
+    return _late_variance(_Columns(sample, set1, set0), min_mass, method)
+
+
+def _late_variance(cols, min_mass, method):
     if method not in ("outcome", "gradient"):
         raise ConfigError(
             f"variance method must be 'outcome' or 'gradient', got {method!r}")
-    cols = _Columns(sample, set1, set0)
     y = cols.y
     # core means: Y-weighted contrast d=1, d=0, complier mass d=1, d=0
     cores = [y * cols.mass[1], y * cols.mass[0], cols.mass[1], cols.mass[0]]
@@ -317,9 +323,9 @@ def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
     fixed tail condition."""
     set1, set0 = estimate_trimmed_sets(est, tails, b_n, band,
                                        threshold_scale=threshold_scale)
-    base = estimate_late(sample, set1, set0, min_mass=min_mass)
-    sigma, _ = late_variance(sample, set1, set0, min_mass=min_mass,
-                             method=variance_method)
+    cols = _Columns(sample, set1, set0)
+    base = _estimate_late(cols, min_mass)
+    sigma, _ = _late_variance(cols, min_mass, variance_method)
     zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = zq * sigma / np.sqrt(sample.n)
     return LateEstimate(

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import partialid
-from partialid.cli import run
+import partialid.simulate
+from partialid.cli import _clamp_threads, run
 from partialid.datamodel import Sample
 
 from conftest import make_sample, write_sample_csv
@@ -313,6 +314,39 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "coverage", "--n", "200",
                              "--m", "2", "--design", "builtin:other")
         assert code == 2
+
+    @pytest.mark.parametrize("requested,want", [
+        (None, None), (-3, 1), (0, 1), (1, 1), (3, 3), (4, 3), (10**9, 3)])
+    def test_threads_clamped_to_cpu_count(self, monkeypatch, requested,
+                                         want):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _clamp_threads(requested) == want
+
+    @pytest.mark.parametrize("requested,want", [("1000000", 3), ("2", 2)])
+    def test_pool_gets_clamped_threads(self, capsys, monkeypatch, requested,
+                                       want):
+        # a recorder in place of the pool: no thread is started
+        workers = []
+
+        class Recorder:
+            def __init__(self, max_workers=None):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(partialid.simulate, "ThreadPoolExecutor", Recorder)
+        code, _, _ = run_cli(capsys, "simulate", "coverage", "--n", "300",
+                             "--m", "2", "--threads", requested)
+        assert code == 0
+        assert workers == [want]
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_n_below_two_is_2(self, capsys, n):

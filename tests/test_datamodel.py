@@ -1,6 +1,7 @@
 """Sample containers, CSV loaders, tuning rules, and run configuration."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from partialid.datamodel import (Sample, build_empirical, load_sample_csv,
                                  default_threshold)
 from partialid.errors import ConfigError, DataError
 from partialid.sets import IntervalUnion
+from partialid.simulate import SimDesign, draw_sample
 
 from conftest import make_sample, write_sample_csv
 
@@ -165,3 +167,13 @@ class TestEmpiricalConfig:
         a = default_empirical_config(s)
         b = default_empirical_config(s)
         assert a.h == b.h and a.b == b.b and a.band == b.band
+
+    def test_tuning_step_is_not_quadratic(self):
+        # the density level sums the four cells' kernels at all n outcomes:
+        # the sorted sweep takes ~0.3 s here, a direct sum over every
+        # (outcome, outcome) pair several minutes
+        s = draw_sample(SimDesign.sec33(), 200_000, 12)
+        start = time.perf_counter()
+        cfg = default_empirical_config(s)
+        assert time.perf_counter() - start < 10.0
+        assert cfg.h > 0 and cfg.b > 0

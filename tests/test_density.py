@@ -2,12 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from partialid.datamodel import Sample, build_empirical
 from partialid.density import (Kernel, default_grid, cell_sum,
                                estimate_density_diff, sup_deviation)
 from partialid.errors import ConfigError
+from partialid.simulate import SimDesign, draw_sample
+
+KERNELS = [Kernel(shape, A) for shape in ("epanechnikov", "triangular")
+           for A in (0.5, 1.0, 2.0)]
+
+
+def direct_cell_sum(sample, kernel, h, points, d, z):
+    """Oracle for ``cell_sum``: the kernel evaluated at every (point,
+    outcome) pair of the cell and summed."""
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    ys = sample.y[(sample.d == d) & (sample.z == z)]
+    n_arm = int(np.count_nonzero(sample.z == z))
+    vals = kernel((ys[None, :] - points[:, None]) / h)
+    return vals.sum(axis=1) / (h * n_arm)
+
+
+# outcomes within [-10, 10], continuous or rounded to 0.1 (ties), with
+# bandwidths h >= 0.2: the direct sum's own rounding stays below 1e-13
+outcomes = st.one_of(st.floats(-10.0, 10.0),
+                     st.integers(-100, 100).map(lambda k: k / 10.0))
+observations = st.lists(st.tuples(outcomes, st.integers(0, 1),
+                                  st.integers(0, 1)),
+                        min_size=2, max_size=60)
 
 
 class TestKernel:
@@ -66,6 +90,64 @@ class TestCellSum:
         a = cell_sum(s1, k, 0.5, [0.0], d=1, z=1)
         b = cell_sum(s2, k, 0.5, [0.0], d=1, z=1)
         assert a[0] == pytest.approx(b[0])
+
+
+class TestCellSumOracle:
+    """The sorted sweep against the direct sum, to 1e-12 absolute."""
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=repr)
+    @given(obs=observations, h=st.floats(0.2, 3.0),
+           extra=st.lists(st.floats(-40.0, 40.0), max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_direct_sum(self, kernel, obs, h, extra):
+        y, d, z = (np.array(col) for col in zip(*obs))
+        z[:2] = (0, 1)  # both arms present
+        s = Sample(y=y, d=d, z=z)
+        w = kernel.A * h
+        # the outcomes, the edges of their kernel windows, and points that
+        # may lie outside the data range
+        pts = np.concatenate([y, y - w, y + w, extra])
+        for dz in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            got = cell_sum(s, kernel, h, pts, *dz)
+            want = direct_cell_sum(s, kernel, h, pts, *dz)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=repr)
+    def test_single_observation_cell(self, kernel):
+        s = Sample(y=np.array([0.3, 1.0, 2.0]), d=np.array([1, 0, 0]),
+                   z=np.array([1, 1, 0]))
+        h = 0.4
+        w = kernel.A * h
+        pts = 0.3 + w * np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 1.0, 1.5])
+        got = cell_sum(s, kernel, h, pts, 1, 1)
+        want = direct_cell_sum(s, kernel, h, pts, 1, 1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got[3] == pytest.approx(kernel.max_value / (h * 2), abs=1e-15)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=repr)
+    def test_empty_cell_is_zero(self, kernel):
+        s = Sample(y=np.array([0.3, 1.0, 2.0]), d=np.array([1, 0, 0]),
+                   z=np.array([1, 1, 0]))
+        got = cell_sum(s, kernel, 0.4, [0.3, 2.0, 50.0], 1, 0)
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=repr)
+    @pytest.mark.parametrize("h", [0.05, 1.0])
+    def test_design_sample_at_every_outcome(self, kernel, h):
+        # a bandwidth far below the data spread: prefix sums about one
+        # centre for the whole cell would cancel to ~1e-11 here
+        s = draw_sample(SimDesign.sec33(), 3000, 4)
+        pts = np.sort(s.y)
+        for dz in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            got = cell_sum(s, kernel, h, pts, *dz)
+            want = direct_cell_sum(s, kernel, h, pts, *dz)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_rejects_nonpositive_bandwidth(self):
+        s = Sample(y=np.array([0.0, 1.0]), d=np.array([1, 0]),
+                   z=np.array([1, 0]))
+        with pytest.raises(ConfigError, match="bandwidth"):
+            cell_sum(s, Kernel(), 0.0, [0.0], 1, 1)
 
 
 class TestDensityDiff:
