@@ -137,6 +137,13 @@ def _clamp_threads(threads):
     return min(max(threads, 1), os.cpu_count() or 1)
 
 
+def _positive_finite(flag, value):
+    """A tuning flag's value, which must be a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be positive and finite, got {value}")
+    return value
+
+
 def _parse_band(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -154,13 +161,9 @@ def _resolve_config(sample, args) -> RunConfig:
     if args.band is not None:
         updates["band"] = _parse_band(args.band)
     if args.h is not None:
-        if args.h <= 0:
-            raise ConfigError("--h must be positive")
-        updates["h"] = args.h
+        updates["h"] = _positive_finite("--h", args.h)
     if args.b is not None:
-        if args.b <= 0:
-            raise ConfigError("--b must be positive")
-        updates["b"] = args.b
+        updates["b"] = _positive_finite("--b", args.b)
     if getattr(args, "threshold_scale", None) is not None:
         updates["threshold_scale"] = args.threshold_scale
     return dataclasses.replace(cfg, **updates) if updates else cfg
@@ -217,13 +220,14 @@ def _cmd_late_point(args):
 
 
 def _cmd_late_bounds(args):
+    kappa_scale = _positive_finite("--kappa-scale", args.kappa_scale)
     sample = load_sample_csv(args.input)
     cfg = _resolve_config(sample, args)
     est = _fit_density(sample, cfg)
     tails = TailSpec.from_string(args.tails) if args.tails else cfg.tails
     set1, set0 = estimate_trimmed_sets(est, tails, cfg.b, cfg.band,
                                        threshold_scale=cfg.threshold_scale)
-    kappa = default_threshold(sample.n) * args.kappa_scale
+    kappa = default_threshold(sample.n) * kappa_scale
     delta = estimate_delta(sample, set1, set0, kappa)
     bounds = estimate_bounds(sample, set1, set0, delta,
                              compute_variance=True, h=cfg.h)
@@ -335,6 +339,9 @@ def _cmd_structures_analyze(args):
 
 
 def _cmd_dilate_region(args):
+    if args.grid_points < 1:
+        raise ConfigError("--grid-points must be at least 1, got "
+                          f"{args.grid_points}")
     rows = np.column_stack(load_intervals_csv(args.input))
     mean_l = float(rows[:, 0].mean())
     mean_u = float(rows[:, 1].mean())
@@ -379,9 +386,9 @@ def _cmd_simulate_coverage(args):
                                     seed=args.seed, tails=design.tails)
     updates = {}
     if args.h is not None:
-        updates["h"] = args.h
+        updates["h"] = _positive_finite("--h", args.h)
     if args.b is not None:
-        updates["b"] = args.b
+        updates["b"] = _positive_finite("--b", args.b)
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
     estimator = "union" if args.union else "known"

@@ -155,6 +155,18 @@ def _check_intervals(sample):
     return arr
 
 
+def _shift_knots(values, direction):
+    """Gaps between consecutive distinct values and the band headroom on
+    each gap: 1 - F for ``'down'``, F for ``'up'``."""
+    v = np.sort(np.asarray(values, dtype=float))
+    uniq, idx = np.unique(v, return_index=True)
+    counts = np.diff(np.concatenate([idx, [v.size]]))
+    levels = np.cumsum(counts)[:-1] / v.size  # F at each unique value
+    gaps = np.diff(uniq)
+    head = (1.0 - levels) if direction == "down" else levels
+    return gaps, head
+
+
 def _max_mean_shift(values, eps, direction):
     """Largest mean change produced by moving the ECDF of ``values``
     vertically by at most ``eps`` inside the data range.
@@ -163,31 +175,38 @@ def _max_mean_shift(values, eps, direction):
     (mean increases).  Both are integrals of min(band headroom, eps) over
     the gaps between consecutive order statistics.
     """
-    v = np.sort(np.asarray(values, dtype=float))
-    uniq, idx = np.unique(v, return_index=True)
-    if uniq.size < 2:
-        return 0.0
-    counts = np.diff(np.concatenate([idx, [v.size]]))
-    levels = np.cumsum(counts) / v.size  # F at each unique value
-    gaps = np.diff(uniq)
-    head = (1.0 - levels[:-1]) if direction == "down" else levels[:-1]
+    gaps, head = _shift_knots(values, direction)
     return float(np.sum(gaps * np.minimum(head, eps)))
 
 
 def _invert_mean_shift(values, target, direction):
-    """Smallest band height whose maximal mean shift reaches ``target``."""
+    """Smallest band height whose maximal mean shift reaches ``target``:
+    the exact inverse of a piecewise-linear shift.
+
+    shift(eps) = sum_k gap_k * min(head_k, eps) is linear between
+    consecutive heads.  With the heads ascending, at the i-th head it equals
+    the gap-weighted sum of the lower heads, A_i, plus head_i times G_i, the
+    total gap at or above head i; so one cumulative sum of each and one
+    search find the segment holding ``target``, and eps solves
+    A_i + eps * G_i = target on it.  A target no band of height 1 reaches
+    (beyond a 1e-12 rounding allowance) gives inf; one within that allowance
+    gives the largest head (0 without one), where the shift stops growing.
+    """
     if target <= 0:
         return 0.0
-    if _max_mean_shift(values, 1.0, direction) < target - 1e-12:
+    gaps, head = _shift_knots(values, direction)
+    if float(np.sum(gaps * np.minimum(head, 1.0))) < target - 1e-12:
         return math.inf
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _max_mean_shift(values, mid, direction) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if not head.size:  # one distinct value: the shift is 0 at every height
+        return 0.0
+    if direction == "down":  # heads 1 - F decrease along the values
+        gaps, head = gaps[::-1], head[::-1]
+    below = np.concatenate([[0.0], np.cumsum(gaps * head)[:-1]])  # A_i
+    above = np.cumsum(gaps[::-1])[::-1]  # G_i
+    i = min(int(np.searchsorted(below + head * above, target)),
+            head.size - 1)
+    eps = (target - below[i]) / above[i]
+    return float(min(max(eps, head[i - 1] if i else 0.0), head[i]))
 
 
 def interval_mean_distance(theta, sample):

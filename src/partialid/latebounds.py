@@ -93,7 +93,7 @@ class BoundEstimate:
 def estimate_delta(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
                    kappa) -> DeltaEstimate:
     """Difference of the two estimated complier masses and its regime."""
-    if kappa <= 0:
+    if not (kappa > 0):  # NaN fails too
         raise ConfigError("kappa must be positive")
     mass0, mass1 = (float(np.mean(c)) for c in _Columns(sample, set1, set0).mass)
     delta = mass1 - mass0

@@ -42,6 +42,8 @@ class RoyDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (2, 2, 2):
             raise DataError("p must have shape (2, 2, 2) indexed [y, d, z]")
+        if not np.isfinite(p).all():
+            raise DataError("cell probabilities must be finite")
         if (p < -_ATOL).any():
             raise DataError("cell probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-8:

@@ -114,6 +114,18 @@ class TestExitCodes:
                              "--h", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["point", "--h", "nan"], "--h"), (["point", "--h", "inf"], "--h"),
+        (["point", "--b", "nan"], "--b"), (["test", "--b", "inf"], "--b"),
+        (["bounds", "--kappa-scale", "nan"], "--kappa-scale"),
+        (["bounds", "--kappa-scale", "inf"], "--kappa-scale"),
+        (["bounds", "--kappa-scale", "0"], "--kappa-scale")])
+    def test_non_finite_tuning_is_2(self, capsys, sample_csv, argv, flag):
+        code, _, err = run_cli(capsys, "late", *argv, "--input", sample_csv)
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be positive and finite")
+        assert err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def tied_csv(tmp_path_factory):
@@ -232,6 +244,13 @@ class TestRoy:
         assert code == 0
         assert "min_efficiency_loss" in json.loads(out)["results"]
 
+    @pytest.mark.parametrize("cells", ["nan,0,0,0,0,0,0,1",
+                                       "inf,0,0,0,0,0,0,1"])
+    def test_non_finite_cells_are_2(self, capsys, cells):
+        code, _, err = run_cli(capsys, "roy", "bounds", "--cells", cells)
+        assert code == 2
+        assert err == "error: cell probabilities must be finite\n"
+
     def test_requires_exactly_one_source(self, capsys, binary_csv):
         code, _, _ = run_cli(capsys, "roy", "bounds")
         assert code == 2
@@ -288,6 +307,14 @@ class TestDilate:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_grid_points_below_one_is_2(self, capsys, intervals_csv, points):
+        code, _, err = run_cli(capsys, "dilate", "region", "--input",
+                               intervals_csv, "--a", "0", "--b", "1",
+                               "--grid-points", points)
+        assert code == 2
+        assert err == f"error: --grid-points must be at least 1, got {points}\n"
 
     def test_reversed_hypothesis_is_2(self, capsys, intervals_csv):
         code, _, _ = run_cli(capsys, "dilate", "region", "--input",
@@ -347,6 +374,13 @@ class TestSimulate:
                              "--m", "2", "--threads", requested)
         assert code == 0
         assert workers == [want]
+
+    @pytest.mark.parametrize("flag", ["--h", "--b"])
+    def test_non_finite_tuning_is_2(self, capsys, flag):
+        code, _, err = run_cli(capsys, "simulate", "coverage", "--n", "200",
+                               "--m", "2", flag, "nan")
+        assert code == 2
+        assert err == f"error: {flag} must be positive and finite, got nan\n"
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_n_below_two_is_2(self, capsys, n):

@@ -1,12 +1,15 @@
 """Dilation-based set estimation and inference for interval-mean data."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partialid.dilation import (CharacterizingFunction, DilationConfig,
                                 _invert_mean_shift, _max_mean_shift,
+                                _shift_knots,
                                 bootstrap_critical_value, confidence_region,
                                 default_radius, default_rate,
                                 estimated_identified_set,
@@ -19,6 +22,35 @@ def interval_sample(n=200, seed=0, width=1.0):
     rng = np.random.default_rng(seed)
     lows = rng.normal(0.0, 1.0, n)
     return np.column_stack([lows, lows + width * rng.uniform(0.5, 1.5, n)])
+
+
+def bisect_inverse(values, target, direction):
+    """Reference inverse of the mean shift: 80 bisection steps on [0, 1].
+
+    Returns 1.0 when the target lies within the 1e-12 allowance above the
+    largest shift, which no bisection step reaches."""
+    if target <= 0:
+        return 0.0
+    if _max_mean_shift(values, 1.0, direction) < target - 1e-12:
+        return math.inf
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _max_mean_shift(values, mid, direction) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def bisect_distance(theta, sample):
+    """``interval_mean_distance`` with the reference inverse."""
+    mean_l, mean_u = sample[:, 0].mean(), sample[:, 1].mean()
+    if mean_l <= theta <= mean_u:
+        return 0.0
+    if theta < mean_l:
+        return bisect_inverse(sample[:, 0], mean_l - theta, "down")
+    return bisect_inverse(sample[:, 1], theta - mean_u, "up")
 
 
 class TestConfig:
@@ -130,6 +162,58 @@ class TestMeanShift:
         assert _invert_mean_shift(vals, 0.0, "up") == 0.0
         assert _invert_mean_shift(vals, 5.0, "up") == math.inf
 
+    def test_target_at_the_largest_shift_gives_the_largest_head(self):
+        # n = 4 distinct values: the shift stops growing at 1 - 1/4; just
+        # above that, within the allowance, the bisection stays at 1
+        vals = [0.0, 1.0, 2.0, 3.0]
+        for direction in ("down", "up"):
+            top = _max_mean_shift(vals, 1.0, direction)
+            assert _invert_mean_shift(vals, top, direction) == 0.75
+            assert _invert_mean_shift(vals, top + 5e-13, direction) == 0.75
+            assert bisect_inverse(vals, top + 5e-13, direction) == 1.0
+
+    def test_one_distinct_value(self):
+        vals = [2.0, 2.0, 2.0]
+        assert _invert_mean_shift(vals, 0.5, "up") == math.inf
+        assert _invert_mean_shift(vals, 1e-13, "down") == 0.0
+
+
+# Distinct values at least 0.05 apart: the shift's slope is a sum of gaps,
+# and it must stay well above rounding for a 1e-12 comparison of heights.
+# Continuous values are cumulative sums of such gaps; rounded ones sit on a
+# 0.1 grid, so that many of them are tied.  The test adds repeats to both.
+spaced_values = st.lists(st.floats(0.05, 1.0), min_size=1, max_size=30).map(
+    lambda gaps: list(np.cumsum(gaps) - 10.0))
+rounded_values = st.lists(st.integers(-100, 100), min_size=2,
+                          max_size=40).map(lambda k: [i / 10.0 for i in k])
+
+
+class TestExactInverseOracle:
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @given(values=st.one_of(spaced_values, rounded_values),
+           repeats=st.lists(st.integers(0, 29), max_size=10),
+           fractions=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection(self, direction, values, repeats, fractions):
+        values = values + [values[i % len(values)] for i in repeats]
+        _, head = _shift_knots(values, direction)
+        top = _max_mean_shift(values, 1.0, direction)
+        targets = [f * top for f in fractions] + [0.0, -1.0, top,
+                                                  top * (1 - 1e-15),
+                                                  top + 5e-13, top + 1e-11]
+        for target in targets:
+            got = _invert_mean_shift(values, target, direction)
+            want = bisect_inverse(values, target, direction)
+            if target <= 0:
+                assert got == want == 0.0
+            elif want == math.inf:
+                assert got == math.inf
+            elif want < 1.0:
+                assert got == pytest.approx(want, abs=1e-12)
+            else:  # within the allowance above the largest shift
+                assert got == pytest.approx(head.max() if head.size else 0.0,
+                                            abs=1e-12)
+
 
 class TestIntervalMeanDistance:
     def test_zero_inside_identified_interval(self):
@@ -187,6 +271,36 @@ class TestSetAndRegion:
         wide, _ = confidence_region(T, x, 0.01, 300, seed=9)
         narrow, _ = confidence_region(T, x, 0.50, 300, seed=9)
         assert set(narrow).issubset(set(wide))
+
+    @pytest.mark.parametrize("seed,rounded", [(0, False), (1, False),
+                                              (2, True), (3, True)])
+    def test_keeps_the_oracle_grid_points(self, seed, rounded):
+        x = interval_sample(300, seed=seed)
+        if rounded:
+            x = np.round(x, 1)
+        n = x.shape[0]
+        grid = np.linspace(x[:, 0].min(), x[:, 1].max(), 201)
+        T = interval_mean_model(grid)
+        oracle = np.array([bisect_distance(th, x) for th in grid])
+        est = estimated_identified_set(T, x)
+        radius = DilationConfig().estimation_radius(n)
+        assert list(est) == list(grid[oracle < radius])
+        cr, cstar = confidence_region(T, x, 0.05, 300, seed=seed)
+        assert list(cr) == list(grid[oracle <= cstar / math.sqrt(n)])
+        assert 0 < cr.size < est.size < grid.size
+
+    def test_grid_scan_is_fast(self):
+        # 201 grid points, each a distance from one sort of the 20k values,
+        # take well under a second; 80 bisection steps per point, each with
+        # a sort, took 22 s on a 2-core machine
+        x = interval_sample(20_000, seed=5)
+        T = interval_mean_model(np.linspace(x[:, 0].min(), x[:, 1].max(),
+                                            201))
+        start = time.perf_counter()
+        est = estimated_identified_set(T, x)
+        cr, _ = confidence_region(T, x, 0.05, 500, seed=1)
+        assert time.perf_counter() - start < 10.0
+        assert 0 < cr.size < est.size
 
     def test_model_without_distance_is_rejected(self):
         T = CharacterizingFunction(theta_grid=np.array([0.0]))

@@ -64,6 +64,8 @@ class TestDelta:
         s, set1, set0 = gap_population()
         with pytest.raises(ConfigError):
             estimate_delta(s, set1, set0, kappa=0.0)
+        with pytest.raises(ConfigError, match="kappa must be positive"):
+            estimate_delta(s, set1, set0, kappa=float("nan"))
 
 
 class TestThresholdScan:

@@ -33,6 +33,15 @@ class TestDistribution:
         with pytest.raises(DataError):
             RoyDistribution(np.full((2, 2, 2), 0.2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cells(self, bad):
+        # NaN passes both the sign and the sum-to-one comparison
+        p = np.zeros((2, 2, 2))
+        p[1, 0, 0], p[0, 0, 0] = 0.5, 0.5
+        p[0, 0, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            RoyDistribution(p)
+
     def test_requires_both_arms(self):
         p = np.zeros((2, 2, 2))
         p[1, 1, 1] = 1.0
