@@ -6,7 +6,9 @@ probability of strictly inefficient choices consistent with the data is a
 point-identified efficiency-loss measure.  The joint distribution of
 (potential outcomes, choice, instrument) lives in a polyhedron of 16 cell
 masses; sharp bounds on Pr(Y(1)=1 | Z=z) come out of linear programs over
-that polyhedron and admit closed forms.
+that polyhedron and admit closed forms.  :func:`potential_outcome_bounds`
+reports the closed forms and by default checks them against the linear
+programs on every call: one polyhedron, one phase 1, four phase-2 solves.
 
 Cell masses are C[d, y, k, z] = Pr(Y(1)=y, Y(0)=k, D=d, Z=z).
 """
@@ -102,6 +104,33 @@ def min_efficiency_loss(dist: RoyDistribution):
     return max(0.0, py0z1 - py0z0 * pz1 / pz0)
 
 
+def _pattern(rows):
+    """0/1 matrix with one row per list of (d, y, k, z) cells."""
+    a = np.zeros((len(rows), 16))
+    for i, cells in enumerate(rows):
+        a[i, [_cell_index(*cell) for cell in cells]] = 1.0
+    return a
+
+
+# Observed (y, d, z) cell of each matching row, in row order.
+_MATCHED = [(y, d, z) for z in (0, 1) for y in (0, 1) for d in (1, 0)]
+_MATCHED_INDEX = tuple(np.array(axis) for axis in zip(*_MATCHED))
+_A_EQ = _pattern(
+    # observational matching: the chosen potential outcome equals Y
+    [[(1, y, k, z) for k in (0, 1)] if d else [(0, y1, y, z) for y1 in (0, 1)]
+     for y, d, z in _MATCHED]
+    # no inefficient choice without encouragement
+    + [[(1, 0, 1, 0)], [(0, 1, 0, 0)]]
+    # encouragement induces exactly the minimal inefficient mass
+    + [[(0, 1, 0, 1), (1, 0, 1, 1)]])
+# best outcome no more likely without encouragement; worst outcome no more
+# likely with it.  Each column is scaled by 1 / Pr(Z=z) of its own arm.
+_A_UB_SIGNS = (_pattern([[(d, 1, 1, 0) for d in (0, 1)],
+                         [(d, 0, 0, 1) for d in (0, 1)]])
+               - _pattern([[(d, 1, 1, 1) for d in (0, 1)],
+                           [(d, 0, 0, 0) for d in (0, 1)]]))
+
+
 def build_polyhedron(dist: RoyDistribution):
     """Constraint system over the 16 cell masses C[d, y, k, z].
 
@@ -109,47 +138,16 @@ def build_polyhedron(dist: RoyDistribution):
     (Y, D, Z) cell; efficiency at Z=0 (no strictly dominated choice has
     mass); the minimal-loss equality at Z=1; and the two stochastic
     dominance comparisons of best and worst potential outcomes across
-    instrument arms.  Nonnegativity is implicit in the LP solver.
+    instrument arms.  Nonnegativity is implicit in the LP solver.  The 0/1
+    pattern is fixed; a distribution sets only ``b_eq`` and the
+    1 / Pr(Z=z) scaling of ``A_ub``.
     """
-    pz1, pz0 = dist.pr_z(1), dist.pr_z(0)
-    A_eq, b_eq = [], []
-
-    def row(entries):
-        a = np.zeros(16)
-        for pos, coef in entries:
-            a[pos] += coef
-        return a
-
-    # observational matching: the chosen potential outcome equals Y
-    for z in (0, 1):
-        for yobs in (0, 1):
-            A_eq.append(row([(_cell_index(1, yobs, k, z), 1.0) for k in (0, 1)]))
-            b_eq.append(float(dist.p[yobs, 1, z]))
-            A_eq.append(row([(_cell_index(0, y, yobs, z), 1.0) for y in (0, 1)]))
-            b_eq.append(float(dist.p[yobs, 0, z]))
-
-    # no inefficient choice without encouragement
-    A_eq.append(row([(_cell_index(1, 0, 1, 0), 1.0)]))
-    b_eq.append(0.0)
-    A_eq.append(row([(_cell_index(0, 1, 0, 0), 1.0)]))
-    b_eq.append(0.0)
-
-    # encouragement induces exactly the minimal inefficient mass
-    A_eq.append(row([(_cell_index(0, 1, 0, 1), 1.0),
-                     (_cell_index(1, 0, 1, 1), 1.0)]))
-    b_eq.append(min_efficiency_loss(dist))
-
-    A_ub, b_ub = [], []
-    # best outcome no more likely without encouragement
-    A_ub.append(row([(_cell_index(d, 1, 1, 0), 1.0 / pz0) for d in (0, 1)]
-                    + [(_cell_index(d, 1, 1, 1), -1.0 / pz1) for d in (0, 1)]))
-    b_ub.append(0.0)
-    # worst outcome no more likely with encouragement
-    A_ub.append(row([(_cell_index(d, 0, 0, 1), 1.0 / pz1) for d in (0, 1)]
-                    + [(_cell_index(d, 0, 0, 0), -1.0 / pz0) for d in (0, 1)]))
-    b_ub.append(0.0)
-
-    return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
+    inv_pz = (1.0 / dist.pr_z(0), 1.0 / dist.pr_z(1))
+    b_eq = np.concatenate([dist.p[_MATCHED_INDEX],
+                           [0.0, 0.0, min_efficiency_loss(dist)]])
+    # z is the last axis of the cell index, so columns alternate z = 0, 1
+    a_ub = _A_UB_SIGNS * np.tile(inv_pz, 8)
+    return _A_EQ.copy(), b_eq, a_ub, np.zeros(2)
 
 
 def optimize_functional(dist: RoyDistribution, c, sense="min"):
@@ -176,7 +174,27 @@ def _objective_vector(z):
     return c
 
 
+# Pr(Y(1)=1, Z=z) to minimise and, negated, to maximise, for z = 0 then 1.
+_BOUND_OBJECTIVES = np.array([sgn * _objective_vector(z)
+                              for z in (0, 1) for sgn in (1.0, -1.0)])
+
+
 def _closed_form_bounds(dist: RoyDistribution):
+    """Closed-form ends of the bounds on Pr(Y(1)=1 | Z=z), keyed by z.
+
+    Pr(Y(1)=1, Z=1) is the observed Pr(Y=1, D=1, Z=1) plus C[0, 1, 1, 1]
+    plus C[0, 1, 0, 1].  Matching caps C[0, 1, 1, 1] at Pr(Y=1, D=0, Z=1).
+    C[0, 1, 0, 1] is a strictly inefficient choice, so it is part of the
+    inefficient mass m = C[0, 1, 0, 1] + C[1, 0, 1, 1]; matching also caps
+    it at Pr(Y=0, D=0, Z=1).  Hence
+
+        u1 = (Pr(Y=1, Z=1) + min(m, Pr(Y=0, D=0, Z=1))) / Pr(Z=1),
+
+    and the rest of m fits in C[1, 0, 1, 1], which matching caps at
+    Pr(Y=0, D=1, Z=1), since m <= Pr(Y=0, Z=1).  The ``min`` binds only
+    when m > Pr(Y=0, D=0, Z=1), which needs m > 0, so it changes nothing
+    on data that do not refute efficient selection.
+    """
     p = dist.p
     pz1, pz0 = dist.pr_z(1), dist.pr_z(0)
     m_el = min_efficiency_loss(dist)
@@ -184,7 +202,7 @@ def _closed_form_bounds(dist: RoyDistribution):
     u0 = (float(p[1, 1, 0]) + min(float(p[1, 0, 0]),
                                   pz0 / pz1 * float(p[1, :, 1].sum()))) / pz0
     l1 = (float(p[1, 1, 1]) + max(0.0, m_el - float(p[0, 1, 1]))) / pz1
-    u1 = (float(p[1, :, 1].sum()) + m_el) / pz1
+    u1 = (float(p[1, :, 1].sum()) + min(m_el, float(p[0, 0, 1]))) / pz1
     return {0: (l0, u0), 1: (l1, u1)}
 
 
@@ -194,21 +212,24 @@ def potential_outcome_bounds(dist: RoyDistribution, verify=True):
     Closed-form expressions are evaluated and, when ``verify`` is set,
     cross-checked against the linear programs over the model polyhedron;
     a discrepancy beyond 1e-9 raises :class:`InternalConsistencyError`.
+    The check builds the polyhedron once and makes one :func:`solve_lp`
+    call: one phase 1, then four phase-2 solves that minimise and maximise
+    Pr(Y(1)=1, Z=z) for both arms.
     Returns ``{"z0": (lo, hi), "z1": (lo, hi), "min_efficiency_loss": m}``.
     """
     closed = _closed_form_bounds(dist)
     if verify:
+        A_eq, b_eq, A_ub, b_ub = build_polyhedron(dist)
+        try:
+            solutions = solve_lp(_BOUND_OBJECTIVES, A_eq=A_eq, b_eq=b_eq,
+                                 A_ub=A_ub, b_ub=b_ub)
+        except InfeasibleError as exc:
+            raise InternalConsistencyError(
+                "model polyhedron unexpectedly empty") from exc
         for z in (0, 1):
-            c = _objective_vector(z)
             pz = dist.pr_z(z)
-            try:
-                lo_lp, _ = optimize_functional(dist, c, "min")
-                hi_lp, _ = optimize_functional(dist, c, "max")
-            except InfeasibleError as exc:
-                raise InternalConsistencyError(
-                    "model polyhedron unexpectedly empty") from exc
-            lo_lp /= pz
-            hi_lp /= pz
+            lo_lp = solutions[2 * z][0] / pz
+            hi_lp = -solutions[2 * z + 1][0] / pz
             lo_cf, hi_cf = closed[z]
             if abs(lo_lp - lo_cf) > _ATOL or abs(hi_lp - hi_cf) > _ATOL:
                 raise InternalConsistencyError(

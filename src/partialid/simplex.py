@@ -3,7 +3,9 @@
 Solves  min c'x  subject to  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 Pivoting uses Bland's rule, so the method cannot cycle; problems here are
 tiny (tens of variables), making a dense tableau the simplest reliable
-choice.
+choice.  Phase 1 never looks at the objective, so several objectives over
+one constraint system share it: each gets its own phase 2 from a copy of
+the same feasible tableau.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ class UnboundedError(InternalConsistencyError):
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0:
-            T[r] -= T[r, col] * T[row]
+    factor = T[:, col].copy()
+    factor[row] = 0.0
+    T -= np.outer(factor, T[row])
     basis[row] = col
 
 
@@ -52,51 +54,34 @@ def _run_simplex(T, basis, ncols):
         _pivot(T, basis, row, col)
 
 
-def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
-    """Minimise ``c @ x`` over ``x >= 0`` with equality and/or upper-bound
-    constraints.  Returns ``(value, x)``; raises :class:`InfeasibleError`
-    or :class:`UnboundedError` when no optimum exists.
-    """
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    if A_eq is None and A_ub is None:
-        # only x >= 0 constrains the problem
-        if np.any(c < 0):
-            raise UnboundedError("objective decreases without bound")
-        return 0.0, np.zeros(n)
-    rows = []
-    rhs = []
-    n_slack = 0 if A_ub is None else np.asarray(A_ub).shape[0]
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.asarray(b_eq, dtype=float)
-        for a, b in zip(A_eq, b_eq):
-            rows.append(np.concatenate([a, np.zeros(n_slack)]))
-            rhs.append(float(b))
+def _feasible_tableau(A_eq, b_eq, A_ub, b_ub):
+    """Phase 1: a basic feasible tableau ``(T, basis)`` over the variables
+    and one slack per upper-bound row, its cost row left zero."""
     if A_ub is not None:
         A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.asarray(b_ub, dtype=float)
-        for k, (a, b) in enumerate(zip(A_ub, b_ub)):
-            slack = np.zeros(n_slack)
-            slack[k] = 1.0
-            rows.append(np.concatenate([a, slack]))
-            rhs.append(float(b))
-    A = np.vstack(rows)
-    b = np.array(rhs)
+    n_slack = 0 if A_ub is None else A_ub.shape[0]
+    blocks, rhs = [], []
+    if A_eq is not None:
+        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
+        blocks.append(np.hstack([A_eq, np.zeros((A_eq.shape[0], n_slack))]))
+        rhs.append(np.asarray(b_eq, dtype=float).ravel())
+    if A_ub is not None:
+        blocks.append(np.hstack([A_ub, np.eye(n_slack)]))
+        rhs.append(np.asarray(b_ub, dtype=float).ravel())
+    A = np.vstack(blocks)
+    b = np.concatenate(rhs)
     # normalise to b >= 0 so artificial variables start feasible
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
     m, ntot = A.shape
 
-    # phase 1: minimise the sum of artificial variables
-    T = np.zeros((m + 1, ntot + m + 1))
-    T[:m, :ntot] = A
-    T[:m, ntot:ntot + m] = np.eye(m)
-    T[:m, -1] = b
+    # minimise the sum of artificial variables
+    T = np.vstack([
+        np.hstack([A, np.eye(m), b[:, None]]),
+        np.concatenate([-A.sum(axis=0), np.zeros(m), [-b.sum()]]),
+    ])
     basis = list(range(ntot, ntot + m))
-    T[-1, :ntot] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
     _run_simplex(T, basis, ntot)
     if T[-1, -1] < -1e-8:
         raise InfeasibleError("no nonnegative solution satisfies the constraints")
@@ -107,20 +92,46 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
             if piv.size:
                 _pivot(T, basis, r, int(piv[0]))
 
-    # phase 2 on the original objective (slacks cost zero)
     keep = [r for r in range(m) if basis[r] < ntot]
-    T2 = np.zeros((len(keep) + 1, ntot + 1))
-    T2[:-1, :ntot] = T[keep][:, :ntot]
-    T2[:-1, -1] = T[keep][:, -1]
-    basis2 = [basis[r] for r in keep]
-    full_c = np.concatenate([c, np.zeros(n_slack)])
-    T2[-1, :ntot] = full_c
-    for r, bcol in enumerate(basis2):
-        T2[-1] -= full_c[bcol] * T2[r]
-    _run_simplex(T2, basis2, ntot)
+    T2 = np.vstack([np.hstack([T[keep, :ntot], T[keep, -1:]]),
+                    np.zeros(ntot + 1)])
+    return T2, [basis[r] for r in keep]
 
+
+def _phase2(T, basis, c):
+    """Minimise ``c @ x`` (slacks cost zero) from a copy of the feasible
+    tableau; returns ``(value, x)`` with x over the variables of c."""
+    T = T.copy()
+    basis = list(basis)
+    ntot = T.shape[1] - 1
+    full_c = np.concatenate([c, np.zeros(ntot - c.size)])
+    T[-1, :ntot] = full_c
+    for r, bcol in enumerate(basis):
+        T[-1] -= full_c[bcol] * T[r]
+    _run_simplex(T, basis, ntot)
     x = np.zeros(ntot)
-    for r, bcol in enumerate(basis2):
-        x[bcol] = T2[r, -1]
-    value = float(full_c @ x)
-    return value, x[:n]
+    x[basis] = T[:-1, -1]
+    return float(full_c @ x), x[:c.size]
+
+
+def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
+    """Minimise ``c @ x`` over ``x >= 0`` with equality and/or upper-bound
+    constraints.  Returns ``(value, x)``; raises :class:`InfeasibleError`
+    or :class:`UnboundedError` when no optimum exists.
+
+    A ``(k, n)`` matrix ``c`` holds k objectives over the same
+    constraints: phase 1 runs once, each row gets its own phase 2, and
+    the result is a list of k ``(value, x)`` pairs, each equal to what
+    the row alone would give.
+    """
+    c = np.asarray(c, dtype=float)
+    objectives = np.atleast_2d(c)
+    if A_eq is None and A_ub is None:
+        # only x >= 0 constrains the problem
+        if np.any(objectives < 0):
+            raise UnboundedError("objective decreases without bound")
+        out = [(0.0, np.zeros(row.size)) for row in objectives]
+    else:
+        T, basis = _feasible_tableau(A_eq, b_eq, A_ub, b_ub)
+        out = [_phase2(T, basis, row) for row in objectives]
+    return out if c.ndim == 2 else out[0]

@@ -168,14 +168,11 @@ class TestCriterion3RoyExactness:
     def test_thousand_random_distributions(self):
         rng = np.random.default_rng(17)
         start = time.perf_counter()
-        checked = 0
-        while checked < 1000:
+        admitted = 0
+        # every draw is checked, refuted or not, until 1000 admitted ones
+        while admitted < 1000:
             dist = RoyDistribution(rng.dirichlet(np.ones(8)).reshape(2, 2, 2))
-            # the closed forms characterize distributions consistent with
-            # the model; refuted ones have an empty polyhedron
-            if check_roy_refutable(dist)["refuted"]:
-                continue
-            checked += 1
+            admitted += not check_roy_refutable(dist)["refuted"]
 
             # (a) closed-form minimal inefficiency equals the LP minimum of
             # the two strictly dominated cells, with the equality row that

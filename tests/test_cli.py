@@ -244,6 +244,16 @@ class TestRoy:
         assert code == 0
         assert "min_efficiency_loss" in json.loads(out)["results"]
 
+    def test_refuted_cells(self, capsys):
+        # refuted, with inefficient mass above Pr(Y=0, D=0, Z=1)
+        cells = "0.0576,0.0915,0.1122,0.1318,0.3133,0.0164,0.1568,0.1204"
+        code, out, _ = run_cli(capsys, "roy", "bounds", "--cells", cells)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["refuted"]
+        assert res["treated_outcome_given_z1"][1] == pytest.approx(0.633991,
+                                                                   rel=1e-6)
+
     @pytest.mark.parametrize("cells", ["nan,0,0,0,0,0,0,1",
                                        "inf,0,0,0,0,0,0,1"])
     def test_non_finite_cells_are_2(self, capsys, cells):

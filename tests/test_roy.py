@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import partialid.roy as roy
 from partialid.errors import DataError, InternalConsistencyError
-from partialid.roy import (RoyDistribution, build_polyhedron,
-                           check_roy_refutable, min_efficiency_loss,
-                           optimize_functional, potential_outcome_bounds)
+from partialid.roy import (RoyDistribution, _cell_index, _objective_vector,
+                           build_polyhedron, check_roy_refutable,
+                           min_efficiency_loss, optimize_functional,
+                           potential_outcome_bounds)
 from partialid.simplex import solve_lp
 
 
@@ -16,6 +19,64 @@ def dist_from_cells(cells):
     for (y, d, z), v in cells.items():
         p[y, d, z] = v
     return RoyDistribution(p)
+
+
+def row_by_row_polyhedron(dist):
+    """The constraint system built one row at a time from the cell
+    indices: the oracle for :func:`build_polyhedron`."""
+    pz1, pz0 = dist.pr_z(1), dist.pr_z(0)
+    A_eq, b_eq = [], []
+
+    def row(entries):
+        a = np.zeros(16)
+        for pos, coef in entries:
+            a[pos] += coef
+        return a
+
+    # observational matching: the chosen potential outcome equals Y
+    for z in (0, 1):
+        for yobs in (0, 1):
+            A_eq.append(row([(_cell_index(1, yobs, k, z), 1.0) for k in (0, 1)]))
+            b_eq.append(float(dist.p[yobs, 1, z]))
+            A_eq.append(row([(_cell_index(0, y, yobs, z), 1.0) for y in (0, 1)]))
+            b_eq.append(float(dist.p[yobs, 0, z]))
+
+    # no inefficient choice without encouragement
+    A_eq.append(row([(_cell_index(1, 0, 1, 0), 1.0)]))
+    b_eq.append(0.0)
+    A_eq.append(row([(_cell_index(0, 1, 0, 0), 1.0)]))
+    b_eq.append(0.0)
+
+    # encouragement induces exactly the minimal inefficient mass
+    A_eq.append(row([(_cell_index(0, 1, 0, 1), 1.0),
+                     (_cell_index(1, 0, 1, 1), 1.0)]))
+    b_eq.append(min_efficiency_loss(dist))
+
+    A_ub, b_ub = [], []
+    # best outcome no more likely without encouragement
+    A_ub.append(row([(_cell_index(d, 1, 1, 0), 1.0 / pz0) for d in (0, 1)]
+                    + [(_cell_index(d, 1, 1, 1), -1.0 / pz1) for d in (0, 1)]))
+    b_ub.append(0.0)
+    # worst outcome no more likely with encouragement
+    A_ub.append(row([(_cell_index(d, 0, 0, 1), 1.0 / pz1) for d in (0, 1)]
+                    + [(_cell_index(d, 0, 0, 0), -1.0 / pz0) for d in (0, 1)]))
+    b_ub.append(0.0)
+
+    return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
+
+
+def random_dists(seed, count):
+    """Dirichlet draws of mixed concentration, refuted ones included, every
+    fifth with one cell set to zero."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        p = rng.dirichlet(np.ones(8) * rng.uniform(0.1, 3.0)).reshape(2, 2, 2)
+        if i % 5 == 0:
+            p[tuple(rng.integers(0, 2, 3))] = 0.0
+            p /= p.sum()
+        out.append(RoyDistribution(p))
+    return out
 
 
 def balanced_dist():
@@ -93,22 +154,20 @@ class TestEfficiencyLoss:
 
     def test_equals_lp_minimum(self):
         rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 50:
+        admitted = 0
+        # every draw is checked, refuted or not, until 50 admitted ones
+        while admitted < 50:
             p = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
             dist = RoyDistribution(p)
-            if check_roy_refutable(dist)["refuted"]:
-                continue
             # LP without the loss equality: minimise the two inefficiency cells
             a_eq, b_eq, a_ub, b_ub = build_polyhedron(dist)
             a_eq, b_eq = a_eq[:-1], b_eq[:-1]  # drop the loss equality itself
             c = np.zeros(16)
-            from partialid.roy import _cell_index
             c[_cell_index(0, 1, 0, 1)] = 1.0
             c[_cell_index(1, 0, 1, 1)] = 1.0
             val, _ = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
             assert val == pytest.approx(min_efficiency_loss(dist), abs=1e-9)
-            checked += 1
+            admitted += not check_roy_refutable(dist)["refuted"]
 
 
 class TestBounds:
@@ -123,16 +182,54 @@ class TestBounds:
             lo, hi = res[key]
             assert -1e-12 <= lo <= hi <= 1 + 1e-12
 
+    def test_matches_row_by_row_builder(self):
+        for dist in random_dists(11, 300) + [balanced_dist()]:
+            for got, want in zip(build_polyhedron(dist),
+                                 row_by_row_polyhedron(dist)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
     def test_verify_mode_agrees_on_random_distributions(self):
         rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 100:
+        admitted = 0
+        # every draw is checked, refuted or not, until 100 admitted ones
+        while admitted < 100:
             p = rng.dirichlet(np.ones(8) * rng.uniform(0.3, 3.0)).reshape(2, 2, 2)
             dist = RoyDistribution(p)
-            if check_roy_refutable(dist)["refuted"]:
-                continue
             potential_outcome_bounds(dist, verify=True)  # raises on mismatch
-            checked += 1
+            admitted += not check_roy_refutable(dist)["refuted"]
+
+    def test_one_lp_call_per_verified_call(self, monkeypatch):
+        calls = []
+
+        def recorder(c, *args, **kwargs):
+            calls.append(np.shape(c))
+            return solve_lp(c, *args, **kwargs)
+
+        monkeypatch.setattr(roy, "solve_lp", recorder)
+        dists = random_dists(3, 40)
+        assert any(check_roy_refutable(d)["refuted"] for d in dists)
+        assert not all(check_roy_refutable(d)["refuted"] for d in dists)
+        for dist in dists:
+            potential_outcome_bounds(dist)
+        assert calls == [(4, 16)] * len(dists)
+        calls.clear()
+        for dist in dists:
+            potential_outcome_bounds(dist, verify=False)
+        assert calls == []
+
+    def test_z1_upper_bound_on_refuted_data(self):
+        # the inefficient mass exceeds Pr(Y=0, D=0, Z=1) = 0.0915, so only
+        # that much of it can count toward Y(1)=1
+        dist = RoyDistribution(np.array(
+            [0.0576, 0.0915, 0.1122, 0.1318, 0.3133, 0.0164, 0.1568, 0.1204]
+        ).reshape(2, 2, 2))
+        m = min_efficiency_loss(dist)
+        assert m > dist.p[0, 0, 1]
+        _, hi = potential_outcome_bounds(dist)["z1"]
+        assert hi == pytest.approx(
+            (dist.p[1, :, 1].sum() + dist.p[0, 0, 1]) / dist.pr_z(1), abs=1e-15)
+        assert hi == pytest.approx(0.6339905581782839, abs=1e-12)
 
     def test_point_identified_under_one_sided_choice(self):
         # everyone picks d=1 and the loss is zero: Pr(Y(1)=1|Z=z) observed
@@ -150,3 +247,69 @@ class TestBounds:
             optimize_functional(balanced_dist(), np.zeros(5))
         with pytest.raises(DataError):
             optimize_functional(balanced_dist(), np.zeros(16), sense="best")
+
+
+def _shares(size):
+    """Nonnegative weights summing to one, zeros included."""
+    return st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                    min_size=size, max_size=size).filter(
+        lambda w: sum(w) > 0).map(lambda w: np.array(w) / sum(w))
+
+
+@st.composite
+def roy_distributions(draw, boundary=False):
+    """Cells of a distribution with both arms in [0.02, 0.98].  With
+    ``boundary`` the arms are tied so that the minimal inefficient mass m
+    equals Pr(Y=0, D=0, Z=1), where the z=1 upper bound switches branch."""
+    pz1 = draw(st.floats(0.02, 0.98))
+    p = np.zeros((2, 2, 2))
+    p[:, :, 0] = draw(_shares(4)).reshape(2, 2) * (1.0 - pz1)
+    if boundary:
+        q0 = p[0, :, 0].sum() / (1.0 - pz1)  # Pr(Y=0 | Z=0)
+        p[0, 1, 1] = q0 * pz1
+        rest = draw(_shares(3)) * (pz1 - p[0, 1, 1])
+        p[0, 0, 1], p[1, 1, 1], p[1, 0, 1] = rest
+    else:
+        p[:, :, 1] = draw(_shares(4)).reshape(2, 2) * pz1
+    return p
+
+
+class TestClosedFormOracle:
+    """The closed forms equal the linear programs within 1e-9, whether or
+    not the data refute efficient selection."""
+
+    @staticmethod
+    def assert_matches_lp(p):
+        dist = RoyDistribution(p / p.sum())
+        bounds = potential_outcome_bounds(dist, verify=False)
+        for z in (0, 1):
+            c = _objective_vector(z)
+            pz = dist.pr_z(z)
+            lo = optimize_functional(dist, c, "min")[0] / pz
+            hi = optimize_functional(dist, c, "max")[0] / pz
+            assert abs(lo - bounds[f"z{z}"][0]) <= 1e-9
+            assert abs(hi - bounds[f"z{z}"][1]) <= 1e-9
+        # the minimal loss is the LP minimum without its own equality row
+        a_eq, b_eq, a_ub, b_ub = build_polyhedron(dist)
+        c = np.zeros(16)
+        c[_cell_index(0, 1, 0, 1)] = c[_cell_index(1, 0, 1, 1)] = 1.0
+        loss, _ = solve_lp(c, a_eq[:-1], b_eq[:-1], a_ub, b_ub)
+        assert abs(loss - bounds["min_efficiency_loss"]) <= 1e-9
+        assert potential_outcome_bounds(dist) == bounds
+
+    @given(p=roy_distributions())
+    @settings(max_examples=200, deadline=None)
+    def test_refuted(self, p):
+        assume(check_roy_refutable(RoyDistribution(p / p.sum()))["refuted"])
+        self.assert_matches_lp(p)
+
+    @given(p=roy_distributions())
+    @settings(max_examples=200, deadline=None)
+    def test_not_refuted(self, p):
+        assume(not check_roy_refutable(RoyDistribution(p / p.sum()))["refuted"])
+        self.assert_matches_lp(p)
+
+    @given(p=roy_distributions(boundary=True))
+    @settings(max_examples=200, deadline=None)
+    def test_loss_equals_unchosen_zero_mass(self, p):
+        self.assert_matches_lp(p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from partialid.roy import _BOUND_OBJECTIVES, RoyDistribution, build_polyhedron
 from partialid.simplex import InfeasibleError, UnboundedError, solve_lp
 
 
@@ -48,23 +49,29 @@ class TestKnownProblems:
         assert val == pytest.approx(ref.fun, abs=1e-9)
 
 
+def random_problem(seed):
+    """``(c, a_eq, b_eq, a_ub, b_ub)``: a feasible, bounded random LP."""
+    rng = np.random.default_rng(seed)
+    n_var = rng.integers(2, 7)
+    n_eq = rng.integers(0, 3)
+    n_ub = rng.integers(1, 5)
+    c = rng.normal(size=n_var)
+    # build around a known feasible point so most draws are feasible
+    x0 = rng.uniform(0, 2, n_var)
+    a_eq = rng.normal(size=(n_eq, n_var)) if n_eq else None
+    b_eq = a_eq @ x0 if n_eq else None
+    a_ub = rng.normal(size=(n_ub, n_var))
+    b_ub = a_ub @ x0 + rng.uniform(0, 1, n_ub)
+    # bound the feasible region to rule out unboundedness
+    a_ub = np.vstack([a_ub, np.ones(n_var)])
+    b_ub = np.append(b_ub, n_var * 5.0)
+    return c, a_eq, b_eq, a_ub, b_ub
+
+
 class TestRandomAgreement:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_scipy(self, seed):
-        rng = np.random.default_rng(seed)
-        n_var = rng.integers(2, 7)
-        n_eq = rng.integers(0, 3)
-        n_ub = rng.integers(1, 5)
-        c = rng.normal(size=n_var)
-        # build around a known feasible point so most draws are feasible
-        x0 = rng.uniform(0, 2, n_var)
-        a_eq = rng.normal(size=(n_eq, n_var)) if n_eq else None
-        b_eq = a_eq @ x0 if n_eq else None
-        a_ub = rng.normal(size=(n_ub, n_var))
-        b_ub = a_ub @ x0 + rng.uniform(0, 1, n_ub)
-        # bound the feasible region to rule out unboundedness
-        a_ub = np.vstack([a_ub, np.ones(n_var)])
-        b_ub = np.append(b_ub, n_var * 5.0)
+        c, a_eq, b_eq, a_ub, b_ub = random_problem(seed)
         ref = linprog(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
                       method="highs")
         assert ref.status == 0
@@ -74,3 +81,53 @@ class TestRandomAgreement:
         assert np.all(a_ub @ x <= b_ub + 1e-7)
         if a_eq is not None:
             assert np.allclose(a_eq @ x, b_eq, atol=1e-7)
+
+
+class TestManyObjectives:
+    """A (k, n) objective shares phase 1 and must give exactly what k
+    single-objective calls give."""
+
+    @staticmethod
+    def assert_same_as_single_calls(objectives, *constraints):
+        many = solve_lp(objectives, *constraints)
+        assert isinstance(many, list) and len(many) == len(objectives)
+        for c, (value, x) in zip(objectives, many):
+            want_value, want_x = solve_lp(c, *constraints)
+            assert value == want_value
+            assert x.shape == want_x.shape
+            assert np.array_equal(x, want_x)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_problems(self, seed):
+        c, *constraints = random_problem(seed)
+        rng = np.random.default_rng(1000 + seed)
+        objectives = np.vstack([c, -c, rng.normal(size=(2, c.size))])
+        self.assert_same_as_single_calls(objectives, *constraints)
+
+    def test_roy_polyhedra(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            dist = RoyDistribution(rng.dirichlet(np.ones(8)).reshape(2, 2, 2))
+            objectives = np.vstack([rng.normal(size=(3, 16)),
+                                    _BOUND_OBJECTIVES])
+            self.assert_same_as_single_calls(objectives,
+                                             *build_polyhedron(dist))
+
+    def test_one_row_matrix_gives_a_one_pair_list(self):
+        c, *constraints = random_problem(0)
+        self.assert_same_as_single_calls(c[None, :], *constraints)
+
+    def test_infeasible_propagates(self):
+        with pytest.raises(InfeasibleError):
+            solve_lp(np.array([[1.0], [-1.0]]), None, None,
+                     np.array([[1.0]]), np.array([-1.0]))
+
+    def test_unbounded_propagates(self):
+        # x1 <= 1 bounds the first objective; the second runs off along x2
+        a_ub, b_ub = np.array([[1.0, 0.0]]), np.array([1.0])
+        with pytest.raises(UnboundedError):
+            solve_lp(np.array([[1.0, 1.0], [1.0, -1.0]]), None, None,
+                     a_ub, b_ub)
+        with pytest.raises(UnboundedError):
+            solve_lp(np.array([[1.0, 0.0], [-1.0, 0.0]]), None, None,
+                     None, None)
