@@ -3,7 +3,7 @@
 Submodules
 ----------
 sets        closed interval unions and super-level set extraction
-datamodel   samples, empirical cell frequencies, tuning configurations
+datamodel   samples, empirical cell frequencies, tuning values per run
 density     kernel estimates of signed sub-density differences
 latepoint   trimmed complier-mean contrast: estimate, variance, intervals
 latebounds  complier-mass-gap regimes, thresholds, interval bounds
@@ -22,8 +22,7 @@ The package root re-exports every submodule's public names except those of
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DataError, InternalConsistencyError,
-                     PartialIdError, UnsupportedModelError,
-                     WeakIdentificationError)
+                     PartialIdError, WeakIdentificationError)
 from .sets import IntervalUnion, superlevel_set
 from .datamodel import (EmpiricalPQ, RunConfig, Sample, build_empirical,
                         default_empirical_config, default_simulation_config,
@@ -44,9 +43,9 @@ from .roy import (RoyDistribution, build_polyhedron, check_roy_refutable,
 from .structures import (FiniteStructureSpace, binary_decidability,
                          check_extension, complete_space, confirmable_sets,
                          load_space_json, nonrefutable_sets)
-from .dilation import (CharacterizingFunction, DilationConfig,
-                       bootstrap_critical_value, confidence_region,
-                       estimated_identified_set, interval_data_stats,
-                       interval_mean_distance, interval_mean_model)
+from .dilation import (CharacterizingFunction, bootstrap_critical_value,
+                       confidence_region, estimated_identified_set,
+                       interval_data_stats, interval_mean_distance,
+                       interval_mean_model)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,12 +34,11 @@ from . import __version__
 from .errors import (ConfigError, DataError, PartialIdError,
                      WeakIdentificationError)
 from .datamodel import (RunConfig, default_empirical_config,
-                        default_simulation_config, default_threshold,
-                        load_intervals_csv, load_sample_csv)
+                        default_simulation_config, load_intervals_csv,
+                        load_sample_csv)
 from .density import Kernel, default_grid, estimate_density_diff
-from .dilation import (confidence_region,
-                       estimated_identified_set, interval_data_stats,
-                       interval_mean_model, DilationConfig)
+from .dilation import (confidence_region, estimated_identified_set,
+                       interval_data_stats, interval_mean_model)
 from .latebounds import estimate_bounds, estimate_delta
 from .latepoint import (TailSpec, check_iam_implication,
                         conservative_union_ci, estimate_trimmed_sets,
@@ -227,10 +226,8 @@ def _cmd_late_bounds(args):
     tails = TailSpec.from_string(args.tails) if args.tails else cfg.tails
     set1, set0 = estimate_trimmed_sets(est, tails, cfg.b, cfg.band,
                                        threshold_scale=cfg.threshold_scale)
-    kappa = default_threshold(sample.n) * kappa_scale
-    delta = estimate_delta(sample, set1, set0, kappa)
-    bounds = estimate_bounds(sample, set1, set0, delta,
-                             compute_variance=True, h=cfg.h)
+    delta = estimate_delta(sample, set1, set0, cfg.kappa * kappa_scale)
+    bounds = estimate_bounds(sample, set1, set0, delta, h=cfg.h)
     results = {
         "delta": delta.to_jsonable(),
         "bounds": bounds.to_jsonable(),
@@ -246,8 +243,7 @@ def _cmd_late_bounds(args):
         alt_regime = ("point" if delta.regime != "point"
                       else ("below" if delta.delta < 0 else "above"))
         alt_delta = dataclasses.replace(delta, regime=alt_regime)
-        alt = estimate_bounds(sample, set1, set0, alt_delta,
-                              compute_variance=True, h=cfg.h)
+        alt = estimate_bounds(sample, set1, set0, alt_delta, h=cfg.h)
         results["alternative_regime"] = alt.to_jsonable()
     return {"config": cfg.to_jsonable(), "results": results,
             "warnings": warnings}
@@ -348,10 +344,11 @@ def _cmd_dilate_region(args):
     lo, hi = float(rows[:, 0].min()), float(rows[:, 1].max())
     grid = np.linspace(lo, hi, args.grid_points)
     model = interval_mean_model(grid)
-    cfg = DilationConfig(n_boot=args.boot, alpha=args.alpha)
-    est_set = estimated_identified_set(model, rows, cfg)
+    # the region first: its bootstrap checks --alpha and --boot before any
+    # other work
     region, cstar = confidence_region(model, rows, args.alpha, args.boot,
                                       args.seed)
+    est_set = estimated_identified_set(model, rows)
     t_nf, t_con = interval_data_stats(rows, args.a, args.b)
     results = {
         "n": rows.shape[0],

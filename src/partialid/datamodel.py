@@ -1,12 +1,13 @@
-"""Core data containers: samples, empirical conditional measures, and run
-configuration shared by all estimation modules."""
+"""Core data containers: samples, empirical conditional measures, and the
+run configuration, which holds the tuning values every estimation module
+reads: bandwidth, trimming level and regime threshold at the sample size."""
 
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -126,22 +127,21 @@ def default_threshold(n):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tuning rules (closures over n) plus their values at the sample size.
+    """Tuning values for one run at its sample size.
 
-    Storing both lets simulation sweeps across n reuse one config while
-    single-sample runs read the evaluated values directly.
+    The paper's tuning sequences are rates in n; every estimator applies
+    them once, at its own sample's n, so the config holds their values:
+    the bandwidth ``h``, the trimming level ``b`` and the regime threshold
+    ``kappa``.  A run at another n builds a new config.
     """
 
-    bandwidth_rule: Callable[[int], float]
-    trimming_rule: Callable[[int], float]
-    threshold_rule: Callable[[int], float]
     band: tuple
+    h: float
+    b: float
+    kappa: float
     alpha: float = 0.05
     n_boot: int = 500
     seed: int = 0
-    h: float = 0.0
-    b: float = 0.0
-    kappa: float = 0.0
     tails: Optional[object] = None  # TailSpec, when selected from data
     threshold_scale: str = "absolute"  # how b is applied to the densities
     notes: tuple = field(default_factory=tuple)
@@ -158,33 +158,11 @@ class RunConfig:
                 f"{self.threshold_scale!r}")
         if self.n_boot < 1:
             raise ConfigError("bootstrap count must be >= 1")
-        for label, rule in (
-            ("bandwidth", self.bandwidth_rule),
-            ("trimming", self.trimming_rule),
-        ):
-            for n in (2, 1000):
-                if rule(n) <= 0:
-                    raise ConfigError(f"{label} rule must be positive at n={n}")
-
-    @classmethod
-    def from_rules(cls, n, bandwidth_rule, trimming_rule, threshold_rule, band,
-                   alpha=0.05, n_boot=500, seed=0, tails=None,
-                   threshold_scale="absolute", notes=()):
-        return cls(
-            bandwidth_rule=bandwidth_rule,
-            trimming_rule=trimming_rule,
-            threshold_rule=threshold_rule,
-            band=tuple(band),
-            alpha=alpha,
-            n_boot=n_boot,
-            seed=seed,
-            h=float(bandwidth_rule(n)),
-            b=float(trimming_rule(n)),
-            kappa=float(threshold_rule(n)),
-            tails=tails,
-            threshold_scale=threshold_scale,
-            notes=tuple(notes),
-        )
+        for name in ("h", "b", "kappa"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value}")
 
     def to_jsonable(self):
         out = {
@@ -211,12 +189,11 @@ def default_simulation_config(n, band, alpha=0.05, seed=0, tails=None):
     estimated density difference, so one b works across designs whose
     density scales differ.
     """
-    return RunConfig.from_rules(
-        n,
-        bandwidth_rule=theorem_bandwidth,
-        trimming_rule=theorem_trimming,
-        threshold_rule=default_threshold,
-        band=band,
+    return RunConfig(
+        band=tuple(band),
+        h=theorem_bandwidth(n),
+        b=theorem_trimming(n),
+        kappa=default_threshold(n),
         alpha=alpha,
         seed=seed,
         tails=tails,
@@ -243,11 +220,7 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
     sd = float(np.std(sample.y, ddof=1))
     if sd <= 0:
         raise ConfigError("outcome is constant: bandwidth rule gives h = 0")
-
-    def bandwidth_rule(m, _sd=sd):
-        return _sd * math.log(m) / (2.0 * m ** (1.0 / 5.0))
-
-    h = bandwidth_rule(n)
+    h = sd * math.log(n) / (2.0 * n ** (1.0 / 5.0))
     m_l = float(np.quantile(sample.y, 0.01))
     m_u = float(np.quantile(sample.y, 0.99))
     if m_l >= m_u:
@@ -259,13 +232,10 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
     f1 = cell_sum(sample, kernel, h, ys, 1, 1) - cell_sum(sample, kernel, h, ys, 1, 0)
     f0 = cell_sum(sample, kernel, h, ys, 0, 0) - cell_sum(sample, kernel, h, ys, 0, 1)
     density_level = float(np.mean(f1 + f0))
-
-    def trimming_rule(m, _lvl=density_level):
-        val = m ** (-1.0 / 4.0) * _lvl
-        return val if val > 0 else m ** (-1.0 / 4.0) / math.log(m)
-
+    b = n ** (-1.0 / 4.0) * density_level
     notes = []
-    if density_level <= 0:
+    if not b > 0:
+        b = theorem_trimming(n)
         notes.append("average density level non-positive; fell back to the rate rule for b")
 
     tails = TailSpec(
@@ -275,16 +245,15 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
         lower0=_tail_flag(sample, d=0, upper=False),
     )
 
-    return RunConfig.from_rules(
-        n,
-        bandwidth_rule=bandwidth_rule,
-        trimming_rule=trimming_rule,
-        threshold_rule=default_threshold,
+    return RunConfig(
         band=(m_l, m_u),
+        h=h,
+        b=b,
+        kappa=default_threshold(n),
         alpha=alpha,
         seed=seed,
         tails=tails,
-        notes=notes,
+        notes=tuple(notes),
     )
 
 

@@ -3,9 +3,10 @@
 A model is summarised by a characterizing function T: T(theta, F) = 0 exactly
 when theta belongs to the identified set of F.  Enlarging ("dilating") the
 empirical CDF by a sup-norm radius and collecting every theta whose feasible
-set meets the dilation yields an estimated identified set; replacing the
-deterministic radius with a bootstrap quantile of the sup-norm empirical
-process yields a confidence region for the identified set.
+set meets the dilation yields an estimated identified set (radius
+log n / sqrt(n)); replacing that radius with a bootstrap quantile of the
+sup-norm empirical process yields a confidence region for the identified
+set.
 
 The shipped model is the interval-data mean: each observation is an
 interval [y_l, y_u] known to contain the latent outcome, and theta = E[Y*]
@@ -18,79 +19,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UnsupportedModelError
-
-
-def default_radius(n):
-    """Default dilation radius numerator: log n."""
-    return math.log(n)
-
-
-def default_rate(n):
-    """Default dilation rate: the sample size itself."""
-    return float(n)
-
-
-@dataclass(frozen=True)
-class DilationConfig:
-    """Radius and bootstrap settings for dilation-based set estimation.
-
-    The estimated-set radius is ``radius(n) / sqrt(rate(n))``; defaults give
-    log n / sqrt(n), which shrinks to zero while staying above the
-    1/sqrt(n) noise scale.
-    """
-
-    radius: Callable[[int], float] = default_radius
-    rate: Callable[[int], float] = default_rate
-    n_boot: int = 500
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigError("alpha must lie in (0, 1]")
-        if self.n_boot < 100:
-            raise ConfigError("at least 100 bootstrap resamples are required")
-        small, large = 10 ** 3, 10 ** 9
-        r_small = self.radius(small) / math.sqrt(self.rate(small))
-        r_large = self.radius(large) / math.sqrt(self.rate(large))
-        if not (r_small > 0 and r_large > 0):
-            raise ConfigError("the dilation radius must stay positive")
-        if r_large >= r_small:
-            raise ConfigError("the dilation radius must shrink with n")
-
-    def estimation_radius(self, n):
-        return self.radius(n) / math.sqrt(self.rate(n))
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
 class CharacterizingFunction:
     """Finite-grid model summary for dilation methods.
 
-    ``distance(theta, sample)`` must return the smallest sup-norm distance
-    between the empirical CDF evidence and any distribution whose identified
-    set contains theta (0 when theta is already identified-set feasible);
-    models without such a routine cannot be used here.
+    ``distance(thetas, sample)`` returns, at each theta of an array, the
+    smallest sup-norm distance between the empirical CDF evidence and any
+    distribution whose identified set contains theta (0 when theta is
+    already identified-set feasible).
     """
 
     theta_grid: np.ndarray
-    distance: Optional[Callable] = None
-    label: str = "custom"
+    distance: Callable
 
     def __post_init__(self):
         grid = np.asarray(self.theta_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ConfigError("theta_grid must be a nonempty 1-D array")
         object.__setattr__(self, "theta_grid", grid)
-
-    def require_distance(self):
-        if self.distance is None:
-            raise UnsupportedModelError(
-                "this model supplies no distance-to-feasibility routine")
-        return self.distance
 
 
 def _as_columns(sample):
@@ -112,10 +65,10 @@ def bootstrap_critical_value(sample, n_boot, alpha, seed):
     sqrt(n) |F_n^b(x) - F_n(x)|.  The sup is exact because both CDFs are
     step functions changing only at sample points.
     """
-    if n_boot < 100:
-        raise ConfigError("at least 100 bootstrap resamples are required")
     if not (0.0 < alpha <= 1.0):
         raise ConfigError("alpha must lie in (0, 1]")
+    if n_boot < 100:
+        raise ConfigError("at least 100 bootstrap resamples are required")
     cols = _as_columns(sample)
     n = cols.shape[0]
     rng = np.random.default_rng(seed)
@@ -167,79 +120,69 @@ def _shift_knots(values, direction):
     return gaps, head
 
 
-def _max_mean_shift(values, eps, direction):
-    """Largest mean change produced by moving the ECDF of ``values``
-    vertically by at most ``eps`` inside the data range.
-
-    ``direction='down'`` raises the CDF (mean decreases); ``'up'`` lowers it
-    (mean increases).  Both are integrals of min(band headroom, eps) over
-    the gaps between consecutive order statistics.
-    """
-    gaps, head = _shift_knots(values, direction)
-    return float(np.sum(gaps * np.minimum(head, eps)))
-
-
 def _invert_mean_shift(values, target, direction):
-    """Smallest band height whose maximal mean shift reaches ``target``:
-    the exact inverse of a piecewise-linear shift.
+    """Smallest band height whose maximal mean shift reaches ``target``, at
+    each target of an array (a scalar gives a float): the exact inverse of
+    a piecewise-linear shift.
 
     shift(eps) = sum_k gap_k * min(head_k, eps) is linear between
     consecutive heads.  With the heads ascending, at the i-th head it equals
     the gap-weighted sum of the lower heads, A_i, plus head_i times G_i, the
-    total gap at or above head i; so one cumulative sum of each and one
-    search find the segment holding ``target``, and eps solves
+    total gap at or above head i; so one cumulative sum of each, built once,
+    and one search per target find the segment holding it, and eps solves
     A_i + eps * G_i = target on it.  A target no band of height 1 reaches
     (beyond a 1e-12 rounding allowance) gives inf; one within that allowance
     gives the largest head (0 without one), where the shift stops growing.
     """
-    if target <= 0:
-        return 0.0
+    target = np.asarray(target, dtype=float)
     gaps, head = _shift_knots(values, direction)
-    if float(np.sum(gaps * np.minimum(head, 1.0))) < target - 1e-12:
-        return math.inf
-    if not head.size:  # one distinct value: the shift is 0 at every height
-        return 0.0
-    if direction == "down":  # heads 1 - F decrease along the values
-        gaps, head = gaps[::-1], head[::-1]
-    below = np.concatenate([[0.0], np.cumsum(gaps * head)[:-1]])  # A_i
-    above = np.cumsum(gaps[::-1])[::-1]  # G_i
-    i = min(int(np.searchsorted(below + head * above, target)),
-            head.size - 1)
-    eps = (target - below[i]) / above[i]
-    return float(min(max(eps, head[i - 1] if i else 0.0), head[i]))
+    top = float(np.sum(gaps * np.minimum(head, 1.0)))
+    eps = np.zeros(target.shape)
+    if head.size:  # with one distinct value the shift is 0 at every height
+        if direction == "down":  # heads 1 - F decrease along the values
+            gaps, head = gaps[::-1], head[::-1]
+        below = np.concatenate([[0.0], np.cumsum(gaps * head)[:-1]])  # A_i
+        above = np.cumsum(gaps[::-1])[::-1]  # G_i
+        i = np.minimum(np.searchsorted(below + head * above, target),
+                       head.size - 1)
+        floor = np.where(i > 0, head[i - 1], 0.0)
+        eps = np.minimum(np.maximum((target - below[i]) / above[i], floor),
+                         head[i])
+    eps = np.where(target <= 0, 0.0,
+                   np.where(top < target - 1e-12, math.inf, eps))
+    return eps if eps.ndim else float(eps)
 
 
 def interval_mean_distance(theta, sample):
     """Sup-norm distance from the interval-data evidence to the nearest
-    distribution band whose mean interval contains ``theta``."""
+    distribution band whose mean interval contains theta, at each theta of
+    an array (a scalar gives a float)."""
     arr = _check_intervals(sample)
+    theta = np.asarray(theta, dtype=float)
     mean_l = float(arr[:, 0].mean())
     mean_u = float(arr[:, 1].mean())
-    if mean_l <= theta <= mean_u:
-        return 0.0
-    if theta < mean_l:
-        return _invert_mean_shift(arr[:, 0], mean_l - theta, "down")
-    return _invert_mean_shift(arr[:, 1], theta - mean_u, "up")
+    dist = np.zeros(theta.shape)
+    low, high = theta < mean_l, theta > mean_u
+    if low.any():
+        dist[low] = _invert_mean_shift(arr[:, 0], mean_l - theta[low], "down")
+    if high.any():
+        dist[high] = _invert_mean_shift(arr[:, 1], theta[high] - mean_u, "up")
+    return dist if dist.ndim else float(dist)
 
 
 def interval_mean_model(theta_grid) -> CharacterizingFunction:
     """Characterizing function of the interval-data mean on a theta grid."""
-    return CharacterizingFunction(
-        theta_grid=theta_grid, distance=interval_mean_distance,
-        label="interval-mean",
-    )
+    return CharacterizingFunction(theta_grid=theta_grid,
+                                  distance=interval_mean_distance)
 
 
-def estimated_identified_set(T: CharacterizingFunction, sample,
-                             cfg: DilationConfig = None):
+def estimated_identified_set(T: CharacterizingFunction, sample):
     """Grid points whose feasible distributions come strictly within the
-    shrinking dilation radius of the empirical CDF."""
-    cfg = cfg or DilationConfig()
-    distance = T.require_distance()
-    arr = _as_columns(sample)
-    radius = cfg.estimation_radius(arr.shape[0])
-    keep = [th for th in T.theta_grid if distance(th, sample) < radius]
-    return np.array(keep)
+    dilation radius log n / sqrt(n) of the empirical CDF: it shrinks to
+    zero while staying above the 1/sqrt(n) noise scale."""
+    n = _as_columns(sample).shape[0]
+    radius = math.log(n) / math.sqrt(n)
+    return T.theta_grid[T.distance(T.theta_grid, sample) < radius]
 
 
 def confidence_region(T: CharacterizingFunction, sample, alpha, n_boot,
@@ -247,12 +190,9 @@ def confidence_region(T: CharacterizingFunction, sample, alpha, n_boot,
     """Same construction as the estimated set, with the bootstrap
     (1-alpha)-quantile radius c*(alpha)/sqrt(n); ties at the radius are
     kept, erring toward coverage."""
-    distance = T.require_distance()
-    arr = _as_columns(sample)
     cstar = bootstrap_critical_value(sample, n_boot, alpha, seed)
-    radius = cstar / math.sqrt(arr.shape[0])
-    keep = [th for th in T.theta_grid if distance(th, sample) <= radius]
-    return np.array(keep), cstar
+    radius = cstar / math.sqrt(_as_columns(sample).shape[0])
+    return T.theta_grid[T.distance(T.theta_grid, sample) <= radius], cstar
 
 
 def interval_data_stats(sample, a, b):

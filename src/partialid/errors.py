@@ -24,10 +24,5 @@ class WeakIdentificationError(PartialIdError):
         self.mass = mass
 
 
-class UnsupportedModelError(PartialIdError):
-    """A characterizing function lacks the projection routine required
-    by the set-estimation machinery."""
-
-
 class InternalConsistencyError(PartialIdError):
     """Two computations that must agree (closed form vs. LP) diverged."""

@@ -60,18 +60,18 @@ class BoundEstimate:
     upper: float
     regime: str
     n: int
+    sigma_lower: float
+    sigma_upper: float
     t_lower: Optional[float] = None  # threshold accumulating mass from below
     t_upper: Optional[float] = None  # threshold accumulating mass from above
-    sigma_lower: Optional[float] = None
-    sigma_upper: Optional[float] = None
     flags: tuple = field(default_factory=tuple)
 
     def ci(self, alpha):
         """Bound-wise normal interval: lower bound minus its margin up to
         upper bound plus its margin."""
         zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-        lo = self.lower - (0 if self.sigma_lower is None else zq * self.sigma_lower / np.sqrt(self.n))
-        hi = self.upper + (0 if self.sigma_upper is None else zq * self.sigma_upper / np.sqrt(self.n))
+        lo = self.lower - zq * self.sigma_lower / np.sqrt(self.n)
+        hi = self.upper + zq * self.sigma_upper / np.sqrt(self.n)
         return lo, hi
 
     def to_jsonable(self):
@@ -80,8 +80,10 @@ class BoundEstimate:
             "upper": self.upper,
             "regime": self.regime,
             "n": self.n,
+            "sigma_lower": self.sigma_lower,
+            "sigma_upper": self.sigma_upper,
         }
-        for key in ("t_lower", "t_upper", "sigma_lower", "sigma_upper"):
+        for key in ("t_lower", "t_upper"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
@@ -164,14 +166,15 @@ def _threshold(cols, delta, side):
 
 def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
                     delta: DeltaEstimate, min_mass=DEFAULT_MIN_MASS,
-                    compute_variance=False, kernel: Kernel = None,
                     h=None) -> BoundEstimate:
-    """Bound point estimates for the resolved regime.
+    """Bound point estimates and their plug-in standard deviations for the
+    resolved regime.
 
     In the point regime both bounds equal the point estimator.  Otherwise
     the corrected side's complier mean is evaluated with the gap mass
     collected at the low or high end, and both ratios share the larger
-    complier mass as denominator.
+    complier mass as denominator.  ``h`` is the bandwidth of the density
+    level at each threshold (default n^{-1/5}).
     """
     flags = []
     if delta.near_boundary:
@@ -179,9 +182,7 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     cols = _Columns(sample, set1, set0)
     if delta.regime == "point":
         point = _estimate_late(cols, min_mass)
-        sig = None
-        if compute_variance:
-            sig, _ = _late_variance(cols, min_mass, "outcome")
+        sig, _ = _late_variance(cols, min_mass, "outcome")
         return BoundEstimate(
             lower=point.point, upper=point.point, regime="point",
             n=sample.n, sigma_lower=sig, sigma_upper=sig, flags=tuple(flags),
@@ -219,15 +220,11 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     lower, upper = (low, high) if side_d == 1 else (high, low)
     lower, upper = lower / denom, upper / denom
 
-    sig_lo = sig_hi = None
-    if compute_variance:
-        t_for_lo, t_for_hi = (t_lower, t_upper) if side_d == 1 else (t_upper, t_lower)
-        sig_lo, comp_lo = _bound_variance(cols, delta, t_for_lo, "lower",
-                                          kernel, h)
-        sig_hi, comp_hi = _bound_variance(cols, delta, t_for_hi, "upper",
-                                          kernel, h)
-        if comp_lo["unstable"] or comp_hi["unstable"]:
-            flags.append("variance_unstable_low_density_at_threshold")
+    t_for_lo, t_for_hi = (t_lower, t_upper) if side_d == 1 else (t_upper, t_lower)
+    sig_lo, comp_lo = _bound_variance(cols, delta, t_for_lo, "lower", h)
+    sig_hi, comp_hi = _bound_variance(cols, delta, t_for_hi, "upper", h)
+    if comp_lo["unstable"] or comp_hi["unstable"]:
+        flags.append("variance_unstable_low_density_at_threshold")
 
     return BoundEstimate(
         lower=lower, upper=upper, regime=delta.regime, n=sample.n,
@@ -237,8 +234,7 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
 
 
 def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
-                   delta: DeltaEstimate, t, which,
-                   kernel: Kernel = None, h=None):
+                   delta: DeltaEstimate, t, which, h=None):
     """Plug-in standard deviation of sqrt(n) times one bound estimate.
 
     ``which`` is 'lower' or 'upper'.  The variance composes a fixed-threshold
@@ -257,12 +253,11 @@ def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise ConfigError("bound variance is only defined in a bound regime")
     if which not in ("lower", "upper"):
         raise ConfigError("which must be 'lower' or 'upper'")
-    return _bound_variance(_Columns(sample, set1, set0), delta, t, which,
-                           kernel, h)
+    return _bound_variance(_Columns(sample, set1, set0), delta, t, which, h)
 
 
-def _bound_variance(cols, delta, t, which, kernel, h):
-    kernel = kernel or Kernel()
+def _bound_variance(cols, delta, t, which, h):
+    kernel = Kernel()
     if h is None:
         h = cols.sample.n ** (-1.0 / 5.0)
 

@@ -317,15 +317,14 @@ def _late_variance(cols, min_mass, method):
 def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
                         b_n, band, alpha=0.05,
                         min_mass=DEFAULT_MIN_MASS,
-                        threshold_scale="absolute",
-                        variance_method="outcome") -> LateEstimate:
+                        threshold_scale="absolute") -> LateEstimate:
     """Point estimate plus the centred normal confidence interval for one
     fixed tail condition."""
     set1, set0 = estimate_trimmed_sets(est, tails, b_n, band,
                                        threshold_scale=threshold_scale)
     cols = _Columns(sample, set1, set0)
     base = _estimate_late(cols, min_mass)
-    sigma, _ = _late_variance(cols, min_mass, variance_method)
+    sigma, _ = _late_variance(cols, min_mass, "outcome")
     zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = zq * sigma / np.sqrt(sample.n)
     return LateEstimate(
@@ -337,8 +336,7 @@ def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
 
 def conservative_union_ci(sample: Sample, est: DensityEstimate, b_n, band,
                           alpha=0.05, min_mass=DEFAULT_MIN_MASS,
-                          threshold_scale="absolute",
-                          variance_method="outcome"):
+                          threshold_scale="absolute"):
     """Convex hull of the sixteen known-tail confidence intervals.
 
     Tail conditions that trigger weak-identification errors are skipped;
@@ -351,8 +349,7 @@ def conservative_union_ci(sample: Sample, est: DensityEstimate, b_n, band,
         try:
             members.append(known_tail_estimate(
                 sample, est, tails, b_n, band, alpha=alpha, min_mass=min_mass,
-                threshold_scale=threshold_scale,
-                variance_method=variance_method))
+                threshold_scale=threshold_scale))
         except WeakIdentificationError as exc:
             skipped += 1
             last_error = exc

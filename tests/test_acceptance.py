@@ -118,12 +118,11 @@ class TestCriterion1TrueValue:
 # 2. Monte Carlo coverage at the reference settings
 # ----------------------------------------------------------------------
 def _coverage_cfg(n, b, h, design):
-    return RunConfig.from_rules(
-        n,
-        bandwidth_rule=lambda m: h,
-        trimming_rule=lambda m: b,
-        threshold_rule=lambda m: math.log(m) / math.sqrt(m),
+    return RunConfig(
         band=design.band,
+        h=h,
+        b=b,
+        kappa=math.log(n) / math.sqrt(n),
         tails=design.tails,
         threshold_scale="relative",
     )

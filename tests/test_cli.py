@@ -326,6 +326,23 @@ class TestDilate:
         assert code == 2
         assert err == f"error: --grid-points must be at least 1, got {points}\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--boot", "50"), "at least 100 bootstrap resamples are required"),
+        (("--boot", "0"), "at least 100 bootstrap resamples are required"),
+        (("--alpha", "0"), "alpha must lie in (0, 1]"),
+        (("--alpha", "1.5"), "alpha must lie in (0, 1]"),
+        (("--boot", "50", "--alpha", "0"), "alpha must lie in (0, 1]"),
+    ])
+    def test_bad_boot_or_alpha_is_2(self, capsys, intervals_csv, flags,
+                                    message):
+        # --alpha is checked before --boot when both are bad
+        code, out, err = run_cli(capsys, "dilate", "region", "--input",
+                                 intervals_csv, "--a", "0", "--b", "1",
+                                 *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_reversed_hypothesis_is_2(self, capsys, intervals_csv):
         code, _, _ = run_cli(capsys, "dilate", "region", "--input",
                              intervals_csv, "--a", "2", "--b", "1")

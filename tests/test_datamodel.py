@@ -1,5 +1,6 @@
 """Sample containers, CSV loaders, tuning rules, and run configuration."""
 
+import dataclasses
 import math
 import time
 
@@ -121,25 +122,38 @@ class TestRules:
 
 
 class TestRunConfig:
+    VALUES = dict(h=0.4, b=0.2, kappa=0.1)
+
     def test_rejects_bad_band(self):
         with pytest.raises(ConfigError):
-            RunConfig(bandwidth_rule=theorem_bandwidth,
-                      trimming_rule=theorem_trimming,
-                      threshold_rule=default_threshold,
-                      band=(2.0, 1.0))
+            RunConfig(band=(2.0, 1.0), **self.VALUES)
 
     def test_rejects_bad_threshold_scale(self):
         with pytest.raises(ConfigError, match="threshold_scale"):
-            RunConfig(bandwidth_rule=theorem_bandwidth,
-                      trimming_rule=theorem_trimming,
-                      threshold_rule=default_threshold,
-                      band=(0.0, 1.0), threshold_scale="weird")
+            RunConfig(band=(0.0, 1.0), threshold_scale="weird",
+                      **self.VALUES)
+
+    @pytest.mark.parametrize("name", ["h", "b", "kappa"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, -math.inf,
+                                       math.nan])
+    def test_rejects_nonpositive_or_nonfinite_tuning(self, name, value):
+        values = dict(self.VALUES, **{name: value})
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be positive and finite"):
+            RunConfig(band=(0.0, 1.0), **values)
+
+    def test_replace_revalidates_tuning(self):
+        cfg = RunConfig(band=(0.0, 1.0), **self.VALUES)
+        assert dataclasses.replace(cfg, h=0.3).h == 0.3
+        with pytest.raises(ConfigError, match="^b must be"):
+            dataclasses.replace(cfg, b=0.0)
 
     def test_simulation_default_uses_relative_scale(self):
         cfg = default_simulation_config(1000, (-2.5, 7.0))
         assert cfg.threshold_scale == "relative"
-        assert cfg.h == pytest.approx(theorem_bandwidth(1000))
-        assert cfg.b == pytest.approx(theorem_trimming(1000))
+        assert cfg.h == theorem_bandwidth(1000)
+        assert cfg.b == theorem_trimming(1000)
+        assert cfg.kappa == default_threshold(1000)
 
     def test_jsonable_carries_tuning(self):
         cfg = default_simulation_config(1000, (-2.5, 7.0))

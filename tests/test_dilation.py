@@ -7,21 +7,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partialid.dilation import (CharacterizingFunction, DilationConfig,
-                                _invert_mean_shift, _max_mean_shift,
-                                _shift_knots,
-                                bootstrap_critical_value, confidence_region,
-                                default_radius, default_rate,
-                                estimated_identified_set,
+from partialid.dilation import (CharacterizingFunction, _invert_mean_shift,
+                                _shift_knots, bootstrap_critical_value,
+                                confidence_region, estimated_identified_set,
                                 interval_data_stats, interval_mean_distance,
                                 interval_mean_model)
-from partialid.errors import ConfigError, DataError, UnsupportedModelError
+from partialid.errors import ConfigError, DataError
 
 
 def interval_sample(n=200, seed=0, width=1.0):
     rng = np.random.default_rng(seed)
     lows = rng.normal(0.0, 1.0, n)
     return np.column_stack([lows, lows + width * rng.uniform(0.5, 1.5, n)])
+
+
+def _max_mean_shift(values, eps, direction):
+    """Largest mean change produced by moving the ECDF of ``values``
+    vertically by at most ``eps`` inside the data range.
+
+    ``direction='down'`` raises the CDF (mean decreases); ``'up'`` lowers it
+    (mean increases).  Both are integrals of min(band headroom, eps) over
+    the gaps between consecutive order statistics.
+    """
+    gaps, head = _shift_knots(values, direction)
+    return float(np.sum(gaps * np.minimum(head, eps)))
 
 
 def bisect_inverse(values, target, direction):
@@ -55,33 +64,31 @@ def bisect_distance(theta, sample):
 
 class TestConfig:
     def test_default_shrinks_like_logn_over_rootn(self):
-        cfg = DilationConfig()
-        n = 10_000
-        assert cfg.estimation_radius(n) == pytest.approx(
-            math.log(n) / math.sqrt(n))
-        assert default_radius(n) == math.log(n)
-        assert default_rate(n) == float(n)
+        x = interval_sample(10_000, seed=6)
+        n = x.shape[0]
+        grid = np.linspace(x[:, 0].min(), x[:, 1].max(), 401)
+        dist = interval_mean_distance(grid, x)
+        est = estimated_identified_set(interval_mean_model(grid), x)
+        assert list(est) == list(grid[dist < math.log(n) / math.sqrt(n)])
+        assert 0 < est.size < grid.size
 
     def test_rejects_bad_alpha_and_boot(self):
-        with pytest.raises(ConfigError):
-            DilationConfig(alpha=0.0)
-        with pytest.raises(ConfigError):
-            DilationConfig(n_boot=5)
-
-    def test_rejects_nonshrinking_radius(self):
-        with pytest.raises(ConfigError):
-            DilationConfig(radius=lambda n: 1.0, rate=lambda n: 1.0)
-        with pytest.raises(ConfigError):
-            DilationConfig(radius=lambda n: 0.0)
+        x = interval_sample(40)
+        with pytest.raises(ConfigError, match="alpha"):
+            bootstrap_critical_value(x, 500, 0.0, seed=0)
+        with pytest.raises(ConfigError, match="bootstrap resamples"):
+            bootstrap_critical_value(x, 5, 0.05, seed=0)
+        # alpha is checked first when both are bad
+        with pytest.raises(ConfigError, match="alpha"):
+            bootstrap_critical_value(x, 5, 0.0, seed=0)
 
     def test_characterizing_function_validation(self):
         with pytest.raises(ConfigError):
-            CharacterizingFunction(theta_grid=np.empty(0))
+            CharacterizingFunction(theta_grid=np.empty(0),
+                                   distance=interval_mean_distance)
         with pytest.raises(ConfigError):
-            CharacterizingFunction(theta_grid=np.zeros((2, 2)))
-        T = CharacterizingFunction(theta_grid=np.array([0.0, 1.0]))
-        with pytest.raises(UnsupportedModelError):
-            T.require_distance()
+            CharacterizingFunction(theta_grid=np.zeros((2, 2)),
+                                   distance=interval_mean_distance)
 
 
 class TestBootstrap:
@@ -176,6 +183,18 @@ class TestMeanShift:
         vals = [2.0, 2.0, 2.0]
         assert _invert_mean_shift(vals, 0.5, "up") == math.inf
         assert _invert_mean_shift(vals, 1e-13, "down") == 0.0
+        assert _invert_mean_shift(vals, [0.5, 1e-13, -1.0], "up").tolist() \
+            == [math.inf, 0.0, 0.0]
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_array_of_targets_equals_one_call_each(self, direction):
+        vals = np.round(np.random.default_rng(2).normal(size=60), 1)
+        top = _max_mean_shift(vals, 1.0, direction)
+        targets = np.concatenate([np.linspace(-0.1, 1.1, 49) * top,
+                                  [top + 5e-13, top + 1e-11]])
+        got = _invert_mean_shift(vals, targets, direction)
+        assert got.tolist() == [_invert_mean_shift(vals, t, direction)
+                                for t in targets]
 
 
 # Distinct values at least 0.05 apart: the shift's slope is a sum of gaps,
@@ -237,6 +256,21 @@ class TestIntervalMeanDistance:
         # uppers {2, 3}: theta = 2.5 + 0.3 needs band 0.3
         assert interval_mean_distance(2.8, x) == pytest.approx(0.3, abs=1e-9)
 
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_grid_call_equals_per_theta_calls(self, rounded):
+        # one call builds the knots once for the whole grid; each distance
+        # must be the value a call at that theta alone gives, including the
+        # unreachable (inf) points beyond the data range
+        x = interval_sample(300, seed=7)
+        if rounded:
+            x = np.round(x, 1)
+        grid = np.linspace(x[:, 0].min() - 0.5, x[:, 1].max() + 0.5, 301)
+        dist = interval_mean_distance(grid, x)
+        assert dist.shape == grid.shape
+        assert dist.tolist() == [interval_mean_distance(th, x) for th in grid]
+        assert isinstance(interval_mean_distance(grid[0], x), float)
+        assert math.inf in dist.tolist() and 0.0 in dist.tolist()
+
     def test_rejects_malformed_intervals(self):
         with pytest.raises(DataError):
             interval_mean_distance(0.0, np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -283,11 +317,25 @@ class TestSetAndRegion:
         T = interval_mean_model(grid)
         oracle = np.array([bisect_distance(th, x) for th in grid])
         est = estimated_identified_set(T, x)
-        radius = DilationConfig().estimation_radius(n)
+        radius = math.log(n) / math.sqrt(n)
         assert list(est) == list(grid[oracle < radius])
         cr, cstar = confidence_region(T, x, 0.05, 300, seed=seed)
         assert list(cr) == list(grid[oracle <= cstar / math.sqrt(n)])
         assert 0 < cr.size < est.size < grid.size
+
+    def test_one_distance_call_per_set(self):
+        x = interval_sample(100, seed=1)
+        calls = []
+
+        def distance(thetas, sample):
+            calls.append(np.shape(thetas))
+            return interval_mean_distance(thetas, sample)
+
+        T = CharacterizingFunction(np.linspace(-2.0, 3.0, 51), distance)
+        est = estimated_identified_set(T, x)
+        cr, _ = confidence_region(T, x, 0.05, 100, seed=0)
+        assert calls == [(51,), (51,)]
+        assert 0 < cr.size < est.size
 
     def test_grid_scan_is_fast(self):
         # 201 grid points, each a distance from one sort of the 20k values,
@@ -303,9 +351,8 @@ class TestSetAndRegion:
         assert 0 < cr.size < est.size
 
     def test_model_without_distance_is_rejected(self):
-        T = CharacterizingFunction(theta_grid=np.array([0.0]))
-        with pytest.raises(UnsupportedModelError):
-            estimated_identified_set(T, interval_sample(50))
+        with pytest.raises(TypeError, match="distance"):
+            CharacterizingFunction(theta_grid=np.array([0.0]))
 
 
 class TestIntervalDataStats:

@@ -158,14 +158,13 @@ class TestBoundsOracle:
         # flipping both treatment and instrument negates the estimand, so
         # the bounds swap and change sign
         s, set1, set0 = gap_population()
-        # with variances, so the d=0 side of bound_variance is pinned to
-        # the d=1 side: the standard errors swap with the bounds
+        # the d=0 side of bound_variance is pinned to the d=1 side: the
+        # standard errors swap with the bounds
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        be = estimate_bounds(s, set1, set0, de, compute_variance=True)
+        be = estimate_bounds(s, set1, set0, de)
         flipped = Sample(y=s.y, d=1 - s.d, z=1 - s.z)
         de_f = estimate_delta(flipped, set0, set1, kappa=0.01)
-        be_f = estimate_bounds(flipped, set0, set1, de_f,
-                               compute_variance=True)
+        be_f = estimate_bounds(flipped, set0, set1, de_f)
         assert be_f.regime == "above"
         assert be_f.lower == pytest.approx(-be.upper, abs=1e-12)
         assert be_f.upper == pytest.approx(-be.lower, abs=1e-12)
@@ -200,7 +199,7 @@ class TestBoundVariance:
     def test_full_bounds_with_variance_and_ci(self):
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        be = estimate_bounds(s, set1, set0, de, compute_variance=True, h=0.5)
+        be = estimate_bounds(s, set1, set0, de, h=0.5)
         assert be.sigma_lower > 0 and be.sigma_upper > 0
         lo, hi = be.ci(0.05)
         assert lo < be.lower and hi > be.upper

@@ -14,12 +14,11 @@ from partialid.simulate import (HalfDensity, SimDesign, draw_sample,
 
 
 def coverage_cfg(n, b=0.2, h=0.4):
-    return RunConfig.from_rules(
-        n,
-        bandwidth_rule=lambda m: h,
-        trimming_rule=lambda m: b,
-        threshold_rule=lambda m: math.log(m) / math.sqrt(m),
+    return RunConfig(
         band=(-2.5, 7.0),
+        h=h,
+        b=b,
+        kappa=math.log(n) / math.sqrt(n),
         tails=TailSpec.sec33(),
         threshold_scale="relative",
     )
@@ -151,12 +150,11 @@ class TestRunCoverage:
     def test_errors_counted_not_dropped(self):
         design = SimDesign.sec33()
         # an absurd absolute threshold trims everything away -> weak id
-        cfg = RunConfig.from_rules(
-            300,
-            bandwidth_rule=lambda m: 0.4,
-            trimming_rule=lambda m: 50.0,
-            threshold_rule=lambda m: 0.1,
+        cfg = RunConfig(
             band=(-2.5, 7.0),
+            h=0.4,
+            b=50.0,
+            kappa=0.1,
             tails=TailSpec.sec33(),
             threshold_scale="absolute",
         )
