@@ -3,7 +3,7 @@
 Submodules
 ----------
 sets        closed interval unions and super-level set extraction
-datamodel   samples, empirical cell frequencies, tuning values per run
+datamodel   samples, instrument-arm frequencies, tuning values per run
 density     kernel estimates of signed sub-density differences
 latepoint   trimmed complier-mean contrast: estimate, variance, intervals
 latebounds  complier-mass-gap regimes, thresholds, interval bounds
@@ -29,7 +29,7 @@ from .datamodel import (EmpiricalPQ, RunConfig, Sample, build_empirical,
                         default_threshold, load_intervals_csv,
                         load_sample_csv, theorem_bandwidth, theorem_trimming)
 from .density import (DensityEstimate, Kernel, cell_sum, default_grid,
-                      estimate_density_diff, sup_deviation)
+                      estimate_density_diff)
 from .latepoint import (LateEstimate, TailSpec, TrimmedSet,
                         check_iam_implication, conservative_union_ci,
                         estimate_late, estimate_trimmed_sets,

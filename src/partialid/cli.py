@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, DataError, PartialIdError,
                      WeakIdentificationError)
-from .datamodel import (RunConfig, default_empirical_config,
+from .datamodel import (RunConfig, build_empirical, default_empirical_config,
                         default_simulation_config, load_intervals_csv,
                         load_sample_csv)
 from .density import Kernel, default_grid, estimate_density_diff
@@ -104,17 +104,18 @@ def _interval_jsonable(iu):
 # shared option plumbing
 # ----------------------------------------------------------------------
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root seed for all randomized steps")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap on parallel workers, clamped to "
-                             "[1, number of CPUs]")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--timing", action="store_true",
                         help="attach wall-clock seconds to the report")
 
 
+def _add_seed(parser):
+    parser.add_argument("--seed", type=int, default=0,
+                        help="root seed for all randomized steps")
+
+
 def _add_tuning(parser):
+    _add_seed(parser)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--b", type=float, default=None,
                         help="trimming level override")
@@ -151,6 +152,8 @@ def _parse_band(text):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"--band values must be numeric: {text}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--band values must be finite: {text}")
     return lo, hi
 
 
@@ -169,11 +172,9 @@ def _resolve_config(sample, args) -> RunConfig:
 
 
 def _fit_density(sample, cfg):
-    kernel = Kernel()
-    grid = default_grid(cfg.band, cfg.h, kernel)
-    from .datamodel import build_empirical
-    emp = build_empirical(sample)
-    return estimate_density_diff(emp, sample, kernel, cfg.h, grid)
+    grid = default_grid(cfg.band, cfg.h)
+    return estimate_density_diff(build_empirical(sample), sample, Kernel(),
+                                 cfg.h, grid)
 
 
 # ----------------------------------------------------------------------
@@ -486,6 +487,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--boot", type=int, default=500)
     p.add_argument("--grid-points", type=int, default=201)
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=_cmd_dilate_region)
 
@@ -503,6 +505,10 @@ def build_parser() -> _Parser:
     p.add_argument("--union", action="store_true")
     p.add_argument("--records-out", default=None,
                    help="write per-replication CSV here")
+    p.add_argument("--threads", type=int, default=None,
+                   help="cap on parallel workers, clamped to "
+                        "[1, number of CPUs]")
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate_coverage)
 

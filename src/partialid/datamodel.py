@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .sets import IntervalUnion
 
 
 @dataclass(frozen=True)
@@ -55,59 +54,23 @@ class Sample:
 
 @dataclass(frozen=True)
 class EmpiricalPQ:
-    """Empirical conditional measures of (Y, D) given the instrument arm.
-
-    The P side conditions on Z=1, the Q side on Z=0.  Each (d, z) cell holds
-    the sorted outcomes observed in that cell; masses are relative to the
-    size of the z-arm, so the masses within an arm sum to one.
-    """
+    """Empirical instrument arms: the P side conditions on Z=1, the Q side
+    on Z=0.  Holds each arm's frequency and size."""
 
     pr_z1: float
     pr_z0: float
     n_z1: int
     n_z0: int
-    cells: dict  # (d, z) -> sorted 1-d array of outcomes
-
-    def arm_size(self, z):
-        return self.n_z1 if z == 1 else self.n_z0
-
-    def mass(self, region: IntervalUnion, d, z):
-        """Pr(Y in region, D=d | Z=z), empirically."""
-        ys = self.cells[(d, z)]
-        if ys.size == 0:
-            return 0.0
-        return float(np.count_nonzero(region.contains(ys))) / self.arm_size(z)
-
-    def cdf(self, y, d, z):
-        """Pr(Y <= y, D=d | Z=z), right-continuous step function."""
-        ys = self.cells[(d, z)]
-        return float(np.searchsorted(ys, y, side="right")) / self.arm_size(z)
-
-    def p(self, region, d):
-        return self.mass(region, d, 1)
-
-    def q(self, region, d):
-        return self.mass(region, d, 0)
 
 
 def build_empirical(sample: Sample) -> EmpiricalPQ:
-    """Build the empirical conditional measures from a sample."""
+    """Build the empirical instrument arms of a sample."""
     n_z1 = int(np.count_nonzero(sample.z == 1))
     n_z0 = sample.n - n_z1
     if n_z1 == 0 or n_z0 == 0:
         raise ConfigError("degenerate instrument: one z-arm is empty")
-    cells = {}
-    for d in (0, 1):
-        for z in (0, 1):
-            mask = (sample.d == d) & (sample.z == z)
-            cells[(d, z)] = np.sort(sample.y[mask])
-    return EmpiricalPQ(
-        pr_z1=n_z1 / sample.n,
-        pr_z0=n_z0 / sample.n,
-        n_z1=n_z1,
-        n_z0=n_z0,
-        cells=cells,
-    )
+    return EmpiricalPQ(pr_z1=n_z1 / sample.n, pr_z0=n_z0 / sample.n,
+                       n_z1=n_z1, n_z0=n_z0)
 
 
 def theorem_bandwidth(n):
@@ -150,8 +113,10 @@ class RunConfig:
         m_l, m_u = self.band
         if not m_l < m_u:
             raise ConfigError("band must satisfy M_l < M_u")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must be in (0, 1)")
+        # below 2**-53, 1 - alpha/2 rounds to 1 and has no normal quantile
+        if not 2.0 ** -53 < self.alpha < 1.0:
+            raise ConfigError(
+                f"alpha must be in (2**-53, 1), got {self.alpha}")
         if self.threshold_scale not in ("absolute", "relative"):
             raise ConfigError(
                 "threshold_scale must be 'absolute' or 'relative', got "
@@ -211,7 +176,7 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
 
     Requires n >= 20; the rules are unreliable below that.
     """
-    from .density import Kernel, cell_sum  # local: avoid cycle
+    from .density import cell_sum  # local: avoid cycle
     from .latepoint import TailSpec
 
     n = sample.n
@@ -228,9 +193,9 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
 
     # the density differences at the sorted observations, from the cell
     # sums: tied outcomes would make them an invalid DensityEstimate grid
-    kernel, ys = Kernel(), np.sort(sample.y)
-    f1 = cell_sum(sample, kernel, h, ys, 1, 1) - cell_sum(sample, kernel, h, ys, 1, 0)
-    f0 = cell_sum(sample, kernel, h, ys, 0, 0) - cell_sum(sample, kernel, h, ys, 0, 1)
+    ys = np.sort(sample.y)
+    f1 = cell_sum(sample, h, ys, 1, 1) - cell_sum(sample, h, ys, 1, 0)
+    f0 = cell_sum(sample, h, ys, 0, 0) - cell_sum(sample, h, ys, 0, 1)
     density_level = float(np.mean(f1 + f0))
     b = n ** (-1.0 / 4.0) * density_level
     notes = []

@@ -200,7 +200,7 @@ def interval_data_stats(sample, a, b):
     mean interval meets [a, b] (nonrefutable statistic) and is contained in
     it (confirmable statistic).  Both vanish exactly when no constraint
     binds."""
-    if a > b:
+    if not (a <= b):  # NaN fails too
         raise DataError("the hypothesis interval must satisfy a <= b")
     arr = _check_intervals(sample)
     n = arr.shape[0]

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, WeakIdentificationError
 from .datamodel import Sample
-from .density import Kernel, cell_sum
-from .latepoint import (DEFAULT_MIN_MASS, TrimmedSet, _Columns, _estimate_late,
+from .density import cell_sum
+from .latepoint import (MIN_MASS, TrimmedSet, _Columns, _estimate_late,
                         _late_variance)
 
 #: density floor below which the threshold-variance correction is flagged
@@ -165,8 +165,7 @@ def _threshold(cols, delta, side):
 
 
 def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
-                    delta: DeltaEstimate, min_mass=DEFAULT_MIN_MASS,
-                    h=None) -> BoundEstimate:
+                    delta: DeltaEstimate, h=None) -> BoundEstimate:
     """Bound point estimates and their plug-in standard deviations for the
     resolved regime.
 
@@ -181,15 +180,15 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         flags.append("delta_near_regime_boundary")
     cols = _Columns(sample, set1, set0)
     if delta.regime == "point":
-        point = _estimate_late(cols, min_mass)
-        sig, _ = _late_variance(cols, min_mass, "outcome")
+        point = _estimate_late(cols)
+        sig, _ = _late_variance(cols, "outcome")
         return BoundEstimate(
             lower=point.point, upper=point.point, regime="point",
             n=sample.n, sigma_lower=sig, sigma_upper=sig, flags=tuple(flags),
         )
 
     denom = max(delta.mass1, delta.mass0)
-    if denom < min_mass:
+    if denom < MIN_MASS:
         raise WeakIdentificationError(
             f"larger complier mass {denom:.3g} below floor", mass=denom)
 
@@ -257,7 +256,6 @@ def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
 
 
 def _bound_variance(cols, delta, t, which, h):
-    kernel = Kernel()
     if h is None:
         h = cols.sample.n ** (-1.0 / 5.0)
 
@@ -297,8 +295,8 @@ def _bound_variance(cols, delta, t, which, h):
     w_g = e[5] + cols.arm_slope(min_parts, cut) * e[6]
 
     # sub-density levels at the threshold (own arm Z=d and opposite arm)
-    own_dens = float(cell_sum(cols.sample, kernel, h, [t], d=side_d, z=side_d)[0])
-    opp_dens = float(cell_sum(cols.sample, kernel, h, [t], d=side_d, z=1 - side_d)[0])
+    own_dens = float(cell_sum(cols.sample, h, [t], d=side_d, z=side_d)[0])
+    opp_dens = float(cell_sum(cols.sample, h, [t], d=side_d, z=1 - side_d)[0])
     t_in = bool(cols.sets[side_d].contains(np.array([t]))[0])
     min_dens = opp_dens if t_in else own_dens
     unstable = min_dens < DENSITY_FLOOR

@@ -19,7 +19,7 @@ from .density import DensityEstimate
 from .sets import IntervalUnion, superlevel_set
 
 #: identification floor for estimated complier masses
-DEFAULT_MIN_MASS = 1e-4
+MIN_MASS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -220,24 +220,24 @@ class _Columns:
         return -raw[1] / self.m[1] ** 2 + raw[0] / self.m[0] ** 2
 
 
-def estimate_late(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
-                  min_mass=DEFAULT_MIN_MASS) -> LateEstimate:
+def estimate_late(sample: Sample, set1: TrimmedSet,
+                  set0: TrimmedSet) -> LateEstimate:
     """Two-ratio point estimator over the trimmed regions.
 
     Numerators are sample means of Y times the instrument-arm contrast of
     treatment-cell indicators inside the region; denominators are the same
     means without Y (the estimated complier masses).
     """
-    return _estimate_late(_Columns(sample, set1, set0), min_mass)
+    return _estimate_late(_Columns(sample, set1, set0))
 
 
-def _estimate_late(cols, min_mass):
+def _estimate_late(cols):
     num0, num1 = (float(np.mean(cols.y * c)) for c in cols.mass)
     den0, den1 = (float(np.mean(c)) for c in cols.mass)
     for label, mass in (("d=1", den1), ("d=0", den0)):
-        if mass < min_mass:
+        if mass < MIN_MASS:
             raise WeakIdentificationError(
-                f"estimated complier mass for {label} is {mass:.3g} < {min_mass:g}",
+                f"estimated complier mass for {label} is {mass:.3g} < {MIN_MASS:g}",
                 mass=mass,
             )
     point = num1 / den1 - num0 / den0
@@ -245,7 +245,7 @@ def _estimate_late(cols, min_mass):
 
 
 def late_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
-                  min_mass=DEFAULT_MIN_MASS, method="outcome"):
+                  method="outcome"):
     """Plug-in delta-method standard deviation of sqrt(n) times the
     estimator, with its component matrices.
 
@@ -267,10 +267,10 @@ def late_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     Returns ``(sigma, components)`` with components a dict of Pi, Gamma, D,
     Sigma and the pi vector.
     """
-    return _late_variance(_Columns(sample, set1, set0), min_mass, method)
+    return _late_variance(_Columns(sample, set1, set0), method)
 
 
-def _late_variance(cols, min_mass, method):
+def _late_variance(cols, method):
     if method not in ("outcome", "gradient"):
         raise ConfigError(
             f"variance method must be 'outcome' or 'gradient', got {method!r}")
@@ -278,7 +278,7 @@ def _late_variance(cols, min_mass, method):
     # core means: Y-weighted contrast d=1, d=0, complier mass d=1, d=0
     cores = [y * cols.mass[1], y * cols.mass[0], cols.mass[1], cols.mass[0]]
     pi = np.array([c.mean() for c in cores])
-    if pi[2] < min_mass or pi[3] < min_mass:
+    if pi[2] < MIN_MASS or pi[3] < MIN_MASS:
         raise WeakIdentificationError(
             "complier mass below identification floor in variance step",
             mass=float(min(pi[2], pi[3])),
@@ -316,15 +316,14 @@ def _late_variance(cols, min_mass, method):
 
 def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
                         b_n, band, alpha=0.05,
-                        min_mass=DEFAULT_MIN_MASS,
                         threshold_scale="absolute") -> LateEstimate:
     """Point estimate plus the centred normal confidence interval for one
     fixed tail condition."""
     set1, set0 = estimate_trimmed_sets(est, tails, b_n, band,
                                        threshold_scale=threshold_scale)
     cols = _Columns(sample, set1, set0)
-    base = _estimate_late(cols, min_mass)
-    sigma, _ = _late_variance(cols, min_mass, "outcome")
+    base = _estimate_late(cols)
+    sigma, _ = _late_variance(cols, "outcome")
     zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = zq * sigma / np.sqrt(sample.n)
     return LateEstimate(
@@ -335,8 +334,7 @@ def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
 
 
 def conservative_union_ci(sample: Sample, est: DensityEstimate, b_n, band,
-                          alpha=0.05, min_mass=DEFAULT_MIN_MASS,
-                          threshold_scale="absolute"):
+                          alpha=0.05, threshold_scale="absolute"):
     """Convex hull of the sixteen known-tail confidence intervals.
 
     Tail conditions that trigger weak-identification errors are skipped;
@@ -348,7 +346,7 @@ def conservative_union_ci(sample: Sample, est: DensityEstimate, b_n, band,
     for tails in TailSpec.all_specs():
         try:
             members.append(known_tail_estimate(
-                sample, est, tails, b_n, band, alpha=alpha, min_mass=min_mass,
+                sample, est, tails, b_n, band, alpha=alpha,
                 threshold_scale=threshold_scale))
         except WeakIdentificationError as exc:
             skipped += 1

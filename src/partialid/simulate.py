@@ -221,9 +221,8 @@ def true_identified_late(design: SimDesign):
 def _one_replication(design, n, cfg: RunConfig, estimator, truth, seed):
     sample = draw_sample(design, n, seed)
     emp = build_empirical(sample)
-    kernel = Kernel()
-    grid = default_grid(cfg.band, cfg.h, kernel)
-    est = estimate_density_diff(emp, sample, kernel, cfg.h, grid)
+    grid = default_grid(cfg.band, cfg.h)
+    est = estimate_density_diff(emp, sample, Kernel(), cfg.h, grid)
     record = {"error": None, "estimate": None, "sigma": None,
               "ci": None, "covered": None}
     try:

@@ -126,6 +126,35 @@ class TestExitCodes:
         assert err.startswith(f"error: {flag} must be positive and finite")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["late", "point"], ["late", "bounds"],
+                                      ["simulate", "coverage"]])
+    def test_alpha_without_normal_quantile_is_2(self, capsys, sample_csv,
+                                                argv):
+        # 1 - alpha/2 rounds to 1 for alpha <= 2**-53
+        source = (["--input", sample_csv] if argv[0] == "late"
+                  else ["--n", "200", "--m", "2"])
+        code, out, err = run_cli(capsys, *argv, *source, "--alpha", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert err == "error: alpha must be in (2**-53, 1), got 1e-300\n"
+
+    def test_infinite_band_is_2(self, capsys, sample_csv):
+        code, _, err = run_cli(capsys, "late", "point", "--input", sample_csv,
+                               "--band=-inf,inf")
+        assert code == 2
+        assert err == "error: --band values must be finite: -inf,inf\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["late", "point", "--input", "x.csv", "--threads", "2"],
+        ["roy", "bounds", "--cells", "0.125,0.125,0.125,0.125,0.125,0.125,"
+         "0.125,0.125", "--seed", "1"],
+        ["structures", "analyze", "--space", "x.json", "--seed", "1"]])
+    def test_flag_of_another_command_is_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
 
 @pytest.fixture(scope="module")
 def tied_csv(tmp_path_factory):
@@ -347,6 +376,16 @@ class TestDilate:
         code, _, _ = run_cli(capsys, "dilate", "region", "--input",
                              intervals_csv, "--a", "2", "--b", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("bounds", [("--a=nan", "--b=1"),
+                                        ("--a=0", "--b=nan")])
+    def test_nan_hypothesis_is_2(self, capsys, intervals_csv, bounds):
+        code, out, err = run_cli(capsys, "dilate", "region", "--input",
+                                 intervals_csv, *bounds)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the hypothesis interval must satisfy "
+                       "a <= b\n")
 
 
 class TestSimulate:

@@ -14,7 +14,6 @@ from partialid.datamodel import (Sample, build_empirical, load_sample_csv,
                                  theorem_bandwidth, theorem_trimming,
                                  default_threshold)
 from partialid.errors import ConfigError, DataError
-from partialid.sets import IntervalUnion
 from partialid.simulate import SimDesign, draw_sample
 
 from conftest import make_sample, write_sample_csv
@@ -46,20 +45,12 @@ class TestSample:
 
 
 class TestEmpirical:
-    def test_cell_masses_sum_to_one_per_arm(self):
-        s = make_sample(300, seed=2)
-        emp = build_empirical(s)
-        full = IntervalUnion.real_line()
-        for z in (0, 1):
-            total = emp.mass(full, 0, z) + emp.mass(full, 1, z)
-            assert total == pytest.approx(1.0)
-
-    def test_cdf_step(self):
+    def test_arm_frequencies_and_sizes(self):
         s = Sample(y=np.array([1.0, 2.0, 3.0, 9.0]),
                    d=np.array([1, 1, 1, 0]), z=np.array([1, 1, 1, 0]))
         emp = build_empirical(s)
-        assert emp.cdf(2.0, d=1, z=1) == pytest.approx(2.0 / 3.0)
-        assert emp.cdf(1.99, d=1, z=1) == pytest.approx(1.0 / 3.0)
+        assert (emp.n_z1, emp.n_z0) == (3, 1)
+        assert (emp.pr_z1, emp.pr_z0) == (0.75, 0.25)
 
 
 class TestCsvLoaders:

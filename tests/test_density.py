@@ -1,4 +1,4 @@
-"""Kernel shapes, cell sums, and the signed density-difference estimator."""
+"""The kernel, cell sums, and the signed density-difference estimator."""
 
 import numpy as np
 import pytest
@@ -7,21 +7,18 @@ from scipy import integrate
 
 from partialid.datamodel import Sample, build_empirical
 from partialid.density import (Kernel, default_grid, cell_sum,
-                               estimate_density_diff, sup_deviation)
+                               estimate_density_diff)
 from partialid.errors import ConfigError
 from partialid.simulate import SimDesign, draw_sample
 
-KERNELS = [Kernel(shape, A) for shape in ("epanechnikov", "triangular")
-           for A in (0.5, 1.0, 2.0)]
 
-
-def direct_cell_sum(sample, kernel, h, points, d, z):
+def direct_cell_sum(sample, h, points, d, z):
     """Oracle for ``cell_sum``: the kernel evaluated at every (point,
     outcome) pair of the cell and summed."""
     points = np.atleast_1d(np.asarray(points, dtype=float))
     ys = sample.y[(sample.d == d) & (sample.z == z)]
     n_arm = int(np.count_nonzero(sample.z == z))
-    vals = kernel((ys[None, :] - points[:, None]) / h)
+    vals = Kernel()((ys[None, :] - points[:, None]) / h)
     return vals.sum(axis=1) / (h * n_arm)
 
 
@@ -35,16 +32,13 @@ observations = st.lists(st.tuples(outcomes, st.integers(0, 1),
 
 
 class TestKernel:
-    @pytest.mark.parametrize("shape", ["epanechnikov", "triangular"])
-    def test_integrates_to_one(self, shape):
-        k = Kernel(shape=shape)
-        val, _ = integrate.quad(k, -k.A, k.A)
+    def test_integrates_to_one(self):
+        val, _ = integrate.quad(Kernel(), -1.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("shape", ["epanechnikov", "triangular"])
-    def test_compact_support(self, shape):
-        k = Kernel(shape=shape)
-        assert np.all(k(np.array([-k.A - 0.01, k.A + 0.01, 5.0])) == 0.0)
+    def test_compact_support(self):
+        k = Kernel()
+        assert np.all(k(np.array([-1.01, 1.01, 5.0])) == 0.0)
 
     def test_symmetric(self):
         k = Kernel()
@@ -52,13 +46,9 @@ class TestKernel:
         assert np.allclose(k(u), k(-u))
 
     def test_max_value_at_zero(self):
-        for shape in ("epanechnikov", "triangular"):
-            k = Kernel(shape=shape)
-            assert k.max_value == pytest.approx(float(k(np.array([0.0]))[0]))
-
-    def test_unknown_shape_rejected(self):
-        with pytest.raises(ConfigError):
-            Kernel(shape="gaussian")
+        k = Kernel()
+        assert float(k(0.0)) == 0.75
+        assert np.all(k(np.linspace(-1.0, 1.0, 41)) <= 0.75)
 
 
 class TestCellSum:
@@ -70,7 +60,7 @@ class TestCellSum:
         k = Kernel()
         h = 0.3
         pts = np.linspace(-2, 2, 7)
-        got = cell_sum(s, k, h, pts, d=1, z=1)
+        got = cell_sum(s, h, pts, d=1, z=1)
         n_arm = int(np.sum(s.z == 1))
         for j, p in enumerate(pts):
             acc = 0.0
@@ -86,68 +76,61 @@ class TestCellSum:
         y2 = np.concatenate([y, [5.0, 5.0]])
         s2 = Sample(y=y2, d=np.array([1, 1, 1, 0, 0, 0]),
                     z=np.array([1, 1, 1, 0, 0, 0]))
-        k = Kernel()
-        a = cell_sum(s1, k, 0.5, [0.0], d=1, z=1)
-        b = cell_sum(s2, k, 0.5, [0.0], d=1, z=1)
+        a = cell_sum(s1, 0.5, [0.0], d=1, z=1)
+        b = cell_sum(s2, 0.5, [0.0], d=1, z=1)
         assert a[0] == pytest.approx(b[0])
 
 
 class TestCellSumOracle:
     """The sorted sweep against the direct sum, to 1e-12 absolute."""
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=repr)
     @given(obs=observations, h=st.floats(0.2, 3.0),
            extra=st.lists(st.floats(-40.0, 40.0), max_size=10))
     @settings(max_examples=150, deadline=None)
-    def test_matches_direct_sum(self, kernel, obs, h, extra):
+    def test_matches_direct_sum(self, obs, h, extra):
         y, d, z = (np.array(col) for col in zip(*obs))
         z[:2] = (0, 1)  # both arms present
         s = Sample(y=y, d=d, z=z)
-        w = kernel.A * h
         # the outcomes, the edges of their kernel windows, and points that
         # may lie outside the data range
-        pts = np.concatenate([y, y - w, y + w, extra])
+        pts = np.concatenate([y, y - h, y + h, extra])
         for dz in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            got = cell_sum(s, kernel, h, pts, *dz)
-            want = direct_cell_sum(s, kernel, h, pts, *dz)
+            got = cell_sum(s, h, pts, *dz)
+            want = direct_cell_sum(s, h, pts, *dz)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=repr)
-    def test_single_observation_cell(self, kernel):
+    def test_single_observation_cell(self):
         s = Sample(y=np.array([0.3, 1.0, 2.0]), d=np.array([1, 0, 0]),
                    z=np.array([1, 1, 0]))
         h = 0.4
-        w = kernel.A * h
-        pts = 0.3 + w * np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 1.0, 1.5])
-        got = cell_sum(s, kernel, h, pts, 1, 1)
-        want = direct_cell_sum(s, kernel, h, pts, 1, 1)
+        pts = 0.3 + h * np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 1.0, 1.5])
+        got = cell_sum(s, h, pts, 1, 1)
+        want = direct_cell_sum(s, h, pts, 1, 1)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert got[3] == pytest.approx(kernel.max_value / (h * 2), abs=1e-15)
+        assert got[3] == pytest.approx(0.75 / (h * 2), abs=1e-15)
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=repr)
-    def test_empty_cell_is_zero(self, kernel):
+    def test_empty_cell_is_zero(self):
         s = Sample(y=np.array([0.3, 1.0, 2.0]), d=np.array([1, 0, 0]),
                    z=np.array([1, 1, 0]))
-        got = cell_sum(s, kernel, 0.4, [0.3, 2.0, 50.0], 1, 0)
+        got = cell_sum(s, 0.4, [0.3, 2.0, 50.0], 1, 0)
         assert got.tolist() == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=repr)
     @pytest.mark.parametrize("h", [0.05, 1.0])
-    def test_design_sample_at_every_outcome(self, kernel, h):
+    def test_design_sample_at_every_outcome(self, h):
         # a bandwidth far below the data spread: prefix sums about one
         # centre for the whole cell would cancel to ~1e-11 here
         s = draw_sample(SimDesign.sec33(), 3000, 4)
         pts = np.sort(s.y)
         for dz in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            got = cell_sum(s, kernel, h, pts, *dz)
-            want = direct_cell_sum(s, kernel, h, pts, *dz)
+            got = cell_sum(s, h, pts, *dz)
+            want = direct_cell_sum(s, h, pts, *dz)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_rejects_nonpositive_bandwidth(self):
         s = Sample(y=np.array([0.0, 1.0]), d=np.array([1, 0]),
                    z=np.array([1, 0]))
         with pytest.raises(ConfigError, match="bandwidth"):
-            cell_sum(s, Kernel(), 0.0, [0.0], 1, 1)
+            cell_sum(s, 0.0, [0.0], 1, 1)
 
 
 class TestDensityDiff:
@@ -182,19 +165,8 @@ class TestDensityDiff:
         assert area1 == pytest.approx(want, abs=0.02)
 
     def test_default_grid_covers_band_plus_support(self):
-        k = Kernel()
         h = 0.5
-        grid = default_grid((-1.0, 2.0), h, k)
-        assert grid[0] == pytest.approx(-1.0 - k.A * h)
-        assert grid[-1] == pytest.approx(2.0 + k.A * h)
+        grid = default_grid((-1.0, 2.0), h)
+        assert grid[0] == pytest.approx(-1.0 - h)
+        assert grid[-1] == pytest.approx(2.0 + h)
         assert grid.size == 512
-
-    def test_sup_deviation_zero_against_self(self):
-        rng = np.random.default_rng(1)
-        n = 100
-        s = Sample(y=rng.normal(size=n), d=rng.integers(0, 2, n),
-                   z=rng.integers(0, 2, n))
-        grid = np.linspace(-3, 3, 101)
-        est = estimate_density_diff(build_empirical(s), s, Kernel(), 0.4, grid)
-        assert sup_deviation(est, lambda y: np.interp(y, grid, est.f1), d=1) \
-            == pytest.approx(0.0, abs=1e-12)

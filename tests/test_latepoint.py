@@ -74,7 +74,7 @@ class TestTailSpec:
 
 
 def _density(sample, h=0.4, band=(-3.0, 8.0)):
-    grid = default_grid(band, h, Kernel())
+    grid = default_grid(band, h)
     return estimate_density_diff(build_empirical(sample), sample, Kernel(),
                                  h, grid)
 
