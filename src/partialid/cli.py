@@ -345,12 +345,12 @@ def _cmd_dilate_region(args):
     lo, hi = float(rows[:, 0].min()), float(rows[:, 1].max())
     grid = np.linspace(lo, hi, args.grid_points)
     model = interval_mean_model(grid)
-    # the region first: its bootstrap checks --alpha and --boot before any
-    # other work
+    # every flag is checked before the bootstrap: --a <= --b by the
+    # statistics, then --alpha and --boot by the region's bootstrap
+    t_nf, t_con = interval_data_stats(rows, args.a, args.b)
     region, cstar = confidence_region(model, rows, args.alpha, args.boot,
                                       args.seed)
     est_set = estimated_identified_set(model, rows)
-    t_nf, t_con = interval_data_stats(rows, args.a, args.b)
     results = {
         "n": rows.shape[0],
         "mean_lower": mean_l,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, WeakIdentificationError
 from .datamodel import Sample
 from .density import cell_sum
-from .latepoint import (MIN_MASS, TrimmedSet, _Columns, _estimate_late,
+from .latepoint import (MIN_MASS, TrimmedSet, _Moments, _estimate_late,
                         _late_variance)
 
 #: density floor below which the threshold-variance correction is flagged
@@ -97,7 +97,8 @@ def estimate_delta(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     """Difference of the two estimated complier masses and its regime."""
     if not (kappa > 0):  # NaN fails too
         raise ConfigError("kappa must be positive")
-    mass0, mass1 = (float(np.mean(c)) for c in _Columns(sample, set1, set0).mass)
+    tab = _Moments(sample, set1, set0)
+    mass0, mass1 = (tab.mean(w, tab.count) for w in tab.mass)
     delta = mass1 - mass0
     if delta < -kappa:
         regime = "below"
@@ -154,14 +155,21 @@ def estimate_threshold(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise ConfigError("thresholds are undefined in the point regime")
     if side not in ("lower", "upper"):
         raise ConfigError("side must be 'lower' or 'upper'")
-    return _threshold(_Columns(sample, set1, set0), delta, side)
+    return _threshold(_Moments(sample, set1, set0), delta, side)
 
 
-def _threshold(cols, delta, side):
+def _threshold(tab, delta, side):
     side_d = 1 if delta.regime == "below" else 0
-    contrib = cols.column(cols.min_pair_parts(side_d)) / cols.sample.n
+    contrib = tab.column(tab.min_pair_parts(side_d))[tab.code] / tab.n
     direction = "low" if side == "lower" else "high"
-    return _scan_threshold(cols.y, contrib, abs(delta.delta), direction)
+    return _scan_threshold(tab.sample.y, contrib, abs(delta.delta), direction)
+
+
+def _arm_slope(tab, parts, v=1.0):
+    """Derivative of mean(v * column(parts)) in Pr(Z=1), with
+    Pr(Z=0) = 1 - Pr(Z=1), for a per-observation v."""
+    raw = [float(np.mean(v * parts[z][tab.code])) for z in (0, 1)]
+    return -raw[1] / tab.m[1] ** 2 + raw[0] / tab.m[0] ** 2
 
 
 def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
@@ -178,10 +186,10 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     flags = []
     if delta.near_boundary:
         flags.append("delta_near_regime_boundary")
-    cols = _Columns(sample, set1, set0)
+    tab = _Moments(sample, set1, set0)
     if delta.regime == "point":
-        point = _estimate_late(cols)
-        sig, _ = _late_variance(cols, "outcome")
+        point = _estimate_late(tab)
+        sig, _ = _late_variance(tab, "outcome")
         return BoundEstimate(
             lower=point.point, upper=point.point, regime="point",
             n=sample.n, sigma_lower=sig, sigma_upper=sig, flags=tuple(flags),
@@ -192,17 +200,17 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise WeakIdentificationError(
             f"larger complier mass {denom:.3g} below floor", mass=denom)
 
-    t_lower, mult_lo, sat_lo = _threshold(cols, delta, "lower")
-    t_upper, mult_hi, sat_hi = _threshold(cols, delta, "upper")
+    t_lower, mult_lo, sat_lo = _threshold(tab, delta, "lower")
+    t_upper, mult_hi, sat_hi = _threshold(tab, delta, "upper")
     if mult_lo or mult_hi:
         flags.append("threshold_minimizer_not_unique")
     if sat_lo or sat_hi:
         flags.append("threshold_saturated")
 
     side_d = 1 if delta.regime == "below" else 0
-    y = cols.y
-    minw = cols.column(cols.min_pair_parts(side_d))
-    base = [float(np.mean(y * c)) for c in cols.mass]
+    y = sample.y
+    minw = tab.column(tab.min_pair_parts(side_d))[tab.code]
+    base = [tab.mean(w, tab.sum_y) for w in tab.mass]
 
     def numerator(t, direction):
         """Contrast numerator with the corrected side's mean topped up by
@@ -220,8 +228,9 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     lower, upper = lower / denom, upper / denom
 
     t_for_lo, t_for_hi = (t_lower, t_upper) if side_d == 1 else (t_upper, t_lower)
-    sig_lo, comp_lo = _bound_variance(cols, delta, t_for_lo, "lower", h)
-    sig_hi, comp_hi = _bound_variance(cols, delta, t_for_hi, "upper", h)
+    region = (set0, set1)[side_d]
+    sig_lo, comp_lo = _bound_variance(tab, region, delta, t_for_lo, "lower", h)
+    sig_hi, comp_hi = _bound_variance(tab, region, delta, t_for_hi, "upper", h)
     if comp_lo["unstable"] or comp_hi["unstable"]:
         flags.append("variance_unstable_low_density_at_threshold")
 
@@ -252,24 +261,29 @@ def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise ConfigError("bound variance is only defined in a bound regime")
     if which not in ("lower", "upper"):
         raise ConfigError("which must be 'lower' or 'upper'")
-    return _bound_variance(_Columns(sample, set1, set0), delta, t, which, h)
+    side_d = 1 if delta.regime == "below" else 0
+    return _bound_variance(_Moments(sample, set1, set0), (set0, set1)[side_d],
+                           delta, t, which, h)
 
 
-def _bound_variance(cols, delta, t, which, h):
+def _bound_variance(tab, region, delta, t, which, h):
+    """``region`` is the corrected side's trimmed set; the columns are
+    the table's per-group weights gathered per observation."""
     if h is None:
-        h = cols.sample.n ** (-1.0 / 5.0)
+        h = tab.n ** (-1.0 / 5.0)
 
     side_d = 1 if delta.regime == "below" else 0
     # low-end correction serves the lower bound on the d=1 side but the
     # upper bound on the d=0 side
     direction = "low" if (side_d == 1) == (which == "lower") else "high"
 
-    y = cols.y
+    y = tab.sample.y
     cut = (y <= t) if direction == "low" else (y >= t)
-    min_parts = cols.min_pair_parts(side_d)
-    minw = cols.column(min_parts)
-    base_core = y * cols.mass[side_d]
-    other_core = y * cols.mass[1 - side_d]
+    min_parts = tab.min_pair_parts(side_d)
+    minw = tab.column(min_parts)[tab.code]
+    mass = [w[tab.code] for w in tab.mass]
+    base_core = y * mass[side_d]
+    other_core = y * mass[1 - side_d]
     corr_core = y * minw * cut
     g_core = minw * cut
 
@@ -278,26 +292,26 @@ def _bound_variance(cols, delta, t, which, h):
         base_core,              # 0: corrected-side contrast mean
         corr_core,              # 1: correction mass (with Y)
         other_core,             # 2: uncorrected-side contrast mean
-        cols.mass[1],           # 3: complier mass d=1
-        cols.mass[0],           # 4: complier mass d=0
+        mass[1],                # 3: complier mass d=1
+        mass[0],                # 4: complier mass d=0
         g_core,                 # 5: criterion mass at the threshold
-        cols.z1,                # 6: arm frequency
+        tab.z1[tab.code],       # 6: arm frequency
     ])
     Sigma = np.cov(U, rowvar=False, ddof=0)
 
     # each coordinate plus its arm-frequency slope on the arm coordinate
     e = np.eye(7)
-    w_base = e[0] + cols.arm_slope(cols.mass_parts(side_d), y) * e[6]
-    w_corr_fixed_t = e[1] + cols.arm_slope(min_parts, y * cut) * e[6]
-    w_other = e[2] + cols.arm_slope(cols.mass_parts(1 - side_d), y) * e[6]
-    w_den1 = e[3] + cols.arm_slope(cols.mass_parts(1)) * e[6]
-    w_den0 = e[4] + cols.arm_slope(cols.mass_parts(0)) * e[6]
-    w_g = e[5] + cols.arm_slope(min_parts, cut) * e[6]
+    w_base = e[0] + _arm_slope(tab, tab.mass_parts(side_d), y) * e[6]
+    w_corr_fixed_t = e[1] + _arm_slope(tab, min_parts, y * cut) * e[6]
+    w_other = e[2] + _arm_slope(tab, tab.mass_parts(1 - side_d), y) * e[6]
+    w_den1 = e[3] + _arm_slope(tab, tab.mass_parts(1)) * e[6]
+    w_den0 = e[4] + _arm_slope(tab, tab.mass_parts(0)) * e[6]
+    w_g = e[5] + _arm_slope(tab, min_parts, cut) * e[6]
 
     # sub-density levels at the threshold (own arm Z=d and opposite arm)
-    own_dens = float(cell_sum(cols.sample, h, [t], d=side_d, z=side_d)[0])
-    opp_dens = float(cell_sum(cols.sample, h, [t], d=side_d, z=1 - side_d)[0])
-    t_in = bool(cols.sets[side_d].contains(np.array([t]))[0])
+    own_dens = float(cell_sum(tab.sample, h, [t], d=side_d, z=side_d)[0])
+    opp_dens = float(cell_sum(tab.sample, h, [t], d=side_d, z=1 - side_d)[0])
+    t_in = bool(region.contains(np.array([t]))[0])
     min_dens = opp_dens if t_in else own_dens
     unstable = min_dens < DENSITY_FLOOR
     g_slope = max(min_dens, DENSITY_FLOOR)
@@ -333,6 +347,6 @@ def _bound_variance(cols, delta, t, which, h):
     components = {
         "Gamma": Gamma, "M1": M1, "M2": M2, "Sigma": Sigma,
         "unstable": unstable, "min_density_at_t": min_dens,
-        "den_side": float(np.mean(cols.mass[side_d])),
+        "den_side": tab.mean(tab.mass[side_d], tab.count),
     }
     return sigma, components

@@ -2,10 +2,17 @@
 monotonicity extensions: diagnostics for the testable density implication,
 trimmed-set estimation, the two-ratio point estimator, its plug-in
 asymptotic variance, and confidence intervals (single tail condition or the
-conservative union over all sixteen tail conditions)."""
+conservative union over all sixteen tail conditions).
+
+Every estimator reads a grouped moment table (``_Moments``): observations
+are grouped by (D, Z) cell, core membership and band position, and the
+means and covariances are sums over at most 48 groups.  The tails do not
+move the cores, so the union extracts them once and evaluates each tail
+spec on the same table."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -165,29 +172,65 @@ class LateEstimate:
         return out
 
 
-class _Columns:
-    """Per-observation columns of one fit (sample, set1, set0), shared by
-    every estimator that reads it: the outcome, the Z=1 indicator, the two
-    arm frequencies, the four (D, Z) cell indicators and each side's region
-    membership.
+#: groups of the moment table: (D, Z) cell x core-1 membership x core-0
+#: membership x position against the band (inside, y <= M_l, y >= M_u)
+_GROUPS = 48
+_LOW, _HIGH = 1, 2
 
-    Side d's own arm is Z=d.  Each side-d column is a sum over the two arms
+
+class _Moments:
+    """Grouped moment table of one fit, shared by every estimator that
+    reads it.
+
+    Each observation gets one group code: its (D, Z) cell, whether each
+    side's core region contains it, and its position against the band.
+    The cores and tails are closed, so an outcome on M_l or M_u lands in a
+    tail group.  Every mean and covariance entry the estimators need is a
+    sum of group-constant weights times y^0, y^1 or y^2, so the table keeps
+    per group the count, the sum of y and the sum of squares about the
+    group mean.  A tail spec only changes which groups lie in each side's
+    region (``with_tails``), so one table serves all sixteen specs.
+
+    Side d's own arm is Z=d.  Each side-d weight is a sum over the two arms
     of a raw part divided by that arm's frequency; ``mass_parts`` and
-    ``min_pair_parts`` give the raw parts, ``column`` the column and
-    ``arm_slope`` its derivative in Pr(Z=1).
+    ``min_pair_parts`` give the raw parts and ``column`` the weight, all
+    per group.  ``weight[code]`` gives the per-observation column.
     """
 
-    def __init__(self, sample: Sample, set1: TrimmedSet, set0: TrimmedSet):
+    def __init__(self, sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
+                 band=None):
+        y = sample.y
+        pos = 0 if band is None else (y <= band[0]) + 2 * (y >= band[1])
+        cell = 2 * sample.d.astype(np.intp) + sample.z
+        self.code = ((cell * 2 + set1.contains(y)) * 2
+                     + set0.contains(y)) * 3 + pos
         self.sample = sample
-        self.y = sample.y
-        self.z1 = (sample.z == 1).astype(float)
-        m1 = float(np.mean(self.z1))
+        self.n = sample.n
+        g = np.arange(_GROUPS)
+        self.pos = g % 3
+        self.inside = (g // 3 % 2 == 1, g // 6 % 2 == 1)  # indexed by d
+        z, d = g // 12 % 2, g // 24
+        self.z1 = z.astype(float)
+        self.cell = {(dv, zv): ((d == dv) & (z == zv)).astype(float)
+                     for dv in (0, 1) for zv in (0, 1)}
+        self.count = np.bincount(self.code, minlength=_GROUPS)
+        self.sum_y = np.bincount(self.code, weights=y, minlength=_GROUPS)
+        self.y_mean = self.sum_y / np.maximum(self.count, 1)
+        resid = y - self.y_mean[self.code]
+        self.ss_y = np.bincount(self.code, weights=resid * resid,
+                                minlength=_GROUPS)
+        m1 = int(self.count[z == 1].sum()) / self.n
         self.m = (1.0 - m1, m1)  # indexed by z
-        self.cell = {(d, z): ((sample.d == d) & (sample.z == z)).astype(float)
-                     for d in (0, 1) for z in (0, 1)}
-        self.sets = (set0, set1)
-        self.inside = (set0.contains(self.y), set1.contains(self.y))
         self.mass = [self.column(self.mass_parts(d)) for d in (0, 1)]
+
+    def with_tails(self, tails: TailSpec):
+        """The table with each side's region widened by the spec's tails."""
+        out = copy.copy(self)
+        low, high = self.pos == _LOW, self.pos == _HIGH
+        out.inside = (self.inside[0] | low & tails.lower0 | high & tails.upper0,
+                      self.inside[1] | low & tails.lower1 | high & tails.upper1)
+        out.mass = [out.column(out.mass_parts(d)) for d in (0, 1)]
+        return out
 
     def mass_parts(self, d):
         """Side d's contrast weight inside its region: the own-arm cell
@@ -209,15 +252,14 @@ class _Columns:
     def column(self, parts):
         return parts[0] / self.m[0] + parts[1] / self.m[1]
 
-    def arm_means(self, parts, v=1.0):
-        """Means of v times each raw part: {z: mean}."""
-        return {z: float(np.mean(v * parts[z])) for z in (0, 1)}
+    def mean(self, weight, sums):
+        """Sample mean of the column ``weight[code]`` times y (``sums`` is
+        ``sum_y``) or times 1 (``sums`` is ``count``)."""
+        return float(weight @ sums) / self.n
 
-    def arm_slope(self, parts, v=1.0):
-        """Derivative of mean(v * column(parts)) in Pr(Z=1), with
-        Pr(Z=0) = 1 - Pr(Z=1)."""
-        raw = self.arm_means(parts, v)
-        return -raw[1] / self.m[1] ** 2 + raw[0] / self.m[0] ** 2
+    def arm_means(self, parts, sums):
+        """Means of y or 1 times each raw part: {z: mean}."""
+        return {z: self.mean(parts[z], sums) for z in (0, 1)}
 
 
 def estimate_late(sample: Sample, set1: TrimmedSet,
@@ -228,12 +270,12 @@ def estimate_late(sample: Sample, set1: TrimmedSet,
     treatment-cell indicators inside the region; denominators are the same
     means without Y (the estimated complier masses).
     """
-    return _estimate_late(_Columns(sample, set1, set0))
+    return _estimate_late(_Moments(sample, set1, set0))
 
 
-def _estimate_late(cols):
-    num0, num1 = (float(np.mean(cols.y * c)) for c in cols.mass)
-    den0, den1 = (float(np.mean(c)) for c in cols.mass)
+def _estimate_late(tab):
+    num0, num1 = (tab.mean(w, tab.sum_y) for w in tab.mass)
+    den0, den1 = (tab.mean(w, tab.count) for w in tab.mass)
     for label, mass in (("d=1", den1), ("d=0", den0)):
         if mass < MIN_MASS:
             raise WeakIdentificationError(
@@ -241,7 +283,7 @@ def _estimate_late(cols):
                 mass=mass,
             )
     point = num1 / den1 - num0 / den0
-    return LateEstimate(point=point, mass1=den1, mass0=den0, n=cols.sample.n)
+    return LateEstimate(point=point, mass1=den1, mass0=den0, n=tab.n)
 
 
 def late_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
@@ -267,41 +309,49 @@ def late_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     Returns ``(sigma, components)`` with components a dict of Pi, Gamma, D,
     Sigma and the pi vector.
     """
-    return _late_variance(_Columns(sample, set1, set0), method)
+    return _late_variance(_Moments(sample, set1, set0), method)
 
 
-def _late_variance(cols, method):
+def _late_variance(tab, method):
     if method not in ("outcome", "gradient"):
         raise ConfigError(
             f"variance method must be 'outcome' or 'gradient', got {method!r}")
-    y = cols.y
+    w0, w1 = tab.mass
     # core means: Y-weighted contrast d=1, d=0, complier mass d=1, d=0
-    cores = [y * cols.mass[1], y * cols.mass[0], cols.mass[1], cols.mass[0]]
-    pi = np.array([c.mean() for c in cores])
+    pi = np.array([tab.mean(w1, tab.sum_y), tab.mean(w0, tab.sum_y),
+                   tab.mean(w1, tab.count), tab.mean(w0, tab.count)])
     if pi[2] < MIN_MASS or pi[3] < MIN_MASS:
         raise WeakIdentificationError(
             "complier mass below identification floor in variance step",
             mass=float(min(pi[2], pi[3])),
         )
-    V = np.column_stack([cols.z1, 1.0 - cols.z1] + cores)
-    Sigma = np.cov(V, rowvar=False, ddof=0)
+    # influence vector (Z=1, Z=0, the four cores) in group g:
+    # level[g] + slope[g] * (y - y_mean[g]); its covariance is the
+    # between-group part of the levels plus the within-group part of the
+    # slopes
+    zero = np.zeros(_GROUPS)
+    level = np.column_stack([tab.z1, 1.0 - tab.z1, w1 * tab.y_mean,
+                             w0 * tab.y_mean, w1, w0])
+    slope = np.column_stack([zero, zero, w1, w0, zero, zero])
+    dev = level - tab.count @ level / tab.n
+    Sigma = ((dev.T * tab.count) @ dev + (slope.T * tab.ss_y) @ slope) / tab.n
 
-    D = np.diag([-1.0 / cols.m[1] ** 2, -1.0 / cols.m[0] ** 2,
+    D = np.diag([-1.0 / tab.m[1] ** 2, -1.0 / tab.m[0] ** 2,
                  1.0, 1.0, 1.0, 1.0])
 
     if method == "outcome":
         # outcome-weighted cross moments in every column: the own-arm
         # moment in the Z=1 row, the opposite-arm cell inside the other
         # side's region in the Z=0 row
-        own = [cols.arm_means(cols.mass_parts(d), y)[d] for d in (1, 0)]
-        cross = [float(np.mean(y * cols.cell[d, 1 - d] * cols.inside[1 - d]))
+        own = [tab.arm_means(tab.mass_parts(d), tab.sum_y)[d] for d in (1, 0)]
+        cross = [tab.mean(tab.cell[d, 1 - d] * tab.inside[1 - d], tab.sum_y)
                  for d in (1, 0)]
         gamma_star = np.array([own + own, cross + cross])
     else:
         # arm-derivative block: column j gives the moments whose rescaled
         # arm deviations reproduce d pi_j / d (arm frequency)
-        raw = [cols.arm_means(cols.mass_parts(d), v)
-               for v in (y, 1.0) for d in (1, 0)]
+        raw = [tab.arm_means(tab.mass_parts(d), sums)
+               for sums in (tab.sum_y, tab.count) for d in (1, 0)]
         gamma_star = np.array([[r[1] for r in raw], [r[0] for r in raw]])
     Gamma = np.vstack([gamma_star, np.eye(4)])
 
@@ -314,18 +364,19 @@ def _late_variance(cols, method):
     return sigma, components
 
 
-def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
-                        b_n, band, alpha=0.05,
-                        threshold_scale="absolute") -> LateEstimate:
-    """Point estimate plus the centred normal confidence interval for one
-    fixed tail condition."""
-    set1, set0 = estimate_trimmed_sets(est, tails, b_n, band,
-                                       threshold_scale=threshold_scale)
-    cols = _Columns(sample, set1, set0)
-    base = _estimate_late(cols)
-    sigma, _ = _late_variance(cols, "outcome")
+def _core_moments(sample, est, b_n, band, threshold_scale):
+    """The moment table of the fit's cores, which no tail spec changes."""
+    core1, core0 = estimate_trimmed_sets(est, TailSpec(), b_n, band,
+                                         threshold_scale=threshold_scale)
+    return _Moments(sample, core1, core0, band)
+
+
+def _known_tail(cores, tails, alpha):
+    tab = cores.with_tails(tails)
+    base = _estimate_late(tab)
+    sigma, _ = _late_variance(tab, "outcome")
     zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    half = zq * sigma / np.sqrt(sample.n)
+    half = zq * sigma / np.sqrt(tab.n)
     return LateEstimate(
         point=base.point, mass1=base.mass1, mass0=base.mass0, n=base.n,
         sigma=sigma, ci=(base.point - half, base.point + half), alpha=alpha,
@@ -333,21 +384,35 @@ def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
     )
 
 
+def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
+                        b_n, band, alpha=0.05,
+                        threshold_scale="absolute") -> LateEstimate:
+    """Point estimate plus the centred normal confidence interval for one
+    fixed tail condition."""
+    return _known_tail(_core_moments(sample, est, b_n, band, threshold_scale),
+                       tails, alpha)
+
+
 def conservative_union_ci(sample: Sample, est: DensityEstimate, b_n, band,
                           alpha=0.05, threshold_scale="absolute"):
     """Convex hull of the sixteen known-tail confidence intervals.
 
-    Tail conditions that trigger weak-identification errors are skipped;
-    if all sixteen fail, the weak-identification error is re-raised.
+    The cores and their moment table are built once; each tail spec only
+    moves the tail groups in or out of each side's region.  Tail conditions
+    that trigger weak-identification errors are skipped; if all sixteen
+    fail, the weak-identification error is re-raised.
     """
+    try:
+        cores = _core_moments(sample, est, b_n, band, threshold_scale)
+    except WeakIdentificationError as exc:  # no level: every spec fails
+        raise WeakIdentificationError(
+            "all 16 tail conditions are infeasible", mass=exc.mass) from exc
     members = []
     skipped = 0
     last_error = None
     for tails in TailSpec.all_specs():
         try:
-            members.append(known_tail_estimate(
-                sample, est, tails, b_n, band, alpha=alpha,
-                threshold_scale=threshold_scale))
+            members.append(_known_tail(cores, tails, alpha))
         except WeakIdentificationError as exc:
             skipped += 1
             last_error = exc

@@ -153,18 +153,24 @@ def draw_sample(design: SimDesign, n, seed) -> Sample:
     return Sample(y=y, d=d, z=z)
 
 
+def _signed_diff(design: SimDesign, d):
+    """The d-side signed density difference, positive on the complier
+    region: p(y,1) - q(y,1) for d=1 and q(y,0) - p(y,0) for d=0.  Takes
+    arrays."""
+    if d == 1:
+        return lambda y: design.p[1].pdf(y) - design.q[1].pdf(y)
+    return lambda y: design.q[0].pdf(y) - design.p[0].pdf(y)
+
+
 def _population_set(design: SimDesign, d) -> IntervalUnion:
     """Population region where the d-side signed density difference is
     positive inside the band, joined with the design's tails."""
     lo, hi = design.band
-
-    if d == 1:
-        diff = lambda y: float(design.p[1].pdf(y) - design.q[1].pdf(y))
-    else:
-        diff = lambda y: float(design.q[0].pdf(y) - design.p[0].pdf(y))
+    signed = _signed_diff(design, d)
+    diff = lambda y: float(signed(y))
 
     xs = np.linspace(lo, hi, 2049)
-    vals = np.array([diff(x) for x in xs])
+    vals = signed(xs)
     intervals = []
     start = None
     prev_root = lo
@@ -197,10 +203,8 @@ def true_identified_late(design: SimDesign):
     """Quadrature value of the identified trimmed-complier-mean contrast."""
     def piece(d):
         region = _population_set(design, d)
-        if d == 1:
-            diff = lambda y: float(design.p[1].pdf(y) - design.q[1].pdf(y))
-        else:
-            diff = lambda y: float(design.q[0].pdf(y) - design.p[0].pdf(y))
+        signed = _signed_diff(design, d)
+        diff = lambda y: float(signed(y))
         num = den = 0.0
         for a, b in region.intervals:
             v, _ = integrate.quad(lambda y: y * diff(y), a, b, limit=200)

@@ -55,3 +55,21 @@ def test_roy_bounds_accept_verify_false():
     dist = RoyDistribution(np.array(cells).reshape(2, 2, 2))
     assert potential_outcome_bounds(dist, verify=False) \
         == potential_outcome_bounds(dist)
+
+
+def test_union_result_keys_the_tracer_and_cli_read():
+    # `_counts` reads result["feasible"]; the CLI reports "ci" as a pair
+    from partialid.datamodel import build_empirical
+    from partialid.density import Kernel, default_grid, estimate_density_diff
+    from partialid.latepoint import conservative_union_ci
+    from conftest import make_sample
+
+    sample = make_sample(800, seed=4)
+    band = (-1.0, 6.0)
+    est = estimate_density_diff(build_empirical(sample), sample, Kernel(),
+                                0.4, default_grid(band, 0.4))
+    res = conservative_union_ci(sample, est, 0.3, band,
+                                threshold_scale="relative")
+    assert type(res["feasible"]) is int and 1 <= res["feasible"] <= 16
+    assert isinstance(res["ci"], tuple) and len(res["ci"]) == 2
+    assert res["ci"][0] <= res["ci"][1]

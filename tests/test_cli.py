@@ -377,6 +377,39 @@ class TestDilate:
                              intervals_csv, "--a", "2", "--b", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--grid-points", "0", "--a", "2", "--b", "1", "--alpha", "0"),
+         "--grid-points must be at least 1, got 0"),
+        (("--a", "2", "--b", "1", "--alpha", "0", "--boot", "50"),
+         "the hypothesis interval must satisfy a <= b"),
+        (("--a", "2", "--b", "1", "--boot", "50"),
+         "the hypothesis interval must satisfy a <= b"),
+        (("--a", "0", "--b", "1", "--alpha", "0", "--boot", "50"),
+         "alpha must lie in (0, 1]"),
+    ])
+    def test_order_of_errors_before_the_bootstrap(self, capsys, monkeypatch,
+                                                  intervals_csv, flags,
+                                                  message):
+        # --grid-points, then --a/--b, then --alpha, then --boot; none of
+        # them waits for a bootstrap resample
+        import partialid.dilation as dilation
+
+        calls = []
+        original = dilation.bootstrap_critical_value
+
+        def recorder(sample, n_boot, alpha, seed):
+            calls.append((n_boot, alpha))
+            return original(sample, n_boot, alpha, seed)
+
+        monkeypatch.setattr(dilation, "bootstrap_critical_value", recorder)
+        code, out, err = run_cli(capsys, "dilate", "region", "--input",
+                                 intervals_csv, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        # only the bootstrap's own --alpha/--boot check may be reached
+        assert calls == ([] if "alpha" not in message else [(50, 0.0)])
+
     @pytest.mark.parametrize("bounds", [("--a=nan", "--b=1"),
                                         ("--a=0", "--b=nan")])
     def test_nan_hypothesis_is_2(self, capsys, intervals_csv, bounds):

@@ -203,3 +203,96 @@ class TestBoundVariance:
         assert be.sigma_lower > 0 and be.sigma_upper > 0
         lo, hi = be.ci(0.05)
         assert lo < be.lower and hi > be.upper
+
+
+def gap_design_fit(n, seed, decimals=None):
+    """A draw of the complier-mass-gap design (masses 0.7 and 0.3 across
+    the arms), its tuned configuration and its estimated trimmed sets."""
+    from partialid.datamodel import build_empirical, default_empirical_config
+    from partialid.density import Kernel, default_grid, estimate_density_diff
+    from partialid.latepoint import estimate_trimmed_sets
+
+    rng = np.random.default_rng(seed)
+    z = (rng.random(n) < 0.5).astype(int)
+    d = (rng.random(n) < np.where(z == 1, 0.7, 0.3)).astype(int)
+    y = np.where(d == 1, rng.normal(3.0, np.where(z == 1, 1.0, 3.0)),
+                 rng.normal(0.0, 1.0, n))
+    if decimals is not None:
+        y = np.round(y, decimals)
+    s = Sample(y=y, d=d, z=z)
+    cfg = default_empirical_config(s)
+    grid = default_grid(cfg.band, cfg.h)
+    est = estimate_density_diff(build_empirical(s), s, Kernel(), cfg.h, grid)
+    set1, set0 = estimate_trimmed_sets(est, cfg.tails, cfg.b, cfg.band,
+                                       threshold_scale=cfg.threshold_scale)
+    return s, set1, set0, cfg
+
+
+def bound_cases():
+    """(label, sample, set1, set0, kappa, h) covering both bound regimes and
+    the point regime, on hand-made and estimated sets."""
+    s, set1, set0 = gap_population()
+    flipped = Sample(y=s.y, d=1 - s.d, z=1 - s.z)
+    cases = [("gap-below", s, set1, set0, 0.01, 0.5),
+             ("gap-above", flipped, set0, set1, 0.01, 0.5),
+             ("gap-point", s, set1, set0, 0.5, 0.5)]
+    for label, decimals in (("design", None), ("design-rounded", 1)):
+        ds, d1, d0, cfg = gap_design_fit(4000, 3, decimals)
+        cases.append((label, ds, d1, d0, cfg.kappa / 10, cfg.h))
+        cases.append((label + "-point", ds, d1, d0, 100.0, cfg.h))
+    return cases
+
+
+# estimate_bounds and bound_variance on bound_cases() as computed by the
+# per-observation column table that preceded the grouped moment table:
+# (regime, delta, lower, upper, sigma_lower, sigma_upper, t_lower, t_upper),
+# then bound_variance's sigma at t_lower ('lower') and t_upper ('upper')
+PARENT_BOUNDS = {
+    'gap-below': (
+        'below', -0.10000000000000003, 3.125, 4.375, 4.2540192392019165,
+        11.771713647022679, 2.0, 3.0, 4.2540192392019165, 11.771713647022679),
+    'gap-above': (
+        'above', 0.10000000000000003, -4.375, -3.125, 11.771713647022679,
+        4.2540192392019165, 2.0, 3.0, 8.227419382011593, 9.038275813865162),
+    'gap-point': (
+        'point', -0.10000000000000003, 3.625, 3.625, 13.643574876720072,
+        13.643574876720072, None, None),
+    'design': (
+        'above', 0.11099999999999999, 2.7689603616337712, 3.2201179520492635,
+        3.607563987670206, 3.5641099269526695, -0.3264620387602979,
+        0.39254431933630224, 3.6284086995770557, 3.587003528188062),
+    'design-point': (
+        'point', 0.11099999999999999, 2.9873226018417043, 2.9873226018417043,
+        8.147362921070432, 8.147362921070432, None, None),
+    'design-rounded': (
+        'above', 0.11099999999999999, 2.7748062015503874, 3.218604651162791,
+        3.6395969963338755, 3.591825424655197, -0.4, 0.5, 3.6585486651717902,
+        3.626517054750564),
+    'design-rounded-point': (
+        'point', 0.11099999999999999, 2.9874332472006895, 2.9874332472006895,
+        8.163694432346649, 8.163694432346649, None, None),
+}
+
+
+class TestBoundsAgainstColumnTable:
+    @pytest.mark.parametrize("case", bound_cases(), ids=lambda c: c[0])
+    def test_estimates_and_variances(self, case):
+        label, s, set1, set0, kappa, h = case
+        want = PARENT_BOUNDS[label]
+        de = estimate_delta(s, set1, set0, kappa)
+        be = estimate_bounds(s, set1, set0, de, h=h)
+        assert de.regime == want[0]
+        want = want[1:]
+        got = [de.delta, be.lower, be.upper, be.sigma_lower, be.sigma_upper,
+               be.t_lower, be.t_upper]
+        if de.regime != "point":
+            got += [bound_variance(s, set1, set0, de, be.t_lower, "lower",
+                                   h=h)[0],
+                    bound_variance(s, set1, set0, de, be.t_upper, "upper",
+                                   h=h)[0]]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0)
