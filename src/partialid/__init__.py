@@ -11,12 +11,11 @@ simplex     dense two-phase linear-programming solver
 roy         binary self-selection model: refutability, loss, bounds
 structures  refutability/confirmability algebra on finite spaces
 dilation    bootstrap sup-norm dilations and interval-data set inference
-simulate    Gaussian-mixture designs and coverage drivers
+simulate    normal designs, their exact truth, coverage drivers
 cli         command-line interface (`partialid`)
 
-The package root re-exports every submodule's public names except those of
-`simulate`, the only module that needs scipy; import them from
-`partialid.simulate`.  The rest loads numpy only.
+The package root re-exports every submodule's public names.  The package
+loads numpy and the standard library only.
 """
 
 __version__ = "0.1.0"
@@ -47,5 +46,7 @@ from .dilation import (CharacterizingFunction, bootstrap_critical_value,
                        confidence_region, estimated_identified_set,
                        interval_data_stats, interval_mean_distance,
                        interval_mean_model)
+from .simulate import (CoverageResult, HalfDensity, SimDesign, draw_sample,
+                       run_coverage, true_identified_late)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

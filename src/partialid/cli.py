@@ -44,6 +44,7 @@ from .latepoint import (TailSpec, check_iam_implication,
                         conservative_union_ci, estimate_trimmed_sets,
                         known_tail_estimate, wald_estimate)
 from .roy import RoyDistribution, check_roy_refutable, potential_outcome_bounds
+from .simulate import SimDesign, run_coverage
 from .structures import (binary_decidability, check_extension,
                          confirmable_sets, load_space_json, nonrefutable_sets)
 
@@ -94,10 +95,6 @@ def _render(report, fmt):
     _flatten("", payload, lines)
     width = max(len(k) for k, _ in lines)
     return "".join(f"{k.ljust(width)}  {v}\n" for k, v in lines)
-
-
-def _interval_jsonable(iu):
-    return [[a, b] for a, b in iu.intervals]
 
 
 # ----------------------------------------------------------------------
@@ -371,9 +368,6 @@ def _cmd_dilate_region(args):
 
 
 def _cmd_simulate_coverage(args):
-    # local: scipy, which the design's truth needs, loads only here
-    from .simulate import SimDesign, run_coverage
-
     if args.design != "builtin:sec33":
         raise ConfigError(f"unknown design {args.design!r}; available: "
                           "builtin:sec33")

@@ -97,11 +97,6 @@ class IntervalUnion:
     def translate(self, c):
         return IntervalUnion([(lo + c, hi + c) for lo, hi in self.intervals])
 
-    def scale(self, lam):
-        if lam <= 0:
-            raise ValueError("scale factor must be positive")
-        return IntervalUnion([(lo * lam, hi * lam) for lo, hi in self.intervals])
-
     def to_jsonable(self):
         return [[lo, hi] for lo, hi in self.intervals]
 

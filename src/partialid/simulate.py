@@ -1,15 +1,15 @@
 """Monte Carlo designs and coverage drivers.
 
 A design specifies the instrument-arm probability and, for every (arm,
-treatment) cell, a Gaussian-mixture half-density: the cell's probability
-mass times a normalized mixture for Y.  The built-in design draws, with
-Pr(Z=1)=0.6, treatment as a fair coin in both arms, Y ~ N(3, 1) in the
-encouraged arm and Y ~ N(2.5, variance 3), sd sqrt(3), in the other.  Its
-identified contrast of trimmed complier means anchors the coverage
-experiments.  It has a closed form in normal masses and first moments on
-the interval between the two sign changes of p(y,1) - q(y,1): Pr(Z=1), the
-cell masses and the band all drop out, since the untreated region takes
-both tails.
+treatment) cell, a normal half-density: the cell's probability mass times
+a normal density for Y.  The built-in design draws, with Pr(Z=1)=0.6,
+treatment as a fair coin in both arms, Y ~ N(3, 1) in the encouraged arm
+and Y ~ N(2.5, variance 3), sd sqrt(3), in the other.  Its identified
+contrast of trimmed complier means anchors the coverage experiments.  The
+truth is exact: two normal half-densities differ in sign where their log
+ratio, a quadratic in y, does, and normal masses and first moments are
+summed over the resulting regions (Johnson, Kotz & Balakrishnan,
+Continuous Univariate Distributions, vol. 1, ch. 13).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import ConfigError, PartialIdError, WeakIdentificationError
 from .datamodel import RunConfig, Sample, build_empirical
@@ -32,38 +31,40 @@ from .sets import IntervalUnion
 _MASS_TOL = 1e-6
 
 
+def _cdf(x):
+    """Pr(N(0, 1) <= x); erfc keeps the lower tail exact."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 @dataclass(frozen=True)
 class HalfDensity:
-    """A cell mass times a normalized Gaussian mixture for Y."""
+    """A cell mass times the normal density N(mean, sd^2) for Y."""
 
     mass: float
-    means: tuple
-    sds: tuple
-    weights: tuple
+    mean: float
+    sd: float
 
     def __post_init__(self):
         if not (0.0 <= self.mass <= 1.0):
             raise ConfigError("cell mass must lie in [0, 1]")
-        k = len(self.means)
-        if len(self.sds) != k or len(self.weights) != k or k == 0:
-            raise ConfigError("means, sds, weights must have equal length >= 1")
-        if any(s <= 0 for s in self.sds):
-            raise ConfigError("mixture standard deviations must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-9 or any(w < 0 for w in self.weights):
-            raise ConfigError("mixture weights must be a probability vector")
+        if not (0.0 < self.sd < math.inf):
+            raise ConfigError("normal sd must be positive and finite")
 
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for w, mu, sd in zip(self.weights, self.means, self.sds):
-            out += w * np.exp(-0.5 * ((y - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-        return self.mass * out
+        t = (np.asarray(y, dtype=float) - self.mean) / self.sd
+        return self.mass * np.exp(-0.5 * t * t) / (self.sd * math.sqrt(2 * math.pi))
 
     def draw(self, rng, size):
-        comp = rng.choice(len(self.weights), size=size, p=np.asarray(self.weights))
-        mu = np.asarray(self.means)[comp]
-        sd = np.asarray(self.sds)[comp]
-        return rng.normal(mu, sd)
+        # the old mixture's component choice spent these: keep the stream
+        rng.random(size)
+        return rng.normal(self.mean, self.sd, size)
+
+    def mass_moment(self, a, b):
+        """Mass and first moment on (a, b); either end may be infinite."""
+        lo, hi = (a - self.mean) / self.sd, (b - self.mean) / self.sd
+        prob = _cdf(hi) - _cdf(lo)
+        dens = (math.exp(-0.5 * lo * lo) - math.exp(-0.5 * hi * hi)) / math.sqrt(2 * math.pi)
+        return self.mass * prob, self.mass * (self.mean * prob + self.sd * dens)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class SimDesign:
 
     ``p`` maps treatment d to the half-density of (Y, D=d) given Z=1, and
     ``q`` does the same given Z=0.  In each arm the cell masses must sum to
-    one, which is re-verified by quadrature.
+    one.
     """
 
     pr_z1: float
@@ -87,11 +88,7 @@ class SimDesign:
         for name, cells in (("p", self.p), ("q", self.q)):
             if set(cells) != {0, 1}:
                 raise ConfigError(f"{name} must map both treatment values")
-            total = 0.0
-            for hd in cells.values():
-                val, _ = integrate.quad(lambda y: float(hd.pdf(y)),
-                                        -np.inf, np.inf)
-                total += val
+            total = sum(hd.mass for hd in cells.values())
             if abs(total - 1.0) > _MASS_TOL:
                 raise ConfigError(
                     f"{name} half-densities integrate to {total:.8f}, not 1")
@@ -109,8 +106,8 @@ class SimDesign:
         identified contrast: the treated region is the interval between the
         roots of 2y^2 - 13y + 20.75 - 3 ln 3 = 0 and the untreated region is
         its complement."""
-        arm1 = {d: HalfDensity(0.5, (3.0,), (1.0,), (1.0,)) for d in (0, 1)}
-        arm0 = {d: HalfDensity(0.5, (2.5,), (math.sqrt(3.0),), (1.0,)) for d in (0, 1)}
+        arm1 = {d: HalfDensity(0.5, 3.0, 1.0) for d in (0, 1)}
+        arm0 = {d: HalfDensity(0.5, 2.5, math.sqrt(3.0)) for d in (0, 1)}
         return cls(pr_z1=0.6, p=arm1, q=arm0, band=(-2.5, 7.0),
                    tails=TailSpec.sec33())
 
@@ -153,64 +150,62 @@ def draw_sample(design: SimDesign, n, seed) -> Sample:
     return Sample(y=y, d=d, z=z)
 
 
-def _signed_diff(design: SimDesign, d):
+def _signed_pair(design: SimDesign, d):
     """The d-side signed density difference, positive on the complier
-    region: p(y,1) - q(y,1) for d=1 and q(y,0) - p(y,0) for d=0.  Takes
-    arrays."""
+    region, as (plus, minus): p(y,1) - q(y,1) for d=1 and q(y,0) - p(y,0)
+    for d=0."""
     if d == 1:
-        return lambda y: design.p[1].pdf(y) - design.q[1].pdf(y)
-    return lambda y: design.q[0].pdf(y) - design.p[0].pdf(y)
+        return design.p[1], design.q[1]
+    return design.q[0], design.p[0]
+
+
+def _positive_intervals(plus: HalfDensity, minus: HalfDensity):
+    """Open intervals where plus's half-density exceeds minus's.  With both
+    masses positive that is where log plus(y) - log minus(y) =
+    qa y^2 + qb y + qc is, linear for equal sds and 0 for identical cells."""
+    whole = [(-math.inf, math.inf)]
+    if 0.0 in (plus.mass, minus.mass):
+        return whole if plus.mass > 0 else []
+    vp, vm = plus.sd ** 2, minus.sd ** 2
+    qa, qb = 0.5 / vm - 0.5 / vp, plus.mean / vp - minus.mean / vm
+    qc = (math.log(plus.mass * minus.sd / (minus.mass * plus.sd))
+          + 0.5 * minus.mean ** 2 / vm - 0.5 * plus.mean ** 2 / vp)
+    if qa == 0.0 and qb == 0.0:
+        return whole if qc > 0 else []
+    if qa == 0.0:
+        return [(-qc / qb, math.inf)] if qb > 0 else [(-math.inf, -qc / qb)]
+    disc = qb * qb - 4.0 * qa * qc
+    if disc <= 0.0:
+        return whole if qa > 0 else []
+    # the roots are s / qa and qc / s, free of cancellation
+    s = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    r1, r2 = sorted((s / qa, qc / s))
+    return [(-math.inf, r1), (r2, math.inf)] if qa > 0 else [(r1, r2)]
 
 
 def _population_set(design: SimDesign, d) -> IntervalUnion:
     """Population region where the d-side signed density difference is
     positive inside the band, joined with the design's tails."""
     lo, hi = design.band
-    signed = _signed_diff(design, d)
-    diff = lambda y: float(signed(y))
-
-    xs = np.linspace(lo, hi, 2049)
-    vals = signed(xs)
-    intervals = []
-    start = None
-    prev_root = lo
-    sign = vals[0] > 0
-    if sign:
-        start = lo
-    for k in range(len(xs) - 1):
-        if (vals[k] > 0) != (vals[k + 1] > 0):
-            root = optimize.brentq(diff, xs[k], xs[k + 1], xtol=1e-12)
-            if vals[k] > 0:
-                intervals.append((start if start is not None else prev_root, root))
-                start = None
-            else:
-                start = root
-            prev_root = root
-    if start is not None:
-        intervals.append((start, hi))
-    region = IntervalUnion(intervals)
-    tails = design.tails
-    upper = tails.upper1 if d == 1 else tails.upper0
-    lower = tails.lower1 if d == 1 else tails.lower0
-    if upper:
-        region = region.union(IntervalUnion([(hi, np.inf)]))
-    if lower:
-        region = region.union(IntervalUnion([(-np.inf, lo)]))
-    return region
+    region = IntervalUnion(_positive_intervals(*_signed_pair(design, d)))
+    t = design.tails
+    upper, lower = (t.upper1, t.lower1) if d == 1 else (t.upper0, t.lower0)
+    tails = [(hi, np.inf)] * upper + [(-np.inf, lo)] * lower
+    return region.intersect(IntervalUnion([(lo, hi)])).union(
+        IntervalUnion(tails))
 
 
 def true_identified_late(design: SimDesign):
-    """Quadrature value of the identified trimmed-complier-mean contrast."""
+    """Exact identified trimmed-complier-mean contrast: normal masses and
+    first moments summed over each side's population region."""
     def piece(d):
-        region = _population_set(design, d)
-        signed = _signed_diff(design, d)
-        diff = lambda y: float(signed(y))
+        plus, minus = _signed_pair(design, d)
         num = den = 0.0
-        for a, b in region.intervals:
-            v, _ = integrate.quad(lambda y: y * diff(y), a, b, limit=200)
-            w, _ = integrate.quad(diff, a, b, limit=200)
-            num += v
-            den += w
+        for a, b in _population_set(design, d).intervals:
+            mass_p, mom_p = plus.mass_moment(a, b)
+            mass_m, mom_m = minus.mass_moment(a, b)
+            num += mom_p - mom_m
+            den += mass_p - mass_m
         return num, den
 
     num1, den1 = piece(1)
@@ -259,8 +254,8 @@ class CoverageResult:
     records: tuple
     estimator: str
 
-    def to_jsonable(self, include_records=False):
-        out = {
+    def to_jsonable(self):
+        return {
             "coverage": self.coverage,
             "truth": self.truth,
             "replications": self.m,
@@ -268,9 +263,6 @@ class CoverageResult:
             "errors": self.n_errors,
             "estimator": self.estimator,
         }
-        if include_records:
-            out["records"] = list(self.records)
-        return out
 
 
 def run_coverage(design: SimDesign, estimator, n, m, cfg: RunConfig,

@@ -3,7 +3,7 @@
 Each test pins a headline number or an exactness guarantee:
 
 1. the built-in design's identified contrast equals its closed form, and
-   the quadrature value is pinned at full precision;
+   the value of the earlier quadrature implementation is pinned;
 2. Monte Carlo coverage of the plug-in intervals at reference settings
    (fast profile by default; set RUN_FULL_COVERAGE=1 for the m=1000 run);
 3. closed-form selection-model quantities equal their LP counterparts;
@@ -97,19 +97,18 @@ class TestCriterion1TrueValue:
         lo, hi = _sec33_roots()
         assert design.pr_z1 == 0.6
         for d in (0, 1):
-            assert design.p[d] == HalfDensity(0.5, (3.0,), (1.0,), (1.0,))
-            assert design.q[d] == HalfDensity(0.5, (2.5,), (math.sqrt(3.0),),
-                                              (1.0,))
+            assert design.p[d] == HalfDensity(0.5, 3.0, 1.0)
+            assert design.q[d] == HalfDensity(0.5, 2.5, math.sqrt(3.0))
         assert design.tails == TailSpec(upper1=False, lower1=False,
                                         upper0=True, lower0=True)
         assert design.band[0] < lo and hi < design.band[1]
         assert truth == pytest.approx(_sec33_closed_form(), abs=1e-12)
 
     def test_quadrature_oracle(self):
-        # independently computed by locating the sign-change roots of both
-        # density differences analytically and integrating each segment
-        # with adaptive quadrature; it agrees with _sec33_closed_form above
-        # to within 1e-14
+        # the value an earlier implementation returned by a sign scan, root
+        # bisection and adaptive quadrature of each segment; the exact
+        # truth and _sec33_closed_form above both agree with it to within
+        # 1e-14 (tests/test_simulate.py keeps that path as an oracle)
         truth = true_identified_late(SimDesign.sec33())
         assert truth == pytest.approx(1.7438122814589743, abs=1e-10)
 

@@ -489,17 +489,29 @@ class TestSimulate:
         assert err == "error: n must be at least 2\n"
 
 
+def _scipy_modules_after(code):
+    """scipy modules loaded by a fresh interpreter that runs ``code``."""
+    src = os.path.dirname(os.path.dirname(partialid.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 class TestImports:
     def test_cli_path_loads_no_scipy(self):
-        # scipy is needed only by `partialid.simulate`, which the CLI
-        # imports inside the command that runs it
-        src = os.path.dirname(os.path.dirname(partialid.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = ("import sys, partialid.cli, partialid.roy; "
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert _scipy_modules_after("import partialid.cli, partialid.roy") \
+            == "[]"
+
+    def test_coverage_run_loads_no_scipy(self):
+        # the simulation truth is closed-form, so the package needs no scipy
+        code = ("import partialid as p; d = p.SimDesign.sec33(); "
+                "cfg = p.default_simulation_config(300, d.band, "
+                "tails=d.tails); "
+                "r = p.run_coverage(d, 'known', 300, 2, cfg, seed=0, "
+                "threads=1); print(r.truth)")
+        assert _scipy_modules_after(code) == "[]"

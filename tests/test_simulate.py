@@ -1,16 +1,20 @@
-"""Monte Carlo designs, the quadrature truth, and the coverage driver."""
+"""Monte Carlo designs, the exact truth, and the coverage driver."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import assume, given, settings, strategies as st
+from scipy import integrate, optimize
 
-from partialid.datamodel import RunConfig
-from partialid.errors import ConfigError
+from partialid.datamodel import RunConfig, Sample
+from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latepoint import TailSpec
-from partialid.simulate import (HalfDensity, SimDesign, draw_sample,
-                                run_coverage, true_identified_late)
+from partialid.sets import IntervalUnion
+from partialid.simulate import (HalfDensity, SimDesign, _population_set,
+                                _positive_intervals, _signed_pair,
+                                draw_sample, run_coverage,
+                                true_identified_late)
 
 
 def coverage_cfg(n, b=0.2, h=0.4):
@@ -23,46 +27,267 @@ def coverage_cfg(n, b=0.2, h=0.4):
         threshold_scale="relative",
     )
 
-# Value obtained by adaptive quadrature over the analytically located
-# positive regions of the built-in design's density differences; frozen
-# here so regressions are caught at full precision.
+# The value an earlier implementation returned by a sign scan, root
+# bisection and adaptive quadrature (the oracle below); frozen here so
+# regressions are caught at full precision.  The exact truth agrees with
+# it to within 1e-14.
 SEC33_TRUTH = 1.7438122814589743
+
+
+# ----------------------------------------------------------------------
+# quadrature oracle: the earlier scan + brentq + quad path
+# ----------------------------------------------------------------------
+def _oracle_signed(design, d):
+    plus, minus = _signed_pair(design, d)
+    return lambda y: plus.pdf(y) - minus.pdf(y)
+
+
+def _oracle_population_set(design, d):
+    """Sign changes of the density difference on a 2049-point grid over
+    the band, each refined by brentq, joined with the design's tails."""
+    lo, hi = design.band
+    signed = _oracle_signed(design, d)
+    diff = lambda y: float(signed(y))
+    xs = np.linspace(lo, hi, 2049)
+    vals = signed(xs)
+    intervals = []
+    start = lo if vals[0] > 0 else None
+    prev_root = lo
+    for k in range(len(xs) - 1):
+        if (vals[k] > 0) != (vals[k + 1] > 0):
+            root = optimize.brentq(diff, xs[k], xs[k + 1], xtol=1e-12)
+            if vals[k] > 0:
+                intervals.append((start if start is not None else prev_root,
+                                  root))
+                start = None
+            else:
+                start = root
+            prev_root = root
+    if start is not None:
+        intervals.append((start, hi))
+    region = IntervalUnion(intervals)
+    t = design.tails
+    if (t.upper1 if d == 1 else t.upper0):
+        region = region.union(IntervalUnion([(hi, np.inf)]))
+    if (t.lower1 if d == 1 else t.lower0):
+        region = region.union(IntervalUnion([(-np.inf, lo)]))
+    return region
+
+
+def _oracle_piece(design, d):
+    """(first moment, complier mass) of side d by adaptive quadrature, at
+    tolerances tighter than quad's default 1.5e-8, which misses the 1e-9
+    target on small contrasts."""
+    signed = _oracle_signed(design, d)
+    diff = lambda y: float(signed(y))
+    tol = dict(limit=200, epsabs=1e-14, epsrel=1e-13)
+    num = den = 0.0
+    for a, b in _oracle_population_set(design, d).intervals:
+        num += integrate.quad(lambda y: y * diff(y), a, b, **tol)[0]
+        den += integrate.quad(diff, a, b, **tol)[0]
+    return num, den
+
+
+def _mixture_draw_sample(design, n, seed):
+    """draw_sample as it was with one-component Gaussian-mixture cells."""
+    rng = np.random.default_rng(seed)
+    z = (rng.random(n) < design.pr_z1).astype(np.int8)
+    d = np.empty(n, dtype=np.int8)
+    y = np.empty(n, dtype=float)
+    for zval, cells in ((1, design.p), (0, design.q)):
+        idx = np.flatnonzero(z == zval)
+        d[idx] = (rng.random(idx.size) < cells[1].mass).astype(np.int8)
+        for dval in (0, 1):
+            sub = idx[d[idx] == dval]
+            if sub.size:
+                hd = cells[dval]
+                comp = rng.choice(1, size=sub.size, p=np.asarray((1.0,)))
+                y[sub] = rng.normal(np.asarray((hd.mean,))[comp],
+                                    np.asarray((hd.sd,))[comp])
+    return Sample(y=y, d=d, z=z)
+
+
+# ----------------------------------------------------------------------
+# single-normal designs
+# ----------------------------------------------------------------------
+MEANS = st.floats(-1.0, 5.0)
+SDS = st.floats(0.5, 2.5)
+SHARES = st.floats(0.05, 0.95)
+FLAGS = ("upper1", "lower1", "upper0", "lower0")
+
+
+def _arm(draw, share, sds=None):
+    sd0, sd1 = sds if sds is not None else (draw(SDS), draw(SDS))
+    return {0: HalfDensity(1.0 - share, draw(MEANS), sd0),
+            1: HalfDensity(share, draw(MEANS), sd1)}
+
+
+@st.composite
+def designs(draw, equal_sds=False, zero_cell=False, narrow_band=False,
+            tail=None):
+    """Single-normal designs.  ``equal_sds`` makes each signed difference
+    compare cells of one sd, ``zero_cell`` empties one cell, a narrow band
+    leaves most roots outside it, and ``tail`` sets that one tail flag
+    (else all four are drawn)."""
+    shares = [draw(SHARES), draw(SHARES)]
+    if zero_cell:
+        shares[draw(st.integers(0, 1))] = draw(st.sampled_from([0.0, 1.0]))
+    sds = (draw(SDS), draw(SDS)) if equal_sds else None
+    p = _arm(draw, shares[0], sds)
+    q = _arm(draw, shares[1], sds)
+    if narrow_band:
+        lo = draw(st.floats(-2.0, 6.0))
+        band = (lo, lo + draw(st.floats(0.3, 1.5)))
+    else:
+        band = (-2.5, 7.0)
+    if tail is None:
+        tails = TailSpec(*(draw(st.booleans()) for _ in FLAGS))
+    else:
+        tails = TailSpec(**{f: f == tail for f in FLAGS})
+    return SimDesign(pr_z1=draw(st.floats(0.1, 0.9)), p=p, q=q, band=band,
+                     tails=tails)
+
+
+def _assume_scan_resolves(design):
+    """Keep designs whose in-band roots the grid scan can see: apart from
+    each other and from the band edges by more than a few grid steps, and
+    between cells that are identical or differ by more than rounding."""
+    lo, hi = design.band
+    for d in (0, 1):
+        plus, minus = _signed_pair(design, d)
+        gap = max(abs(plus.mass - minus.mass), abs(plus.mean - minus.mean),
+                  abs(plus.sd - minus.sd))
+        assume(gap == 0.0 or gap > 0.01)
+        ends = sorted({e for iv in _positive_intervals(plus, minus)
+                       for e in iv if lo - 0.05 < e < hi + 0.05})
+        pts = [lo] + ends + [hi]
+        assume(all(b - a > 0.05 for a, b in zip(pts, pts[1:])))
+
+
+def _assert_regions_match(design):
+    for d in (0, 1):
+        got = _population_set(design, d).intervals
+        want = _oracle_population_set(design, d).intervals
+        assert len(got) == len(want), (d, got, want)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-9, abs=1e-12), (d, got, want)
+
+
+def _assert_truth_matches(design):
+    """The exact truth equals the quadrature oracle to 1e-9 relative, or
+    both call the design weakly identified."""
+    (num1, den1), (num0, den0) = (_oracle_piece(design, 1),
+                                  _oracle_piece(design, 0))
+    # stay clear of the weak-identification cutoff, where rounding decides
+    assume(abs(min(den1, den0) - 1e-4) > 1e-6)
+    if min(den1, den0) <= 1e-4:
+        with pytest.raises(WeakIdentificationError):
+            true_identified_late(design)
+        return
+    want = num1 / den1 - num0 / den0
+    assert true_identified_late(design) == pytest.approx(
+        want, rel=1e-9, abs=1e-12)
+
+
+ORACLE = settings(max_examples=60, deadline=None)
+
+
+# at these tolerances quad may warn of roundoff; the asserts still apply
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestOracle:
+    @pytest.mark.parametrize("strategy", [
+        designs(), designs(equal_sds=True), designs(zero_cell=True),
+        designs(narrow_band=True)] + [designs(tail=f) for f in FLAGS],
+        ids=["general", "equal-sds", "zero-mass-cell", "roots-outside-band"]
+        + [f"tail-{f}" for f in FLAGS])
+    @ORACLE
+    @given(data=st.data())
+    def test_regions_and_truth(self, strategy, data):
+        design = data.draw(strategy)
+        _assume_scan_resolves(design)
+        _assert_regions_match(design)
+        _assert_truth_matches(design)
+
+    @ORACLE
+    @given(designs(), st.floats(-1.0, 5.0), SDS, SHARES)
+    def test_identical_arms_raise(self, design, mean, sd, share):
+        # every signed difference is 0: no complier region, no tail mass
+        arm = {0: HalfDensity(1.0 - share, mean, sd),
+               1: HalfDensity(share, mean, sd)}
+        design = SimDesign(pr_z1=design.pr_z1, p=arm, q=dict(arm),
+                           band=design.band, tails=design.tails)
+        for d in (0, 1):
+            assert _oracle_population_set(design, d) == \
+                _population_set(design, d)
+        with pytest.raises(WeakIdentificationError):
+            true_identified_late(design)
+
+    @ORACLE
+    @given(designs())
+    def test_swapped_negates_truth(self, design):
+        try:
+            truth = true_identified_late(design)
+        except WeakIdentificationError:
+            with pytest.raises(WeakIdentificationError):
+                true_identified_late(design.swapped())
+            return
+        assert true_identified_late(design.swapped()) == -truth
+
+    def test_builtin_design(self):
+        design = SimDesign.sec33()
+        _assert_regions_match(design)
+        (num1, den1), (num0, den0) = (_oracle_piece(design, 1),
+                                      _oracle_piece(design, 0))
+        assert true_identified_late(design) == pytest.approx(
+            num1 / den1 - num0 / den0, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_draw_matches_mixture_draw(self, seed):
+        design = SimDesign.sec33()
+        got = draw_sample(design, 2000, seed)
+        want = _mixture_draw_sample(design, 2000, seed)
+        for name in ("y", "d", "z"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestHalfDensity:
     def test_pdf_integrates_to_mass(self):
-        hd = HalfDensity(0.3, (0.0, 2.0), (1.0, 0.5), (0.6, 0.4))
+        hd = HalfDensity(0.3, 2.0, 0.5)
         val, _ = integrate.quad(lambda y: float(hd.pdf(y)), -np.inf, np.inf)
         assert val == pytest.approx(0.3, abs=1e-9)
+        mass, moment = hd.mass_moment(-np.inf, np.inf)
+        assert mass == pytest.approx(0.3, abs=1e-15)
+        assert moment == pytest.approx(0.6, abs=1e-15)
 
     def test_draw_moments(self):
-        hd = HalfDensity(1.0, (0.0, 4.0), (1.0, 1.0), (0.5, 0.5))
+        hd = HalfDensity(1.0, 2.0, 1.5)
         draws = hd.draw(np.random.default_rng(0), 200_000)
         assert draws.mean() == pytest.approx(2.0, abs=0.02)
+        assert draws.std() == pytest.approx(1.5, abs=0.02)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            HalfDensity(1.5, (0.0,), (1.0,), (1.0,))
+            HalfDensity(1.5, 0.0, 1.0)
         with pytest.raises(ConfigError):
-            HalfDensity(0.5, (0.0,), (0.0,), (1.0,))
+            HalfDensity(0.5, 0.0, 0.0)
         with pytest.raises(ConfigError):
-            HalfDensity(0.5, (0.0,), (1.0,), (0.7,))
+            HalfDensity(0.5, 0.0, -1.0)
         with pytest.raises(ConfigError):
-            HalfDensity(0.5, (0.0, 1.0), (1.0,), (1.0,))
+            HalfDensity(0.5, 0.0, math.nan)
 
 
 class TestDesign:
     def test_builtin_design_shape(self):
         design = SimDesign.sec33()
         assert design.pr_z1 == 0.6
-        assert design.p[1].means == (3.0,)
-        assert design.q[1].sds == (math.sqrt(3.0),)
+        assert design.p[1].mean == 3.0
+        assert design.q[1].sd == math.sqrt(3.0)
         assert design.band == (-2.5, 7.0)
 
     def test_mass_check(self):
         good = SimDesign.sec33()
         bad_p = dict(good.p)
-        bad_p[1] = HalfDensity(0.7, (3.0,), (1.0,), (1.0,))
+        bad_p[1] = HalfDensity(0.7, 3.0, 1.0)
         with pytest.raises(ConfigError, match="integrate"):
             SimDesign(pr_z1=0.6, p=bad_p, q=good.q, band=good.band,
                       tails=good.tails)
@@ -180,5 +405,3 @@ class TestRunCoverage:
         out = res.to_jsonable()
         assert set(out) == {"coverage", "truth", "replications", "n",
                             "errors", "estimator"}
-        with_rec = res.to_jsonable(include_records=True)
-        assert len(with_rec["records"]) == 3
