@@ -62,17 +62,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()  # Python scalars and lists
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted((_jsonable(v) for v in obj), key=repr)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
@@ -154,18 +152,22 @@ def _parse_band(text):
     return lo, hi
 
 
+def _override(cfg, args, **updates) -> RunConfig:
+    """``cfg`` with ``updates``, then the user's --h and --b."""
+    for flag in ("h", "b"):
+        if vars(args)[flag] is not None:
+            updates[flag] = _positive_finite(f"--{flag}", vars(args)[flag])
+    return dataclasses.replace(cfg, **updates) if updates else cfg
+
+
 def _resolve_config(sample, args) -> RunConfig:
     cfg = default_empirical_config(sample, alpha=args.alpha, seed=args.seed)
     updates = {}
     if args.band is not None:
         updates["band"] = _parse_band(args.band)
-    if args.h is not None:
-        updates["h"] = _positive_finite("--h", args.h)
-    if args.b is not None:
-        updates["b"] = _positive_finite("--b", args.b)
-    if getattr(args, "threshold_scale", None) is not None:
+    if args.threshold_scale is not None:
         updates["threshold_scale"] = args.threshold_scale
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return _override(cfg, args, **updates)
 
 
 def _fit_density(sample, cfg):
@@ -374,15 +376,9 @@ def _cmd_simulate_coverage(args):
     if args.n < 2:
         raise ConfigError("n must be at least 2")
     design = SimDesign.sec33()
-    cfg = default_simulation_config(args.n, design.band, alpha=args.alpha,
-                                    seed=args.seed, tails=design.tails)
-    updates = {}
-    if args.h is not None:
-        updates["h"] = _positive_finite("--h", args.h)
-    if args.b is not None:
-        updates["b"] = _positive_finite("--b", args.b)
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+    cfg = _override(default_simulation_config(
+        args.n, design.band, alpha=args.alpha, seed=args.seed,
+        tails=design.tails), args)
     estimator = "union" if args.union else "known"
     result = run_coverage(design, estimator, args.n, args.m, cfg,
                           seed=args.seed,
@@ -524,10 +520,7 @@ def run(argv=None):
     except WeakIdentificationError as exc:
         print(f"weak identification: {exc}", file=sys.stderr)
         return 3
-    except (DataError, ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PartialIdError as exc:
+    except (PartialIdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {"command": " ".join(["partialid"] + argv), **report}

@@ -9,7 +9,9 @@ trimmed-set contrast away from the threshold and tops it up with the
 pointwise-minimum sub-density below (lower) or above (upper) the threshold.
 The Delta > kappa_n regime is generated from the Delta < -kappa_n code path
 by swapping the roles of (D, Z, trimmed set) and flipping which side of the
-difference carries the correction.
+difference carries the correction.  Each bound and its variance read the
+grouped moment table split by the bound's threshold cut; only the threshold
+scan over the order statistics runs per observation.
 """
 
 from __future__ import annotations
@@ -165,10 +167,10 @@ def _threshold(tab, delta, side):
     return _scan_threshold(tab.sample.y, contrib, abs(delta.delta), direction)
 
 
-def _arm_slope(tab, parts, v=1.0):
-    """Derivative of mean(v * column(parts)) in Pr(Z=1), with
-    Pr(Z=0) = 1 - Pr(Z=1), for a per-observation v."""
-    raw = [float(np.mean(v * parts[z][tab.code])) for z in (0, 1)]
+def _arm_slope(tab, parts, sums):
+    """Derivative in Pr(Z=1), with Pr(Z=0) = 1 - Pr(Z=1), of the mean of
+    ``column(parts)`` times y (``sums`` is ``sum_y``) or 1 (``count``)."""
+    raw = tab.arm_means(parts, sums)
     return -raw[1] / tab.m[1] ** 2 + raw[0] / tab.m[0] ** 2
 
 
@@ -207,30 +209,11 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     if sat_lo or sat_hi:
         flags.append("threshold_saturated")
 
-    side_d = 1 if delta.regime == "below" else 0
-    y = sample.y
-    minw = tab.column(tab.min_pair_parts(side_d))[tab.code]
-    base = [tab.mean(w, tab.sum_y) for w in tab.mass]
-
-    def numerator(t, direction):
-        """Contrast numerator with the corrected side's mean topped up by
-        the minimum-density mass collected below ('low') or above ('high')
-        the threshold."""
-        cut = (y <= t) if direction == "low" else (y >= t)
-        nums = list(base)
-        nums[side_d] += float(np.mean(y * minw * cut))
-        return nums[1] - nums[0]
-
     # the d=1 complier mean is added, so its low correction gives the lower
     # bound; the d=0 mean is subtracted, so its high correction does
-    low, high = numerator(t_lower, "low"), numerator(t_upper, "high")
-    lower, upper = (low, high) if side_d == 1 else (high, low)
-    lower, upper = lower / denom, upper / denom
-
-    t_for_lo, t_for_hi = (t_lower, t_upper) if side_d == 1 else (t_upper, t_lower)
-    region = (set0, set1)[side_d]
-    sig_lo, comp_lo = _bound_variance(tab, region, delta, t_for_lo, "lower", h)
-    sig_hi, comp_hi = _bound_variance(tab, region, delta, t_for_hi, "upper", h)
+    ts = (t_lower, t_upper) if delta.regime == "below" else (t_upper, t_lower)
+    lower, sig_lo, comp_lo = _bound(tab, set1, set0, delta, ts[0], "lower", h)
+    upper, sig_hi, comp_hi = _bound(tab, set1, set0, delta, ts[1], "upper", h)
     if comp_lo["unstable"] or comp_hi["unstable"]:
         flags.append("variance_unstable_low_density_at_threshold")
 
@@ -261,14 +244,13 @@ def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise ConfigError("bound variance is only defined in a bound regime")
     if which not in ("lower", "upper"):
         raise ConfigError("which must be 'lower' or 'upper'")
-    side_d = 1 if delta.regime == "below" else 0
-    return _bound_variance(_Moments(sample, set1, set0), (set0, set1)[side_d],
-                           delta, t, which, h)
+    return _bound(_Moments(sample, set1, set0), set1, set0, delta, t, which,
+                  h)[1:]
 
 
-def _bound_variance(tab, region, delta, t, which, h):
-    """``region`` is the corrected side's trimmed set; the columns are
-    the table's per-group weights gathered per observation."""
+def _bound(tab, set1, set0, delta, t, which, h):
+    """One bound with its standard deviation and variance components, all
+    read from the table split by the bound's threshold cut."""
     if h is None:
         h = tab.n ** (-1.0 / 5.0)
 
@@ -278,40 +260,37 @@ def _bound_variance(tab, region, delta, t, which, h):
     direction = "low" if (side_d == 1) == (which == "lower") else "high"
 
     y = tab.sample.y
-    cut = (y <= t) if direction == "low" else (y >= t)
-    min_parts = tab.min_pair_parts(side_d)
-    minw = tab.column(min_parts)[tab.code]
-    mass = [w[tab.code] for w in tab.mass]
-    base_core = y * mass[side_d]
-    other_core = y * mass[1 - side_d]
-    corr_core = y * minw * cut
-    g_core = minw * cut
+    tab = tab.split((y <= t) if direction == "low" else (y >= t))
+    corr_parts = {z: w * tab.cut
+                  for z, w in tab.min_pair_parts(side_d).items()}
+    base_w, corr_w, other_w = (tab.mass[side_d], tab.column(corr_parts),
+                               tab.mass[1 - side_d])
 
     # influence basis: T-cores, denominators, criterion core, arm indicator
-    U = np.column_stack([
-        base_core,              # 0: corrected-side contrast mean
-        corr_core,              # 1: correction mass (with Y)
-        other_core,             # 2: uncorrected-side contrast mean
-        mass[1],                # 3: complier mass d=1
-        mass[0],                # 4: complier mass d=0
-        g_core,                 # 5: criterion mass at the threshold
-        tab.z1[tab.code],       # 6: arm frequency
-    ])
-    Sigma = np.cov(U, rowvar=False, ddof=0)
+    Sigma = tab.cov([
+        base_w,       # 0: corrected-side contrast mean (with Y)
+        corr_w,       # 1: correction mass (with Y)
+        other_w,      # 2: uncorrected-side contrast mean (with Y)
+        tab.mass[1],  # 3: complier mass d=1
+        tab.mass[0],  # 4: complier mass d=0
+        corr_w,       # 5: criterion mass at the threshold
+        tab.z1,       # 6: arm frequency
+    ], [True, True, True, False, False, False, False])
 
     # each coordinate plus its arm-frequency slope on the arm coordinate
     e = np.eye(7)
-    w_base = e[0] + _arm_slope(tab, tab.mass_parts(side_d), y) * e[6]
-    w_corr_fixed_t = e[1] + _arm_slope(tab, min_parts, y * cut) * e[6]
-    w_other = e[2] + _arm_slope(tab, tab.mass_parts(1 - side_d), y) * e[6]
-    w_den1 = e[3] + _arm_slope(tab, tab.mass_parts(1)) * e[6]
-    w_den0 = e[4] + _arm_slope(tab, tab.mass_parts(0)) * e[6]
-    w_g = e[5] + _arm_slope(tab, min_parts, cut) * e[6]
+    sy, cnt = tab.sum_y, tab.count
+    w_base = e[0] + _arm_slope(tab, tab.mass_parts(side_d), sy) * e[6]
+    w_corr_fixed_t = e[1] + _arm_slope(tab, corr_parts, sy) * e[6]
+    w_other = e[2] + _arm_slope(tab, tab.mass_parts(1 - side_d), sy) * e[6]
+    w_den1 = e[3] + _arm_slope(tab, tab.mass_parts(1), cnt) * e[6]
+    w_den0 = e[4] + _arm_slope(tab, tab.mass_parts(0), cnt) * e[6]
+    w_g = e[5] + _arm_slope(tab, corr_parts, cnt) * e[6]
 
     # sub-density levels at the threshold (own arm Z=d and opposite arm)
     own_dens = float(cell_sum(tab.sample, h, [t], d=side_d, z=side_d)[0])
     opp_dens = float(cell_sum(tab.sample, h, [t], d=side_d, z=1 - side_d)[0])
-    t_in = bool(region.contains(np.array([t]))[0])
+    t_in = bool((set0, set1)[side_d].contains(np.array([t]))[0])
     min_dens = opp_dens if t_in else own_dens
     unstable = min_dens < DENSITY_FLOOR
     g_slope = max(min_dens, DENSITY_FLOOR)
@@ -328,8 +307,8 @@ def _bound_variance(tab, region, delta, t, which, h):
     denom = max(delta.mass1, delta.mass0)
     w_denom = w_den1 if delta.mass1 >= delta.mass0 else w_den0
 
-    base_val, corr_val, other_val = (float(np.mean(c)) for c in
-                                     (base_core, corr_core, other_core))
+    base_val, corr_val, other_val = (tab.mean(w, sy)
+                                     for w in (base_w, corr_w, other_w))
     # the corrected side is subtracted for d=0: L = (other - base - corr)/denom
     numerator = (base_val + corr_val - other_val if side_d == 1
                  else other_val - base_val - corr_val)
@@ -349,4 +328,4 @@ def _bound_variance(tab, region, delta, t, which, h):
         "unstable": unstable, "min_density_at_t": min_dens,
         "den_side": tab.mean(tab.mass[side_d], tab.count),
     }
-    return sigma, components
+    return L, sigma, components

@@ -6,9 +6,10 @@ conservative union over all sixteen tail conditions).
 
 Every estimator reads a grouped moment table (``_Moments``): observations
 are grouped by (D, Z) cell, core membership and band position, and the
-means and covariances are sums over at most 48 groups.  The tails do not
-move the cores, so the union extracts them once and evaluates each tail
-spec on the same table."""
+means and covariances are sums over at most 48 groups (96 for a bound,
+which splits each group by its threshold cut).  The tails do not move the
+cores, so the union extracts them once and evaluates each tail spec on the
+same table."""
 
 from __future__ import annotations
 
@@ -211,14 +212,10 @@ class _Moments:
         self.inside = (g // 3 % 2 == 1, g // 6 % 2 == 1)  # indexed by d
         z, d = g // 12 % 2, g // 24
         self.z1 = z.astype(float)
-        self.cell = {(dv, zv): ((d == dv) & (z == zv)).astype(float)
-                     for dv in (0, 1) for zv in (0, 1)}
-        self.count = np.bincount(self.code, minlength=_GROUPS)
-        self.sum_y = np.bincount(self.code, weights=y, minlength=_GROUPS)
-        self.y_mean = self.sum_y / np.maximum(self.count, 1)
-        resid = y - self.y_mean[self.code]
-        self.ss_y = np.bincount(self.code, weights=resid * resid,
-                                minlength=_GROUPS)
+        self.cell = np.array([[(d == dv) & (z == zv) for zv in (0, 1)]
+                              for dv in (0, 1)], dtype=float)  # [d, z]
+        self.count, self.sum_y, self.y_mean, self.ss_y = _group_sums(
+            self.code, y, _GROUPS)
         m1 = int(self.count[z == 1].sum()) / self.n
         self.m = (1.0 - m1, m1)  # indexed by z
         self.mass = [self.column(self.mass_parts(d)) for d in (0, 1)]
@@ -230,6 +227,18 @@ class _Moments:
         out.inside = (self.inside[0] | low & tails.lower0 | high & tails.upper0,
                       self.inside[1] | low & tails.lower1 | high & tails.upper1)
         out.mass = [out.column(out.mass_parts(d)) for d in (0, 1)]
+        return out
+
+    def split(self, cut):
+        """The table with each group g split by the mask ``cut``: group
+        2g + 1 holds g's observations inside it, and ``cut`` flags it."""
+        out = copy.copy(self)
+        out.code = 2 * self.code + cut
+        out.count, out.sum_y, out.y_mean, out.ss_y = _group_sums(
+            out.code, self.sample.y, 2 * self.count.size)
+        for name in ("pos", "z1", "inside", "cell", "mass"):
+            setattr(out, name, np.repeat(getattr(self, name), 2, axis=-1))
+        out.cut = np.tile([0.0, 1.0], self.count.size)
         return out
 
     def mass_parts(self, d):
@@ -260,6 +269,32 @@ class _Moments:
     def arm_means(self, parts, sums):
         """Means of y or 1 times each raw part: {z: mean}."""
         return {z: self.mean(parts[z], sums) for z in (0, 1)}
+
+    def cov(self, weights, with_y):
+        """Covariance (ddof 0) of the vector with entries ``weights[j][code]``
+        times y if ``with_y[j]``, else times 1: in group g entry j is
+        level[g] + slope[g] * (y - y_mean[g]), so it is the between-group
+        part of the levels plus the within-group part of the slopes."""
+        w = np.column_stack(weights)
+        slope = w * np.asarray(with_y)
+        level = np.where(with_y, w * self.y_mean[:, None], w)
+        dev = level - self.count @ level / self.n
+        return ((dev.T * self.count) @ dev
+                + (slope.T * self.ss_y) @ slope) / self.n
+
+
+def _group_sums(code, y, groups):
+    """Per-group count, sum and mean of y, and squares about the mean, in
+    two passes since ``bincount`` adds in sequence: rough means, then the
+    residual sums correct them (Chan, Golub & LeVeque 1983)."""
+    count = np.bincount(code, minlength=groups)
+    safe = np.maximum(count, 1)
+    rough = np.bincount(code, weights=y, minlength=groups) / safe
+    resid = y - rough[code]
+    shift, sq = (np.bincount(code, weights=w, minlength=groups)
+                 for w in (resid, resid * resid))
+    y_mean = rough + shift / safe
+    return count, y_mean * count, y_mean, sq - shift * shift / safe
 
 
 def estimate_late(sample: Sample, set1: TrimmedSet,
@@ -325,16 +360,9 @@ def _late_variance(tab, method):
             "complier mass below identification floor in variance step",
             mass=float(min(pi[2], pi[3])),
         )
-    # influence vector (Z=1, Z=0, the four cores) in group g:
-    # level[g] + slope[g] * (y - y_mean[g]); its covariance is the
-    # between-group part of the levels plus the within-group part of the
-    # slopes
-    zero = np.zeros(_GROUPS)
-    level = np.column_stack([tab.z1, 1.0 - tab.z1, w1 * tab.y_mean,
-                             w0 * tab.y_mean, w1, w0])
-    slope = np.column_stack([zero, zero, w1, w0, zero, zero])
-    dev = level - tab.count @ level / tab.n
-    Sigma = ((dev.T * tab.count) @ dev + (slope.T * tab.ss_y) @ slope) / tab.n
+    # influence vector: Z=1, Z=0, the four cores
+    Sigma = tab.cov([tab.z1, 1.0 - tab.z1, w1, w0, w1, w0],
+                    [False, False, True, True, False, False])
 
     D = np.diag([-1.0 / tab.m[1] ** 2, -1.0 / tab.m[0] ** 2,
                  1.0, 1.0, 1.0, 1.0])

@@ -15,7 +15,6 @@ Continuous Univariate Distributions, vol. 1, ch. 13).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -288,6 +287,7 @@ def run_coverage(design: SimDesign, estimator, n, m, cfg: RunConfig,
     if threads is not None and threads <= 1:
         records = [work(k) for k in range(m)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(work, range(m)))
 

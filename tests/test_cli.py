@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, JSON determinism, per-command smoke."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import partialid
 import partialid.simulate
-from partialid.cli import _clamp_threads, run
+from partialid.cli import _clamp_threads, _render, run
 from partialid.datamodel import Sample
 
 from conftest import make_sample, write_sample_csv
@@ -468,7 +469,7 @@ class TestSimulate:
                 return map(fn, items)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(partialid.simulate, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         code, _, _ = run_cli(capsys, "simulate", "coverage", "--n", "300",
                              "--m", "2", "--threads", requested)
         assert code == 0
@@ -515,3 +516,28 @@ class TestImports:
                 "r = p.run_coverage(d, 'known', 300, 2, cfg, seed=0, "
                 "threads=1); print(r.truth)")
         assert _scipy_modules_after(code) == "[]"
+
+    def test_cli_loads_no_thread_pool(self):
+        # run_coverage imports its pool when it runs
+        code = ("import partialid.cli, sys; print(sorted(m for m in "
+                "sys.modules if m.startswith('concurrent')))")
+        src = os.path.dirname(os.path.dirname(partialid.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+class TestRender:
+    def test_non_finite_numbers_render_as_strings(self):
+        def no_constant(name):
+            raise AssertionError(f"bare {name} in the report")
+
+        report = {"np": [np.float64("nan"), np.float64("-inf")],
+                  "py": [float("nan"), float("inf")],
+                  "arr": np.array([np.nan, 1.5])}
+        out = json.loads(_render(report, "json"), parse_constant=no_constant)
+        assert out == {"np": ["nan", "-inf"], "py": ["nan", "inf"],
+                       "arr": ["nan", 1.5]}

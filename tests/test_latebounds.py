@@ -1,5 +1,7 @@
 """Complier-mass gap regimes, threshold scans, and interval bound estimators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latebounds import (DeltaEstimate, estimate_bounds,
                                   estimate_delta, estimate_threshold,
                                   bound_variance, _scan_threshold)
-from partialid.latepoint import TrimmedSet, estimate_late
+from partialid.latepoint import (TrimmedSet, _Moments, _late_variance,
+                                 estimate_late)
 from partialid.sets import IntervalUnion
 from partialid.simplex import solve_lp
 
@@ -296,3 +299,41 @@ class TestBoundsAgainstColumnTable:
                 assert g is None
             else:
                 assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+class TestBoundCost:
+    def test_bounds_read_the_table_and_one_cut_split_each(self, monkeypatch):
+        s, set1, set0, cfg = gap_design_fit(4000, 3)
+        de = estimate_delta(s, set1, set0, cfg.kappa / 10)
+        assert de.regime == "above"
+        passes = []
+        bincount = np.bincount
+
+        def pass_recorder(x, *args, **kwargs):
+            passes.append((np.size(x), kwargs.get("minlength")))
+            return bincount(x, *args, **kwargs)
+
+        def no_cov(*args, **kwargs):
+            raise AssertionError("np.cov called")
+
+        monkeypatch.setattr(np, "bincount", pass_recorder)
+        monkeypatch.setattr(np, "cov", no_cov)
+        # four passes build the 48-group table, four split it by one cut
+        table, split = [(s.n, 48)] * 4, [(s.n, 96)] * 4
+        be = estimate_bounds(s, set1, set0, de, h=cfg.h)
+        assert passes == table + split + split
+        passes.clear()
+        bound_variance(s, set1, set0, de, be.t_lower, "lower", h=cfg.h)
+        assert passes == table + split
+
+
+class TestGroupSums:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cancelling_mean_matches_exact_sum(self, seed):
+        # pi[1] is a d=0 contrast mean of about 1e-3 summed from terms of
+        # order one; sequential group sums left up to 7e-13 relative error
+        s, set1, set0, _ = gap_design_fit(200_000, seed)
+        tab = _Moments(s, set1, set0)
+        got = _late_variance(tab, "outcome")[1]["pi"][1]
+        want = math.fsum((s.y * tab.mass[0][tab.code]).tolist()) / s.n
+        assert abs(got - want) <= 1e-13 * abs(want)

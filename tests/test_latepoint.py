@@ -478,9 +478,10 @@ class TestUnionCost:
         res = conservative_union_ci(s, est, 0.3, (-3.0, 8.0),
                                     threshold_scale="relative")
         assert res["feasible"] + res["skipped"] == 16
-        # the cores, without tails, once; count, sum of y, centred squares
+        # the cores, without tails, once; count, rough sum of y, and the
+        # sums of the residuals and of their squares about the rough means
         assert sets_calls == [TailSpec()]
-        assert passes == [s.n] * 3
+        assert passes == [s.n] * 4
 
     def test_union_at_a_million_observations(self):
         # per-spec sets and n x 6 covariances took about 4.3 s here; the
