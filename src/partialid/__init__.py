@@ -29,10 +29,10 @@ from .datamodel import (EmpiricalPQ, RunConfig, Sample, build_empirical,
                         load_sample_csv, theorem_bandwidth, theorem_trimming)
 from .density import (DensityEstimate, Kernel, cell_sum, default_grid,
                       estimate_density_diff)
-from .latepoint import (LateEstimate, TailSpec, TrimmedSet,
-                        check_iam_implication, conservative_union_ci,
-                        estimate_late, estimate_trimmed_sets,
-                        known_tail_estimate, late_variance, wald_estimate)
+from .latepoint import (LateEstimate, TailSpec, check_iam_implication,
+                        conservative_union_ci, estimate_late,
+                        estimate_trimmed_sets, known_tail_estimate,
+                        late_variance, wald_estimate)
 from .latebounds import (BoundEstimate, DeltaEstimate, bound_variance,
                          estimate_bounds, estimate_delta, estimate_threshold)
 from .simplex import InfeasibleError, UnboundedError, solve_lp

@@ -66,8 +66,6 @@ def _jsonable(obj):
         obj = obj.tolist()  # Python scalars and lists
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted((_jsonable(v) for v in obj), key=repr)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -370,9 +368,6 @@ def _cmd_dilate_region(args):
 
 
 def _cmd_simulate_coverage(args):
-    if args.design != "builtin:sec33":
-        raise ConfigError(f"unknown design {args.design!r}; available: "
-                          "builtin:sec33")
     if args.n < 2:
         raise ConfigError("n must be at least 2")
     design = SimDesign.sec33()
@@ -486,7 +481,6 @@ def build_parser() -> _Parser:
     sim_sub = sim.add_subparsers(dest="command", required=True, parser_class=_Parser)
     p = sim_sub.add_parser("coverage",
                            help="coverage of the plug-in intervals")
-    p.add_argument("--design", default="builtin:sec33")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--b", type=float, default=None)

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ConfigError, WeakIdentificationError
 from .datamodel import Sample
 from .density import cell_sum
-from .latepoint import (MIN_MASS, TrimmedSet, _Moments, _estimate_late,
-                        _late_variance)
+from .latepoint import MIN_MASS, _Moments, _estimate_late, _late_variance
+from .sets import IntervalUnion
 
 #: density floor below which the threshold-variance correction is flagged
 DENSITY_FLOOR = 1e-6
@@ -94,7 +94,7 @@ class BoundEstimate:
         return out
 
 
-def estimate_delta(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
+def estimate_delta(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
                    kappa) -> DeltaEstimate:
     """Difference of the two estimated complier masses and its regime."""
     if not (kappa > 0):  # NaN fails too
@@ -115,26 +115,27 @@ def estimate_delta(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     )
 
 
-def _scan_threshold(y, contrib, target, direction):
+def _scan_threshold(y, contrib, target):
     """Smallest minimiser of (cumulative(contrib) - target)^2 over the order
-    statistics of y (plus the empty cut).
+    statistics of y (plus the empty cut), in both directions from one sort.
 
-    ``direction`` 'low' accumulates mass over {Y <= t}; 'high' over
-    {Y >= t}.  Returns (t, multiplicity_flag, saturated_flag).
+    Direction 'low' accumulates mass over {Y <= t}; 'high' over {Y >= t}.
+    Returns {direction: (t, multiplicity_flag, saturated_flag)}.
     """
     order = np.argsort(y, kind="stable")
     ys = y[order]
     cs = contrib[order]
-    uniq, idx = np.unique(ys, return_index=True)
-    if direction == "low":
-        cum = np.cumsum(cs)
-        ends = np.append(idx[1:] - 1, ys.size - 1)
-        masses = np.concatenate(([0.0], cum[ends]))  # t = -inf, then each y
-        cands = np.concatenate(([-np.inf], uniq))
-    else:
-        cum = np.cumsum(cs[::-1])[::-1]
-        masses = np.concatenate((cum[idx], [0.0]))  # each y, then t = +inf
-        cands = np.concatenate((uniq, [np.inf]))
+    starts = np.flatnonzero(np.diff(ys, prepend=-np.inf))  # first of each run
+    uniq = ys[starts]
+    ends = np.append(starts[1:] - 1, ys.size - 1)
+    low = np.concatenate(([0.0], np.cumsum(cs)[ends]))  # t = -inf, then each y
+    high = np.concatenate((np.cumsum(cs[::-1])[::-1][starts], [0.0]))
+    return {"low": _minimiser(low, np.concatenate(([-np.inf], uniq)), target),
+            "high": _minimiser(high, np.concatenate((uniq, [np.inf])), target)}
+
+
+def _minimiser(masses, cands, target):
+    """First candidate whose mass is closest to the target, with the flags."""
     crit = (masses - target) ** 2
     best = crit.min()
     hits = np.flatnonzero(np.isclose(crit, best, rtol=0.0, atol=1e-15))
@@ -144,8 +145,8 @@ def _scan_threshold(y, contrib, target, direction):
     return t, multiple, saturated
 
 
-def estimate_threshold(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
-                       delta: DeltaEstimate, side):
+def estimate_threshold(sample: Sample, set1: IntervalUnion,
+                       set0: IntervalUnion, delta: DeltaEstimate, side):
     """Minimal-distance threshold estimate for the requested side.
 
     ``side='lower'`` accumulates correction mass from below the threshold
@@ -157,14 +158,14 @@ def estimate_threshold(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise ConfigError("thresholds are undefined in the point regime")
     if side not in ("lower", "upper"):
         raise ConfigError("side must be 'lower' or 'upper'")
-    return _threshold(_Moments(sample, set1, set0), delta, side)
+    scans = _thresholds(_Moments(sample, set1, set0), delta)
+    return scans["low" if side == "lower" else "high"]
 
 
-def _threshold(tab, delta, side):
+def _thresholds(tab, delta):
     side_d = 1 if delta.regime == "below" else 0
     contrib = tab.column(tab.min_pair_parts(side_d))[tab.code] / tab.n
-    direction = "low" if side == "lower" else "high"
-    return _scan_threshold(tab.sample.y, contrib, abs(delta.delta), direction)
+    return _scan_threshold(tab.sample.y, contrib, abs(delta.delta))
 
 
 def _arm_slope(tab, parts, sums):
@@ -174,8 +175,9 @@ def _arm_slope(tab, parts, sums):
     return -raw[1] / tab.m[1] ** 2 + raw[0] / tab.m[0] ** 2
 
 
-def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
-                    delta: DeltaEstimate, h=None) -> BoundEstimate:
+def estimate_bounds(sample: Sample, set1: IntervalUnion,
+                    set0: IntervalUnion, delta: DeltaEstimate,
+                    h=None) -> BoundEstimate:
     """Bound point estimates and their plug-in standard deviations for the
     resolved regime.
 
@@ -202,8 +204,9 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
         raise WeakIdentificationError(
             f"larger complier mass {denom:.3g} below floor", mass=denom)
 
-    t_lower, mult_lo, sat_lo = _threshold(tab, delta, "lower")
-    t_upper, mult_hi, sat_hi = _threshold(tab, delta, "upper")
+    scans = _thresholds(tab, delta)
+    t_lower, mult_lo, sat_lo = scans["low"]
+    t_upper, mult_hi, sat_hi = scans["high"]
     if mult_lo or mult_hi:
         flags.append("threshold_minimizer_not_unique")
     if sat_lo or sat_hi:
@@ -224,7 +227,7 @@ def estimate_bounds(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
     )
 
 
-def bound_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
+def bound_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
                    delta: DeltaEstimate, t, which, h=None):
     """Plug-in standard deviation of sqrt(n) times one bound estimate.
 
@@ -326,6 +329,5 @@ def _bound(tab, set1, set0, delta, t, which, h):
     components = {
         "Gamma": Gamma, "M1": M1, "M2": M2, "Sigma": Sigma,
         "unstable": unstable, "min_density_at_t": min_dens,
-        "den_side": tab.mean(tab.mass[side_d], tab.count),
     }
     return L, sigma, components

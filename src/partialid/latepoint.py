@@ -82,19 +82,6 @@ class TailSpec:
                    upper0=flags["u0"], lower0=flags["l0"])
 
 
-@dataclass(frozen=True)
-class TrimmedSet:
-    """Estimated outcome region for one treatment arm: the super-level set
-    of the density difference inside the band, unioned with the assumed
-    tails."""
-
-    region: IntervalUnion
-    b: float
-
-    def contains(self, y):
-        return self.region.contains(y)
-
-
 def check_iam_implication(est: DensityEstimate, b_n=0.0):
     """Diagnostic for the density form of the testable implication.
 
@@ -137,9 +124,8 @@ def estimate_trimmed_sets(est: DensityEstimate, tails: TailSpec, b_n, band,
         lev1 = lev0 = float(b_n)
     core1 = superlevel_set(est.grid, est.f1, lev1, m_l, m_u)
     core0 = superlevel_set(est.grid, est.f0, lev0, m_l, m_u)
-    set1 = TrimmedSet(core1.union(tails.tail_set(1, band)), b=lev1)
-    set0 = TrimmedSet(core0.union(tails.tail_set(0, band)), b=lev0)
-    return set1, set0
+    return (core1.union(tails.tail_set(1, band)),
+            core0.union(tails.tail_set(0, band)))
 
 
 @dataclass(frozen=True)
@@ -198,8 +184,8 @@ class _Moments:
     per group.  ``weight[code]`` gives the per-observation column.
     """
 
-    def __init__(self, sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
-                 band=None):
+    def __init__(self, sample: Sample, set1: IntervalUnion,
+                 set0: IntervalUnion, band=None):
         y = sample.y
         pos = 0 if band is None else (y <= band[0]) + 2 * (y >= band[1])
         cell = 2 * sample.d.astype(np.intp) + sample.z
@@ -297,8 +283,8 @@ def _group_sums(code, y, groups):
     return count, y_mean * count, y_mean, sq - shift * shift / safe
 
 
-def estimate_late(sample: Sample, set1: TrimmedSet,
-                  set0: TrimmedSet) -> LateEstimate:
+def estimate_late(sample: Sample, set1: IntervalUnion,
+                  set0: IntervalUnion) -> LateEstimate:
     """Two-ratio point estimator over the trimmed regions.
 
     Numerators are sample means of Y times the instrument-arm contrast of
@@ -321,7 +307,7 @@ def _estimate_late(tab):
     return LateEstimate(point=point, mass1=den1, mass0=den0, n=tab.n)
 
 
-def late_variance(sample: Sample, set1: TrimmedSet, set0: TrimmedSet,
+def late_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
                   method="outcome"):
     """Plug-in delta-method standard deviation of sqrt(n) times the
     estimator, with its component matrices.

@@ -34,14 +34,6 @@ class IntervalUnion:
         # flat endpoint array for O(log k) membership via searchsorted
         self._edges = np.array([e for iv in self.intervals for e in iv])
 
-    @classmethod
-    def empty(cls):
-        return cls(())
-
-    @classmethod
-    def real_line(cls):
-        return cls([(-np.inf, np.inf)])
-
     def __bool__(self):
         return bool(self.intervals)
 
@@ -70,21 +62,6 @@ class IntervalUnion:
     def union(self, other):
         return IntervalUnion(self.intervals + other.intervals)
 
-    def complement(self):
-        """Complement in the real line (closed-interval convention)."""
-        if not self.intervals:
-            return IntervalUnion.real_line()
-        out = []
-        lo0 = self.intervals[0][0]
-        if np.isfinite(lo0):
-            out.append((-np.inf, lo0))
-        for (_, hi_prev), (lo_next, _) in zip(self.intervals, self.intervals[1:]):
-            out.append((hi_prev, lo_next))
-        hi_last = self.intervals[-1][1]
-        if np.isfinite(hi_last):
-            out.append((hi_last, np.inf))
-        return IntervalUnion(out)
-
     def intersect(self, other):
         out = []
         for a_lo, a_hi in self.intervals:
@@ -93,9 +70,6 @@ class IntervalUnion:
                 if lo <= hi:
                     out.append((lo, hi))
         return IntervalUnion(out)
-
-    def translate(self, c):
-        return IntervalUnion([(lo + c, hi + c) for lo, hi in self.intervals])
 
     def to_jsonable(self):
         return [[lo, hi] for lo, hi in self.intervals]
@@ -120,22 +94,13 @@ def superlevel_set(grid, values, threshold, lo, hi):
     xs = np.concatenate(([lo], xs, [hi]))
     vs = np.interp(xs, grid, values)
 
+    # each flip of ``above`` between adjacent nodes is one crossing; exactly
+    # one of its two nodes reaches the threshold, so their values differ
     above = vs >= threshold
-    out = []
-    start = None
-    for i in range(xs.size):
-        if above[i] and start is None:
-            if i == 0:
-                start = xs[0]
-            else:
-                # crossing between xs[i-1] (below) and xs[i] (at/above)
-                x0, x1, v0, v1 = xs[i - 1], xs[i], vs[i - 1], vs[i]
-                start = x1 if v1 == v0 else x0 + (threshold - v0) * (x1 - x0) / (v1 - v0)
-        elif not above[i] and start is not None:
-            x0, x1, v0, v1 = xs[i - 1], xs[i], vs[i - 1], vs[i]
-            end = x0 if v1 == v0 else x0 + (threshold - v0) * (x1 - x0) / (v1 - v0)
-            out.append((start, end))
-            start = None
-    if start is not None:
-        out.append((start, xs[-1]))
-    return IntervalUnion(out)
+    i = np.flatnonzero(above[1:] != above[:-1])
+    x0, x1, v0, v1 = xs[i], xs[i + 1], vs[i], vs[i + 1]
+    crossings = x0 + (threshold - v0) * (x1 - x0) / (v1 - v0)
+    # crossings alternate between starts and ends; a band edge inside the
+    # set opens or closes it
+    edges = np.concatenate((xs[:1][above[:1]], crossings, xs[-1:][above[-1:]]))
+    return IntervalUnion(zip(edges[::2], edges[1::2]))

@@ -185,13 +185,9 @@ def _positive_intervals(plus: HalfDensity, minus: HalfDensity):
 def _population_set(design: SimDesign, d) -> IntervalUnion:
     """Population region where the d-side signed density difference is
     positive inside the band, joined with the design's tails."""
-    lo, hi = design.band
     region = IntervalUnion(_positive_intervals(*_signed_pair(design, d)))
-    t = design.tails
-    upper, lower = (t.upper1, t.lower1) if d == 1 else (t.upper0, t.lower0)
-    tails = [(hi, np.inf)] * upper + [(-np.inf, lo)] * lower
-    return region.intersect(IntervalUnion([(lo, hi)])).union(
-        IntervalUnion(tails))
+    return region.intersect(IntervalUnion([design.band])).union(
+        design.tails.tail_set(d, design.band))
 
 
 def true_identified_late(design: SimDesign):

@@ -115,16 +115,6 @@ class FiniteStructureSpace:
         return frozenset(s for s in self.structures
                          if not (self.obs_map[s] <= outside))
 
-    def to_jsonable(self):
-        out = {
-            "outcomes": sorted(map(str, self.outcomes)),
-            "structures": {str(s): sorted(map(str, v))
-                           for s, v in self.obs_map.items()},
-        }
-        if self.theta is not None:
-            out["theta"] = {str(s): self.theta[s] for s in self.obs_map}
-        return out
-
 
 def nonrefutable_sets(space: FiniteStructureSpace, hypothesis):
     """Strong and weak nonrefutable hulls of a hypothesis."""

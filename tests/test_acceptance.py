@@ -315,7 +315,7 @@ class TestCriterion5BoundOracle:
             contrib = rng.uniform(0, 0.05, m)
             target = float(rng.uniform(0, contrib.sum() * 1.2))
             for direction in ("low", "high"):
-                t, _, _ = _scan_threshold(y, contrib, target, direction)
+                t, _, _ = _scan_threshold(y, contrib, target)[direction]
                 support = np.unique(y)
                 if direction == "low":
                     masses = [contrib[y <= c].sum() for c in support]

@@ -6,6 +6,8 @@ argument removal there breaks `perfbench/run.py --trace 1` only at run
 time.  These checks catch it with the unit tests.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import inspect
@@ -73,3 +75,36 @@ def test_union_result_keys_the_tracer_and_cli_read():
     assert type(res["feasible"]) is int and 1 <= res["feasible"] <= 16
     assert isinstance(res["ci"], tuple) and len(res["ci"]) == 2
     assert res["ci"][0] <= res["ci"][1]
+
+
+def partialid_imports(tree):
+    """(module, name) of every ``from partialid... import name`` in the
+    tree, and in every string constant that parses as code, such as the
+    set-up code a workload hands to a fresh interpreter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "partialid":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                inner = ast.parse(node.value)
+            except SyntaxError:
+                continue
+            yield from partialid_imports(inner)
+
+
+def test_every_name_the_benchmark_imports_exists():
+    found = set()
+    for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found.update((os.path.basename(path), module, name)
+                     for module, name in partialid_imports(tree))
+    # the coverage workload's set-up string is read as well
+    assert ("wl_coverage.py", "partialid.simulate", "SimDesign") in found
+    missing = [
+        entry for entry in sorted(found)
+        if not hasattr(importlib.import_module(entry[1]), entry[2])
+        and importlib.util.find_spec(f"{entry[1]}.{entry[2]}") is None]
+    assert not missing

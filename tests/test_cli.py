@@ -437,11 +437,6 @@ class TestSimulate:
         assert rows[0] == ["estimate", "sigma", "covered", "error"]
         assert len(rows) == 5
 
-    def test_unknown_design_is_2(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "coverage", "--n", "200",
-                             "--m", "2", "--design", "builtin:other")
-        assert code == 2
-
     @pytest.mark.parametrize("requested,want", [
         (None, None), (-3, 1), (0, 1), (1, 1), (3, 3), (4, 3), (10**9, 3)])
     def test_threads_clamped_to_cpu_count(self, monkeypatch, requested,

@@ -10,7 +10,7 @@ from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latebounds import (DeltaEstimate, estimate_bounds,
                                   estimate_delta, estimate_threshold,
                                   bound_variance, _scan_threshold)
-from partialid.latepoint import (TrimmedSet, _Moments, _late_variance,
+from partialid.latepoint import (_Moments, _late_variance,
                                  estimate_late)
 from partialid.sets import IntervalUnion
 from partialid.simplex import solve_lp
@@ -32,8 +32,8 @@ def gap_population():
     rows += [(1, 0, 1)] * 1 + [(6, 0, 1)] * 9
     y, d, z = map(np.array, zip(*rows))
     sample = Sample(y=y.astype(float), d=d, z=z)
-    set1 = TrimmedSet(IntervalUnion([(2.0, 5.0)]), 0.0)
-    set0 = TrimmedSet(IntervalUnion([(0.0, 1.0)]), 0.0)
+    set1 = IntervalUnion([(2.0, 5.0)])
+    set0 = IntervalUnion([(0.0, 1.0)])
     return sample, set1, set0
 
 
@@ -75,24 +75,24 @@ class TestThresholdScan:
     def test_low_direction_exact_hit(self):
         y = np.array([1.0, 2.0, 3.0])
         contrib = np.array([0.2, 0.3, 0.5])
-        t, multiple, saturated = _scan_threshold(y, contrib, 0.5, "low")
+        t, multiple, saturated = _scan_threshold(y, contrib, 0.5)["low"]
         assert t == 2.0 and not multiple and not saturated
 
     def test_high_direction(self):
         y = np.array([1.0, 2.0, 3.0])
         contrib = np.array([0.2, 0.3, 0.5])
-        t, multiple, saturated = _scan_threshold(y, contrib, 0.5, "high")
+        t, multiple, saturated = _scan_threshold(y, contrib, 0.5)["high"]
         assert t == 3.0 and not saturated
 
     def test_saturated_flag(self):
         y = np.array([1.0, 2.0])
-        t, _, saturated = _scan_threshold(y, np.array([0.1, 0.1]), 5.0, "low")
+        t, _, saturated = _scan_threshold(y, np.array([0.1, 0.1]), 5.0)["low"]
         assert saturated and t == 2.0
 
     def test_empty_cut_candidate(self):
         # target zero: t = -inf achieves it exactly
         y = np.array([1.0, 2.0])
-        t, _, _ = _scan_threshold(y, np.array([0.3, 0.3]), 0.0, "low")
+        t, _, _ = _scan_threshold(y, np.array([0.3, 0.3]), 0.0)["low"]
         assert t == -np.inf
 
     def test_grid_search_agreement(self):
@@ -102,7 +102,7 @@ class TestThresholdScan:
         y = np.round(rng.uniform(0, 10, 60), 1)
         contrib = rng.uniform(0, 0.05, 60)
         target = 0.6
-        t, _, _ = _scan_threshold(y, contrib, target, "low")
+        t, _, _ = _scan_threshold(y, contrib, target)["low"]
         support = np.unique(y)
         crits = [(np.sum(contrib[y <= c]) - target) ** 2 for c in support]
         brute = support[int(np.argmin(crits))]
@@ -176,7 +176,7 @@ class TestBoundsOracle:
 
     def test_weak_identification(self):
         s, set1, set0 = gap_population()
-        empty = TrimmedSet(IntervalUnion([(100.0, 101.0)]), 0.0)
+        empty = IntervalUnion([(100.0, 101.0)])
         de = DeltaEstimate(delta=-0.5, kappa=0.01, regime="below",
                            mass1=0.0, mass0=0.0, near_boundary=False)
         with pytest.raises(WeakIdentificationError):

@@ -12,12 +12,11 @@ from partialid import latepoint
 from partialid.datamodel import Sample, build_empirical
 from partialid.density import Kernel, default_grid, estimate_density_diff
 from partialid.errors import ConfigError, WeakIdentificationError
-from partialid.latepoint import (MIN_MASS, TailSpec, TrimmedSet,
-                                 check_iam_implication,
+from partialid.latepoint import (MIN_MASS, TailSpec, check_iam_implication,
                                  conservative_union_ci, estimate_late,
                                  estimate_trimmed_sets, known_tail_estimate,
                                  late_variance, wald_estimate)
-from partialid.sets import IntervalUnion
+from partialid.sets import IntervalUnion, superlevel_set
 
 from conftest import make_sample
 
@@ -116,7 +115,7 @@ def discrete_sample():
     return Sample(y=y.astype(float), d=d, z=z)
 
 
-FULL = TrimmedSet(IntervalUnion.real_line(), 0.0)
+FULL = IntervalUnion([(-np.inf, np.inf)])
 
 
 class TestEstimateLate:
@@ -131,13 +130,13 @@ class TestEstimateLate:
 
     def test_trimming_changes_masses(self):
         s = discrete_sample()
-        only3 = TrimmedSet(IntervalUnion([(2.5, 3.5)]), 0.0)
+        only3 = IntervalUnion([(2.5, 3.5)])
         est = estimate_late(s, only3, FULL)
         assert est.mass1 == pytest.approx(0.6)
 
     def test_weak_identification_raises(self):
         s = discrete_sample()
-        nothing = TrimmedSet(IntervalUnion([(100.0, 101.0)]), 0.0)
+        nothing = IntervalUnion([(100.0, 101.0)])
         with pytest.raises(WeakIdentificationError):
             estimate_late(s, nothing, FULL)
 
@@ -178,9 +177,12 @@ class TestTrimmedSets:
         abs1, abs0 = estimate_trimmed_sets(est, tails, 0.01, band)
         rel1, rel0 = estimate_trimmed_sets(est, tails, 0.5, band,
                                            threshold_scale="relative")
-        assert abs1.b == pytest.approx(0.01)
-        assert rel1.b == pytest.approx(0.5 * float(np.max(est.f1)))
-        assert rel0.b == pytest.approx(0.5 * float(np.max(est.f0)))
+        # with no tails each region is the core at the applied level
+        assert abs1 == superlevel_set(est.grid, est.f1, 0.01, *band)
+        assert abs0 == superlevel_set(est.grid, est.f0, 0.01, *band)
+        for got, f in ((rel1, est.f1), (rel0, est.f0)):
+            level = 0.5 * float(np.max(f))
+            assert got == superlevel_set(est.grid, f, level, *band)
 
     def test_rejects_nonpositive_level(self):
         s = make_sample(100, seed=8)
