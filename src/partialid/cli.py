@@ -337,14 +337,14 @@ def _cmd_dilate_region(args):
         raise ConfigError("--grid-points must be at least 1, got "
                           f"{args.grid_points}")
     rows = np.column_stack(load_intervals_csv(args.input))
+    # every flag is checked before the bootstrap: --a <= --b and then the
+    # data's scale by the statistics, --alpha and --boot by the bootstrap
+    t_nf, t_con = interval_data_stats(rows, args.a, args.b)
     mean_l = float(rows[:, 0].mean())
     mean_u = float(rows[:, 1].mean())
     lo, hi = float(rows[:, 0].min()), float(rows[:, 1].max())
     grid = np.linspace(lo, hi, args.grid_points)
     model = interval_mean_model(grid)
-    # every flag is checked before the bootstrap: --a <= --b by the
-    # statistics, then --alpha and --boot by the region's bootstrap
-    t_nf, t_con = interval_data_stats(rows, args.a, args.b)
     region, cstar = confidence_region(model, rows, args.alpha, args.boot,
                                       args.seed)
     est_set = estimated_identified_set(model, rows)

@@ -105,7 +105,14 @@ def _check_intervals(sample):
         raise DataError("interval data needs two columns (y_l, y_u)")
     if (arr[:, 0] > arr[:, 1]).any():
         raise DataError("every interval must satisfy y_l <= y_u")
-    return arr
+    # finite endpoints can still overflow a mean or the grid's span
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_l, mean_u = float(arr[:, 0].mean()), float(arr[:, 1].mean())
+        span = float(arr[:, 1].max() - arr[:, 0].min())
+    if not all(map(math.isfinite, (mean_l, mean_u, span))):
+        raise DataError("interval endpoints too large: a column mean or "
+                        "the range of the data overflows")
+    return arr, mean_l, mean_u
 
 
 def _shift_knots(values, direction):
@@ -157,10 +164,8 @@ def interval_mean_distance(theta, sample):
     """Sup-norm distance from the interval-data evidence to the nearest
     distribution band whose mean interval contains theta, at each theta of
     an array (a scalar gives a float)."""
-    arr = _check_intervals(sample)
+    arr, mean_l, mean_u = _check_intervals(sample)
     theta = np.asarray(theta, dtype=float)
-    mean_l = float(arr[:, 0].mean())
-    mean_u = float(arr[:, 1].mean())
     dist = np.zeros(theta.shape)
     low, high = theta < mean_l, theta > mean_u
     if low.any():
@@ -202,10 +207,8 @@ def interval_data_stats(sample, a, b):
     binds."""
     if not (a <= b):  # NaN fails too
         raise DataError("the hypothesis interval must satisfy a <= b")
-    arr = _check_intervals(sample)
+    arr, mean_l, mean_u = _check_intervals(sample)
     n = arr.shape[0]
-    mean_l = float(arr[:, 0].mean())
-    mean_u = float(arr[:, 1].mean())
 
     def neg(x):
         return min(x, 0.0)

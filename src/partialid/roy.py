@@ -7,8 +7,10 @@ point-identified efficiency-loss measure.  The joint distribution of
 (potential outcomes, choice, instrument) lives in a polyhedron of 16 cell
 masses; sharp bounds on Pr(Y(1)=1 | Z=z) come out of linear programs over
 that polyhedron and admit closed forms.  :func:`potential_outcome_bounds`
-reports the closed forms and by default checks them against the linear
-programs on every call: one polyhedron, one phase 1, four phase-2 solves.
+reports the closed forms and by default proves them on every call by LP
+duality: for each bound end, a point of the polyhedron attains it and dual
+multipliers show that no point does better, both checked against the
+constraint matrices.  The simplex solver serves :func:`optimize_functional`.
 
 Cell masses are C[d, y, k, z] = Pr(Y(1)=y, Y(0)=k, D=d, Z=z).
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InternalConsistencyError
-from .simplex import InfeasibleError, solve_lp
+from .simplex import solve_lp
 
 _ATOL = 1e-9
 
@@ -50,7 +52,12 @@ class RoyDistribution:
             raise DataError("cell probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-8:
             raise DataError("cell probabilities must sum to one")
-        object.__setattr__(self, "p", np.clip(p, 0.0, None))
+        p = np.clip(p, 0.0, None)
+        p.flags.writeable = False
+        object.__setattr__(self, "p", p)
+        # the arm masses scale every bound and constraint row
+        object.__setattr__(self, "_pz", (float(p[:, :, 0].sum()),
+                                         float(p[:, :, 1].sum())))
         if self.pr_z(0) <= 0 or self.pr_z(1) <= 0:
             raise DataError("both instrument arms need positive probability")
 
@@ -70,7 +77,7 @@ class RoyDistribution:
         return cls(p / y.size)
 
     def pr_z(self, z):
-        return float(self.p[:, :, z].sum())
+        return self._pz[z]
 
     def pr_y_given_z(self, y, z):
         return float(self.p[y, :, z].sum()) / self.pr_z(z)
@@ -115,14 +122,26 @@ def _pattern(rows):
 # Observed (y, d, z) cell of each matching row, in row order.
 _MATCHED = [(y, d, z) for z in (0, 1) for y in (0, 1) for d in (1, 0)]
 _MATCHED_INDEX = tuple(np.array(axis) for axis in zip(*_MATCHED))
+_ROW = {cell: i for i, cell in enumerate(_MATCHED)}
+# observational matching: the chosen potential outcome equals Y, so each
+# observed cell's mass splits between two cells C[d, y, k, z]
+_MATCHED_CELLS = [[(1, y, k, z) for k in (0, 1)] if d
+                  else [(0, y1, y, z) for y1 in (0, 1)]
+                  for y, d, z in _MATCHED]
 _A_EQ = _pattern(
-    # observational matching: the chosen potential outcome equals Y
-    [[(1, y, k, z) for k in (0, 1)] if d else [(0, y1, y, z) for y1 in (0, 1)]
-     for y, d, z in _MATCHED]
+    _MATCHED_CELLS
     # no inefficient choice without encouragement
     + [[(1, 0, 1, 0)], [(0, 1, 0, 0)]]
     # encouragement induces exactly the minimal inefficient mass
     + [[(0, 1, 0, 1), (1, 0, 1, 1)]])
+_NO_C0100, _LOSS = len(_MATCHED) + 1, len(_MATCHED) + 2
+# instrument arm of each cell (z is the last axis of the cell index) and of
+# each equality row
+_CELL_ARM = np.tile([0, 1], 8)
+_EQ_ARM = np.array([z for _, _, z in _MATCHED] + [0, 0, 1])
+# 16 x 8 maps from a mass per matching row to its first and second cell
+_FIRST, _SECOND = (_pattern([[pair[i]] for pair in _MATCHED_CELLS]).T
+                   for i in (0, 1))
 # best outcome no more likely without encouragement; worst outcome no more
 # likely with it.  Each column is scaled by 1 / Pr(Z=z) of its own arm.
 _A_UB_SIGNS = (_pattern([[(d, 1, 1, 0) for d in (0, 1)],
@@ -142,11 +161,10 @@ def build_polyhedron(dist: RoyDistribution):
     pattern is fixed; a distribution sets only ``b_eq`` and the
     1 / Pr(Z=z) scaling of ``A_ub``.
     """
-    inv_pz = (1.0 / dist.pr_z(0), 1.0 / dist.pr_z(1))
+    inv_pz = np.array([1.0 / dist.pr_z(0), 1.0 / dist.pr_z(1)])
     b_eq = np.concatenate([dist.p[_MATCHED_INDEX],
                            [0.0, 0.0, min_efficiency_loss(dist)]])
-    # z is the last axis of the cell index, so columns alternate z = 0, 1
-    a_ub = _A_UB_SIGNS * np.tile(inv_pz, 8)
+    a_ub = _A_UB_SIGNS * inv_pz[_CELL_ARM]
     return _A_EQ.copy(), b_eq, a_ub, np.zeros(2)
 
 
@@ -175,8 +193,11 @@ def _objective_vector(z):
 
 
 # Pr(Y(1)=1, Z=z) to minimise and, negated, to maximise, for z = 0 then 1.
+_BOUND_ENDS = [(z, sgn) for z in (0, 1) for sgn in (1.0, -1.0)]
 _BOUND_OBJECTIVES = np.array([sgn * _objective_vector(z)
-                              for z in (0, 1) for sgn in (1.0, -1.0)])
+                              for z, sgn in _BOUND_ENDS])
+_BOUND_ARM = np.array([z for z, _ in _BOUND_ENDS])
+_BOUND_SIGN = np.array([sgn for _, sgn in _BOUND_ENDS])
 
 
 def _closed_form_bounds(dist: RoyDistribution):
@@ -206,36 +227,103 @@ def _closed_form_bounds(dist: RoyDistribution):
     return {0: (l0, u0), 1: (l1, u1)}
 
 
+def _certificate(dist: RoyDistribution):
+    """LP-duality certificate of each bound end, in ``_BOUND_OBJECTIVES``
+    order: primal witnesses (16 x 4 cell masses) and the multipliers of a
+    dual solution of each minimisation, on the equality rows (11 x 4) and
+    on the inequality rows (2 x 4, nonpositive).
+
+    Matching and efficiency at Z=0 leave six free cells: a = C[1,1,1,0] and
+    b = C[0,1,1,0] on arm 0; e = C[1,0,1,1], f = C[1,1,1,1], g = C[0,1,0,1]
+    and h = C[0,1,1,1] on arm 1.  They obey g + e = m and
+    (a + b) / Pr(Z=0) <= (f + h) / Pr(Z=1); the worst-outcome row holds for
+    any split.  Every witness takes a = 0, f = Pr(Y=1, D=1, Z=1) and
+    e = m - g, which leaves the coupling row as slack as it can be.
+    """
+    p = dist.p
+    pz0, pz1 = dist.pr_z(0), dist.pr_z(1)
+    r = pz0 / pz1
+    m = min_efficiency_loss(dist)
+    p100, p001, p011 = float(p[1, 0, 0]), float(p[0, 0, 1]), float(p[0, 1, 1])
+    p101, p111 = float(p[1, 0, 1]), float(p[1, 1, 1])
+    py1z1 = float(p[1, :, 1].sum())
+    b_capped = p100 > r * py1z1  # the coupling row caps b in u0
+    g = min(m, p001)
+
+    # mass of each matching row on its second cell; the rest is on its first
+    split = np.zeros((len(_MATCHED), 4))
+    split[_ROW[1, 0, 0], 1] = min(p100, r * py1z1)
+    split[_ROW[0, 0, 1]] = (g, g, max(0.0, m - p011), g)
+    split[_ROW[0, 1, 1]] = m - split[_ROW[0, 0, 1]]
+    split[_ROW[1, 1, 1]] = p111
+    split[_ROW[1, 0, 1]] = (p101, p101, 0.0, p101)
+    witness = (_FIRST @ (p[_MATCHED_INDEX][:, None] - split)
+               + _SECOND @ split)
+
+    # multipliers of the dual of min c'x for l0 and l1, of max c'x for u0
+    # and u1; the sign flip below turns the latter into minima of -c'x
+    eq, ub = np.zeros((len(_A_EQ), 4)), np.zeros((2, 4))
+    eq[_ROW[1, 1, 0], 0] = 1.0
+    eq[[_ROW[1, 1, 0], _NO_C0100], 1] = 1.0
+    if b_capped:
+        ub[0, 1] = pz0
+        eq[[_ROW[1, 1, 1], _ROW[1, 0, 1]], 1] = r
+    else:
+        eq[_ROW[1, 0, 0], 1] = 1.0
+    eq[_ROW[1, 1, 1], 2] = 1.0
+    if m > p011:
+        eq[[_LOSS, _ROW[0, 1, 1]], 2] = (1.0, -1.0)
+    eq[[_ROW[1, 1, 1], _ROW[1, 0, 1]], 3] = 1.0
+    eq[_LOSS if m <= p001 else _ROW[0, 0, 1], 3] = 1.0
+    return witness, eq * _BOUND_SIGN, ub * _BOUND_SIGN
+
+
+def _check_certificate(dist: RoyDistribution, closed):
+    """Raise :class:`InternalConsistencyError` unless the certificate
+    proves every closed-form end within ``_ATOL`` on the conditional scale.
+
+    The witness must satisfy every constraint, and both it and the dual
+    solution must attain the closed form.  A cell with a negative reduced
+    cost could lower a minimum by that cost times its mass, which its arm's
+    Pr(Z=z) caps; the sum of these is a rigorous bound on how far the dual
+    value can lie above the LP optimum.
+    """
+    A_eq, b_eq, A_ub, _ = build_polyhedron(dist)
+    witness, eq, ub = _certificate(dist)
+    pz = np.array([dist.pr_z(0), dist.pr_z(1)])
+    cell_pz = pz[_CELL_ARM, None]
+    end_pz = pz[_BOUND_ARM]
+    target = np.array([closed[0], closed[1]]).ravel() * _BOUND_SIGN * end_pz
+    reduced = _BOUND_OBJECTIVES.T - A_eq.T @ eq - A_ub.T @ ub
+    worst = np.vstack((
+        np.abs(A_eq @ witness - b_eq[:, None]) / pz[_EQ_ARM, None],
+        A_ub @ witness,
+        -witness / cell_pz,
+        ub,
+        np.abs((_BOUND_OBJECTIVES.T * witness).sum(axis=0) - target) / end_pz,
+        np.abs(b_eq @ eq - target) / end_pz,
+        (np.maximum(-reduced, 0.0) * cell_pz).sum(axis=0) / end_pz,
+    )).max()
+    if not worst <= _ATOL:
+        raise InternalConsistencyError(
+            f"closed-form bounds fail their optimality certificate by "
+            f"{worst:.3g}: z0 ({closed[0][0]:.12f}, {closed[0][1]:.12f}), "
+            f"z1 ({closed[1][0]:.12f}, {closed[1][1]:.12f})")
+
+
 def potential_outcome_bounds(dist: RoyDistribution, verify=True):
     """Sharp bounds on Pr(Y(1)=1 | Z=z) for z in {0, 1}.
 
     Closed-form expressions are evaluated and, when ``verify`` is set,
-    cross-checked against the linear programs over the model polyhedron;
-    a discrepancy beyond 1e-9 raises :class:`InternalConsistencyError`.
-    The check builds the polyhedron once and makes one :func:`solve_lp`
-    call: one phase 1, then four phase-2 solves that minimise and maximise
-    Pr(Y(1)=1, Z=z) for both arms.
+    proved optimal over the model polyhedron by an LP-duality certificate
+    checked against the matrices of :func:`build_polyhedron`; a residual
+    beyond 1e-9 on the conditional scale raises
+    :class:`InternalConsistencyError`.  No linear program is solved.
     Returns ``{"z0": (lo, hi), "z1": (lo, hi), "min_efficiency_loss": m}``.
     """
     closed = _closed_form_bounds(dist)
     if verify:
-        A_eq, b_eq, A_ub, b_ub = build_polyhedron(dist)
-        try:
-            solutions = solve_lp(_BOUND_OBJECTIVES, A_eq=A_eq, b_eq=b_eq,
-                                 A_ub=A_ub, b_ub=b_ub)
-        except InfeasibleError as exc:
-            raise InternalConsistencyError(
-                "model polyhedron unexpectedly empty") from exc
-        for z in (0, 1):
-            pz = dist.pr_z(z)
-            lo_lp = solutions[2 * z][0] / pz
-            hi_lp = -solutions[2 * z + 1][0] / pz
-            lo_cf, hi_cf = closed[z]
-            if abs(lo_lp - lo_cf) > _ATOL or abs(hi_lp - hi_cf) > _ATOL:
-                raise InternalConsistencyError(
-                    f"closed-form bounds for z={z} disagree with the linear "
-                    f"program: ({lo_cf:.12f}, {hi_cf:.12f}) vs "
-                    f"({lo_lp:.12f}, {hi_lp:.12f})")
+        _check_certificate(dist, closed)
     return {
         "z0": closed[0],
         "z1": closed[1],

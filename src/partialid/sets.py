@@ -99,7 +99,9 @@ def superlevel_set(grid, values, threshold, lo, hi):
     above = vs >= threshold
     i = np.flatnonzero(above[1:] != above[:-1])
     x0, x1, v0, v1 = xs[i], xs[i + 1], vs[i], vs[i + 1]
-    crossings = x0 + (threshold - v0) * (x1 - x0) / (v1 - v0)
+    # clamped to its segment: a threshold equal to a node value can round
+    # a crossing one ulp past that node and past the next crossing
+    crossings = np.clip(x0 + (threshold - v0) * (x1 - x0) / (v1 - v0), x0, x1)
     # crossings alternate between starts and ends; a band edge inside the
     # set opens or closes it
     edges = np.concatenate((xs[:1][above[:1]], crossings, xs[-1:][above[-1:]]))

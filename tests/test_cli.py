@@ -284,6 +284,20 @@ class TestRoy:
         assert res["treated_outcome_given_z1"][1] == pytest.approx(0.633991,
                                                                    rel=1e-6)
 
+    def test_tiny_arm_cells(self, capsys):
+        # admitted, Pr(Z=1) = 1e-7: an LP on the joint scale put the z=1
+        # upper bound 7.8e-4 too high here and the command exited 2
+        cells = ("0.2228900952766307,7.8474979017863e-11,0.1349845036416953,"
+                 "1.9846292783164967e-08,0.3126567545448089,"
+                 "1.6300639765208766e-08,0.3294685465368652,"
+                 "6.37745924726084e-08")
+        code, out, err = run_cli(capsys, "roy", "bounds", "--cells", cells)
+        assert (code, err) == (0, "")
+        res = json.loads(out)["results"]
+        assert not res["refuted"]
+        assert res["treated_outcome_given_z1"] == pytest.approx(
+            [0.637745924726084, 0.8007523223781717], abs=1e-12)
+
     @pytest.mark.parametrize("cells", ["nan,0,0,0,0,0,0,1",
                                        "inf,0,0,0,0,0,0,1"])
     def test_non_finite_cells_are_2(self, capsys, cells):
@@ -420,6 +434,24 @@ class TestDilate:
         assert out == ""
         assert err == ("error: the hypothesis interval must satisfy "
                        "a <= b\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [
+        [("0", "1e308")] * 50,
+        [("-1e308", "-1e308"), ("1e308", "1e308")],
+    ])
+    def test_overflowing_intervals_are_2(self, capsys, tmp_path, rows):
+        # every endpoint is finite, but a column mean or the span is not
+        path = tmp_path / "huge.csv"
+        path.write_text("y_l,y_u\n"
+                        + "".join(f"{lo},{hi}\n" for lo, hi in rows))
+        code, out, err = run_cli(capsys, "dilate", "region", "--input",
+                                 str(path), "--a", "0", "--b", "1",
+                                 "--boot", "100")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: interval endpoints too large: a column mean "
+                       "or the range of the data overflows\n")
 
 
 class TestSimulate:

@@ -1,5 +1,7 @@
 """Binary selection model: refutability, minimal inefficiency, sharp bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -77,6 +79,16 @@ def random_dists(seed, count):
             p /= p.sum()
         out.append(RoyDistribution(p))
     return out
+
+
+def closed_form_branches(dist):
+    """Which side of each min and max the closed-form bounds take."""
+    p, m = dist.p, min_efficiency_loss(dist)
+    ratio = dist.pr_z(0) / dist.pr_z(1)
+    return {"refuted": check_roy_refutable(dist)["refuted"],
+            "u0 capped": p[1, 0, 0] > ratio * p[1, :, 1].sum(),
+            "l1 raised": m > p[0, 1, 1],
+            "u1 capped": m > p[0, 0, 1]}
 
 
 def balanced_dist():
@@ -199,24 +211,48 @@ class TestBounds:
             potential_outcome_bounds(dist, verify=True)  # raises on mismatch
             admitted += not check_roy_refutable(dist)["refuted"]
 
-    def test_one_lp_call_per_verified_call(self, monkeypatch):
-        calls = []
+    def test_verified_call_solves_no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("potential_outcome_bounds solved an LP")
 
-        def recorder(c, *args, **kwargs):
-            calls.append(np.shape(c))
-            return solve_lp(c, *args, **kwargs)
-
-        monkeypatch.setattr(roy, "solve_lp", recorder)
+        monkeypatch.setattr(roy, "solve_lp", refuse)
         dists = random_dists(3, 40)
         assert any(check_roy_refutable(d)["refuted"] for d in dists)
         assert not all(check_roy_refutable(d)["refuted"] for d in dists)
         for dist in dists:
             potential_outcome_bounds(dist)
-        assert calls == [(4, 16)] * len(dists)
-        calls.clear()
+
+        def no_certificate(dist):
+            raise AssertionError("verify=False built the certificate")
+
+        monkeypatch.setattr(roy, "_certificate", no_certificate)
         for dist in dists:
             potential_outcome_bounds(dist, verify=False)
-        assert calls == []
+        with pytest.raises(AssertionError, match="certificate"):
+            potential_outcome_bounds(dists[0])
+
+    def test_certificate_catches_a_shifted_end(self, monkeypatch):
+        # draws that take both branches of every min and max in the closed
+        # forms, refuted ones included
+        dists = random_dists(5, 60)
+        branches = {(name, taken) for dist in dists
+                    for name, taken in closed_form_branches(dist).items()}
+        assert branches == {(name, taken) for name in
+                            ("refuted", "u0 capped", "l1 raised", "u1 capped")
+                            for taken in (False, True)}
+        original = roy._closed_form_bounds
+        for z, end, shift in itertools.product((0, 1), (0, 1), (1e-8, -1e-8)):
+            def shifted(dist):
+                closed = original(dist)
+                ends = list(closed[z])
+                ends[end] += shift
+                return {**closed, z: tuple(ends)}
+
+            monkeypatch.setattr(roy, "_closed_form_bounds", shifted)
+            for dist in dists:
+                with pytest.raises(InternalConsistencyError,
+                                   match="optimality certificate"):
+                    potential_outcome_bounds(dist)
 
     def test_z1_upper_bound_on_refuted_data(self):
         # the inefficient mass exceeds Pr(Y=0, D=0, Z=1) = 0.0915, so only
@@ -313,3 +349,72 @@ class TestClosedFormOracle:
     @settings(max_examples=200, deadline=None)
     def test_loss_equals_unchosen_zero_mass(self, p):
         self.assert_matches_lp(p)
+
+
+def conditional_highs_bounds(dist):
+    """Bounds on Pr(Y(1)=1 | Z=z) from HiGHS on the polyhedron restated on
+    the conditional scale: each cell divided by its arm's Pr(Z=z), and each
+    equality row by its own arm's.  The change of variables is exact, and it
+    keeps every coefficient and right-hand side of order one however small
+    an arm is."""
+    from scipy.optimize import linprog
+    a_eq, b_eq, a_ub, b_ub = build_polyhedron(dist)
+    pz = np.array([dist.pr_z(0), dist.pr_z(1)])
+    cell_pz = pz[np.arange(16) % 2]  # z is the last axis of the cell index
+    row_pz = (a_eq * cell_pz).max(axis=1)  # every row lies in one arm
+    a_eq = a_eq * cell_pz / row_pz[:, None]
+    b_eq = b_eq / row_pz
+    a_ub = a_ub * cell_pz
+    out = {}
+    for z in (0, 1):
+        c = _objective_vector(z) * cell_pz / pz[z]
+        ends = []
+        for sign in (1.0, -1.0):
+            sol = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
+                          b_eq=b_eq, bounds=(0, None), method="highs")
+            assert sol.status == 0, sol.message
+            ends.append(sign * sol.fun)
+        out[f"z{z}"] = tuple(ends)
+    return out
+
+
+def tiny_arm_draws(pz1, count):
+    """Admitted draws among ``count`` with Pr(Z=1) = pz1 and each arm's four
+    cells flat-Dirichlet(0.5)."""
+    rng = np.random.default_rng(round(-np.log10(pz1)))
+    out = []
+    for _ in range(count):
+        p = np.zeros((2, 2, 2))
+        p[:, :, 0] = rng.dirichlet(np.full(4, 0.5)).reshape(2, 2) * (1 - pz1)
+        p[:, :, 1] = rng.dirichlet(np.full(4, 0.5)).reshape(2, 2) * pz1
+        dist = RoyDistribution(p)
+        if not check_roy_refutable(dist)["refuted"]:
+            out.append(dist)
+    return out
+
+
+class TestTinyArms:
+    """An instrument arm of 1e-5 to 1e-7 leaves the closed forms and their
+    certificate exact on the conditional scale."""
+
+    @pytest.mark.parametrize("pz1", [1e-5, 1e-6, 1e-7])
+    def test_bounds_match_conditional_highs(self, pz1):
+        dists = tiny_arm_draws(pz1, 400)
+        assert len(dists) > 150
+        for dist in dists:
+            bounds = potential_outcome_bounds(dist)  # raises on a bad proof
+            want = conditional_highs_bounds(dist)
+            for z in ("z0", "z1"):
+                assert np.abs(np.subtract(bounds[z], want[z])).max() <= 1e-9
+
+    def test_conditional_restatement_is_exact(self):
+        # on balanced arms it gives the same bounds as the joint scale
+        for dist in random_dists(13, 20):
+            want = conditional_highs_bounds(dist)
+            for z in (0, 1):
+                c = _objective_vector(z)
+                pz = dist.pr_z(z)
+                lo = optimize_functional(dist, c, "min")[0] / pz
+                hi = optimize_functional(dist, c, "max")[0] / pz
+                assert abs(lo - want[f"z{z}"][0]) <= 1e-9
+                assert abs(hi - want[f"z{z}"][1]) <= 1e-9

@@ -62,9 +62,9 @@ class TestIntervalUnion:
 def loop_superlevel_set(grid, values, threshold, lo, hi):
     """Node-by-node reference for ``superlevel_set``: walk the band nodes,
     opening an interval where the values rise to the threshold and closing
-    it where they fall below, each crossing linearly interpolated.  The
-    ``v1 == v0`` guards never fire: at a flip only one node reaches the
-    threshold."""
+    it where they fall below, each crossing linearly interpolated and
+    clamped to its segment.  The ``v1 == v0`` guards never fire: at a flip
+    only one node reaches the threshold."""
     xs = grid[(grid > lo) & (grid < hi)]
     xs = np.concatenate(([lo], xs, [hi]))
     vs = np.interp(xs, grid, values)
@@ -78,9 +78,11 @@ def loop_superlevel_set(grid, values, threshold, lo, hi):
             else:
                 x0, x1, v0, v1 = xs[i - 1], xs[i], vs[i - 1], vs[i]
                 start = x1 if v1 == v0 else x0 + (threshold - v0) * (x1 - x0) / (v1 - v0)
+                start = min(max(start, x0), x1)
         elif not above[i] and start is not None:
             x0, x1, v0, v1 = xs[i - 1], xs[i], vs[i - 1], vs[i]
             end = x0 if v1 == v0 else x0 + (threshold - v0) * (x1 - x0) / (v1 - v0)
+            end = min(max(end, x0), x1)
             out.append((start, end))
             start = None
     if start is not None:
@@ -105,16 +107,54 @@ def level_grids(draw):
     return grid, values, threshold, lo, hi
 
 
+@st.composite
+def smooth_grids(draw):
+    """A grid of uneven steps with continuous values, a threshold that is
+    sometimes a node value, and a band that may cut the grid anywhere."""
+    size = draw(st.integers(2, 30))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+    grid = np.cumsum(steps) - 5.0
+    values = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size,
+                                    max_size=size)))
+    threshold = draw(st.sampled_from(list(values))
+                     | st.floats(-2.0, 2.0, allow_nan=False))
+    lo = draw(st.floats(grid[0] - 1.0, grid[-1]))
+    hi = draw(st.floats(lo, grid[-1] + 1.0).filter(lambda x: x > lo))
+    return grid, values, threshold, lo, hi
+
+
 class TestSuperlevelSet:
     @given(level_grids())
     @settings(max_examples=500, deadline=None)
     def test_matches_node_loop(self, case):
-        def outcome(fn):
-            try:
-                return fn(*case)
-            except ValueError as exc:  # a crossing rounded past its node
-                return str(exc)
-        assert outcome(superlevel_set) == outcome(loop_superlevel_set)
+        assert superlevel_set(*case) == loop_superlevel_set(*case)
+
+    @given(smooth_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_sampling(self, case):
+        # the set holds every point where the interpolant reaches the
+        # threshold and none where it stays below, up to 1e-9 in value at
+        # points between nodes, exactly at the nodes
+        grid, values, threshold, lo, hi = case
+        found = superlevel_set(*case)
+        nodes = grid[(grid > lo) & (grid < hi)]
+        assert found.contains(nodes[np.interp(nodes, grid, values)
+                                    >= threshold]).all()
+        xs = np.concatenate((np.linspace(lo, hi, 2001), nodes))
+        vs = np.interp(xs, grid, values)
+        inside = found.contains(xs)
+        assert inside[vs >= threshold + 1e-9].all()
+        assert not inside[vs <= threshold - 1e-9].any()
+
+    def test_threshold_at_a_peak_node(self):
+        # the rising crossing rounds one ulp past the middle node, which
+        # the falling crossing hits exactly: the set is that node alone
+        grid = np.array([-0.9328545796988239, -0.002042250045269256,
+                         -0.001378619637017131])
+        values = np.array([-1.4000606578982542, -0.20226662911306134,
+                           -0.4885544830602013])
+        u = superlevel_set(grid, values, values[1], grid[0], grid[-1])
+        assert u.intervals == ((grid[1], grid[1]),)
 
     def test_single_bump(self):
         grid = np.linspace(-3, 3, 601)
