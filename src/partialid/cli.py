@@ -408,10 +408,11 @@ def build_parser() -> _Parser:
                             help="point estimate and interval")
     p.add_argument("--input", required=True, help="CSV with columns y,d,z")
     _add_tuning(p)
-    p.add_argument("--tails", default=None,
-                   help="tail spec tokens among u1,l1,u0,l0 or 'none'")
-    p.add_argument("--union", action="store_true",
-                   help="conservative interval over all tail specs")
+    tails = p.add_mutually_exclusive_group()
+    tails.add_argument("--tails", default=None,
+                       help="tail spec tokens among u1,l1,u0,l0 or 'none'")
+    tails.add_argument("--union", action="store_true",
+                       help="conservative interval over all tail specs")
     _add_common(p)
     p.set_defaults(func=_cmd_late_point)
 

@@ -4,6 +4,7 @@ reads: bandwidth, trimming level and regime threshold at the sample size."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -247,10 +248,22 @@ def _tail_flag(sample, d, upper):
     return own >= other
 
 
+@contextlib.contextmanager
+def open_utf8(path):
+    """Open ``path`` as UTF-8 text, with the ``newline=""`` that ``csv``
+    needs.  A byte that is not UTF-8 raises :class:`DataError` wherever in
+    the file the reader meets it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_sample_csv(path) -> Sample:
     """Read a `y,d,z` CSV into a Sample, with per-row validation."""
     ys, ds, zs = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -286,7 +299,7 @@ def load_sample_csv(path) -> Sample:
 def load_intervals_csv(path):
     """Read a `y_l,y_u` CSV into a pair of arrays, with validation."""
     lows, highs = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -25,4 +25,8 @@ class WeakIdentificationError(PartialIdError):
 
 
 class InternalConsistencyError(PartialIdError):
-    """Two computations that must agree (closed form vs. LP) diverged."""
+    """A computation found no answer where the model guarantees one.
+
+    Raised only through its subclasses ``simplex.InfeasibleError`` and
+    ``simplex.UnboundedError``, when a linear program has no optimum.
+    """

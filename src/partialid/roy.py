@@ -6,11 +6,10 @@ probability of strictly inefficient choices consistent with the data is a
 point-identified efficiency-loss measure.  The joint distribution of
 (potential outcomes, choice, instrument) lives in a polyhedron of 16 cell
 masses; sharp bounds on Pr(Y(1)=1 | Z=z) come out of linear programs over
-that polyhedron and admit closed forms.  :func:`potential_outcome_bounds`
-reports the closed forms and by default proves them on every call by LP
-duality: for each bound end, a point of the polyhedron attains it and dual
-multipliers show that no point does better, both checked against the
-constraint matrices.  The simplex solver serves :func:`optimize_functional`.
+that polyhedron and admit closed forms, which
+:func:`potential_outcome_bounds` reports.  :func:`build_polyhedron` gives
+the polyhedron itself, and :func:`optimize_functional` optimises any
+linear functional of the cells over it with the bundled simplex solver.
 
 Cell masses are C[d, y, k, z] = Pr(Y(1)=y, Y(0)=k, D=d, Z=z).
 """
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InternalConsistencyError
+from .errors import DataError
 from .simplex import solve_lp
 
 _ATOL = 1e-9
@@ -122,7 +121,6 @@ def _pattern(rows):
 # Observed (y, d, z) cell of each matching row, in row order.
 _MATCHED = [(y, d, z) for z in (0, 1) for y in (0, 1) for d in (1, 0)]
 _MATCHED_INDEX = tuple(np.array(axis) for axis in zip(*_MATCHED))
-_ROW = {cell: i for i, cell in enumerate(_MATCHED)}
 # observational matching: the chosen potential outcome equals Y, so each
 # observed cell's mass splits between two cells C[d, y, k, z]
 _MATCHED_CELLS = [[(1, y, k, z) for k in (0, 1)] if d
@@ -134,14 +132,8 @@ _A_EQ = _pattern(
     + [[(1, 0, 1, 0)], [(0, 1, 0, 0)]]
     # encouragement induces exactly the minimal inefficient mass
     + [[(0, 1, 0, 1), (1, 0, 1, 1)]])
-_NO_C0100, _LOSS = len(_MATCHED) + 1, len(_MATCHED) + 2
-# instrument arm of each cell (z is the last axis of the cell index) and of
-# each equality row
+# instrument arm of each cell (z is the last axis of the cell index)
 _CELL_ARM = np.tile([0, 1], 8)
-_EQ_ARM = np.array([z for _, _, z in _MATCHED] + [0, 0, 1])
-# 16 x 8 maps from a mass per matching row to its first and second cell
-_FIRST, _SECOND = (_pattern([[pair[i]] for pair in _MATCHED_CELLS]).T
-                   for i in (0, 1))
 # best outcome no more likely without encouragement; worst outcome no more
 # likely with it.  Each column is scaled by 1 / Pr(Z=z) of its own arm.
 _A_UB_SIGNS = (_pattern([[(d, 1, 1, 0) for d in (0, 1)],
@@ -192,16 +184,8 @@ def _objective_vector(z):
     return c
 
 
-# Pr(Y(1)=1, Z=z) to minimise and, negated, to maximise, for z = 0 then 1.
-_BOUND_ENDS = [(z, sgn) for z in (0, 1) for sgn in (1.0, -1.0)]
-_BOUND_OBJECTIVES = np.array([sgn * _objective_vector(z)
-                              for z, sgn in _BOUND_ENDS])
-_BOUND_ARM = np.array([z for z, _ in _BOUND_ENDS])
-_BOUND_SIGN = np.array([sgn for _, sgn in _BOUND_ENDS])
-
-
-def _closed_form_bounds(dist: RoyDistribution):
-    """Closed-form ends of the bounds on Pr(Y(1)=1 | Z=z), keyed by z.
+def potential_outcome_bounds(dist: RoyDistribution, verify=True):
+    """Sharp bounds on Pr(Y(1)=1 | Z=z) for z in {0, 1}, in closed form.
 
     Pr(Y(1)=1, Z=1) is the observed Pr(Y=1, D=1, Z=1) plus C[0, 1, 1, 1]
     plus C[0, 1, 0, 1].  Matching caps C[0, 1, 1, 1] at Pr(Y=1, D=0, Z=1).
@@ -215,6 +199,12 @@ def _closed_form_bounds(dist: RoyDistribution):
     Pr(Y=0, D=1, Z=1), since m <= Pr(Y=0, Z=1).  The ``min`` binds only
     when m > Pr(Y=0, D=0, Z=1), which needs m > 0, so it changes nothing
     on data that do not refute efficient selection.
+
+    Each end equals the optimum of a linear program over
+    :func:`build_polyhedron`; the tests check them against LP solvers.
+    ``verify`` is kept, unread, because the benchmark's roy-sweep workload
+    still passes ``verify=False``.
+    Returns ``{"z0": (lo, hi), "z1": (lo, hi), "min_efficiency_loss": m}``.
     """
     p = dist.p
     pz1, pz0 = dist.pr_z(1), dist.pr_z(0)
@@ -224,108 +214,4 @@ def _closed_form_bounds(dist: RoyDistribution):
                                   pz0 / pz1 * float(p[1, :, 1].sum()))) / pz0
     l1 = (float(p[1, 1, 1]) + max(0.0, m_el - float(p[0, 1, 1]))) / pz1
     u1 = (float(p[1, :, 1].sum()) + min(m_el, float(p[0, 0, 1]))) / pz1
-    return {0: (l0, u0), 1: (l1, u1)}
-
-
-def _certificate(dist: RoyDistribution):
-    """LP-duality certificate of each bound end, in ``_BOUND_OBJECTIVES``
-    order: primal witnesses (16 x 4 cell masses) and the multipliers of a
-    dual solution of each minimisation, on the equality rows (11 x 4) and
-    on the inequality rows (2 x 4, nonpositive).
-
-    Matching and efficiency at Z=0 leave six free cells: a = C[1,1,1,0] and
-    b = C[0,1,1,0] on arm 0; e = C[1,0,1,1], f = C[1,1,1,1], g = C[0,1,0,1]
-    and h = C[0,1,1,1] on arm 1.  They obey g + e = m and
-    (a + b) / Pr(Z=0) <= (f + h) / Pr(Z=1); the worst-outcome row holds for
-    any split.  Every witness takes a = 0, f = Pr(Y=1, D=1, Z=1) and
-    e = m - g, which leaves the coupling row as slack as it can be.
-    """
-    p = dist.p
-    pz0, pz1 = dist.pr_z(0), dist.pr_z(1)
-    r = pz0 / pz1
-    m = min_efficiency_loss(dist)
-    p100, p001, p011 = float(p[1, 0, 0]), float(p[0, 0, 1]), float(p[0, 1, 1])
-    p101, p111 = float(p[1, 0, 1]), float(p[1, 1, 1])
-    py1z1 = float(p[1, :, 1].sum())
-    b_capped = p100 > r * py1z1  # the coupling row caps b in u0
-    g = min(m, p001)
-
-    # mass of each matching row on its second cell; the rest is on its first
-    split = np.zeros((len(_MATCHED), 4))
-    split[_ROW[1, 0, 0], 1] = min(p100, r * py1z1)
-    split[_ROW[0, 0, 1]] = (g, g, max(0.0, m - p011), g)
-    split[_ROW[0, 1, 1]] = m - split[_ROW[0, 0, 1]]
-    split[_ROW[1, 1, 1]] = p111
-    split[_ROW[1, 0, 1]] = (p101, p101, 0.0, p101)
-    witness = (_FIRST @ (p[_MATCHED_INDEX][:, None] - split)
-               + _SECOND @ split)
-
-    # multipliers of the dual of min c'x for l0 and l1, of max c'x for u0
-    # and u1; the sign flip below turns the latter into minima of -c'x
-    eq, ub = np.zeros((len(_A_EQ), 4)), np.zeros((2, 4))
-    eq[_ROW[1, 1, 0], 0] = 1.0
-    eq[[_ROW[1, 1, 0], _NO_C0100], 1] = 1.0
-    if b_capped:
-        ub[0, 1] = pz0
-        eq[[_ROW[1, 1, 1], _ROW[1, 0, 1]], 1] = r
-    else:
-        eq[_ROW[1, 0, 0], 1] = 1.0
-    eq[_ROW[1, 1, 1], 2] = 1.0
-    if m > p011:
-        eq[[_LOSS, _ROW[0, 1, 1]], 2] = (1.0, -1.0)
-    eq[[_ROW[1, 1, 1], _ROW[1, 0, 1]], 3] = 1.0
-    eq[_LOSS if m <= p001 else _ROW[0, 0, 1], 3] = 1.0
-    return witness, eq * _BOUND_SIGN, ub * _BOUND_SIGN
-
-
-def _check_certificate(dist: RoyDistribution, closed):
-    """Raise :class:`InternalConsistencyError` unless the certificate
-    proves every closed-form end within ``_ATOL`` on the conditional scale.
-
-    The witness must satisfy every constraint, and both it and the dual
-    solution must attain the closed form.  A cell with a negative reduced
-    cost could lower a minimum by that cost times its mass, which its arm's
-    Pr(Z=z) caps; the sum of these is a rigorous bound on how far the dual
-    value can lie above the LP optimum.
-    """
-    A_eq, b_eq, A_ub, _ = build_polyhedron(dist)
-    witness, eq, ub = _certificate(dist)
-    pz = np.array([dist.pr_z(0), dist.pr_z(1)])
-    cell_pz = pz[_CELL_ARM, None]
-    end_pz = pz[_BOUND_ARM]
-    target = np.array([closed[0], closed[1]]).ravel() * _BOUND_SIGN * end_pz
-    reduced = _BOUND_OBJECTIVES.T - A_eq.T @ eq - A_ub.T @ ub
-    worst = np.vstack((
-        np.abs(A_eq @ witness - b_eq[:, None]) / pz[_EQ_ARM, None],
-        A_ub @ witness,
-        -witness / cell_pz,
-        ub,
-        np.abs((_BOUND_OBJECTIVES.T * witness).sum(axis=0) - target) / end_pz,
-        np.abs(b_eq @ eq - target) / end_pz,
-        (np.maximum(-reduced, 0.0) * cell_pz).sum(axis=0) / end_pz,
-    )).max()
-    if not worst <= _ATOL:
-        raise InternalConsistencyError(
-            f"closed-form bounds fail their optimality certificate by "
-            f"{worst:.3g}: z0 ({closed[0][0]:.12f}, {closed[0][1]:.12f}), "
-            f"z1 ({closed[1][0]:.12f}, {closed[1][1]:.12f})")
-
-
-def potential_outcome_bounds(dist: RoyDistribution, verify=True):
-    """Sharp bounds on Pr(Y(1)=1 | Z=z) for z in {0, 1}.
-
-    Closed-form expressions are evaluated and, when ``verify`` is set,
-    proved optimal over the model polyhedron by an LP-duality certificate
-    checked against the matrices of :func:`build_polyhedron`; a residual
-    beyond 1e-9 on the conditional scale raises
-    :class:`InternalConsistencyError`.  No linear program is solved.
-    Returns ``{"z0": (lo, hi), "z1": (lo, hi), "min_efficiency_loss": m}``.
-    """
-    closed = _closed_form_bounds(dist)
-    if verify:
-        _check_certificate(dist, closed)
-    return {
-        "z0": closed[0],
-        "z1": closed[1],
-        "min_efficiency_loss": min_efficiency_loss(dist),
-    }
+    return {"z0": (l0, u0), "z1": (l1, u1), "min_efficiency_loss": m_el}

@@ -3,9 +3,7 @@
 Solves  min c'x  subject to  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 Pivoting uses Bland's rule, so the method cannot cycle; problems here are
 tiny (tens of variables), making a dense tableau the simplest reliable
-choice.  Phase 1 never looks at the objective, so several objectives over
-one constraint system share it: each gets its own phase 2 from a copy of
-the same feasible tableau.
+choice.
 """
 
 from __future__ import annotations
@@ -99,10 +97,8 @@ def _feasible_tableau(A_eq, b_eq, A_ub, b_ub):
 
 
 def _phase2(T, basis, c):
-    """Minimise ``c @ x`` (slacks cost zero) from a copy of the feasible
-    tableau; returns ``(value, x)`` with x over the variables of c."""
-    T = T.copy()
-    basis = list(basis)
+    """Minimise ``c @ x`` (slacks cost zero) from the feasible tableau;
+    returns ``(value, x)`` with x over the variables of c."""
     ntot = T.shape[1] - 1
     full_c = np.concatenate([c, np.zeros(ntot - c.size)])
     T[-1, :ntot] = full_c
@@ -118,20 +114,12 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
     """Minimise ``c @ x`` over ``x >= 0`` with equality and/or upper-bound
     constraints.  Returns ``(value, x)``; raises :class:`InfeasibleError`
     or :class:`UnboundedError` when no optimum exists.
-
-    A ``(k, n)`` matrix ``c`` holds k objectives over the same
-    constraints: phase 1 runs once, each row gets its own phase 2, and
-    the result is a list of k ``(value, x)`` pairs, each equal to what
-    the row alone would give.
     """
     c = np.asarray(c, dtype=float)
-    objectives = np.atleast_2d(c)
     if A_eq is None and A_ub is None:
         # only x >= 0 constrains the problem
-        if np.any(objectives < 0):
+        if np.any(c < 0):
             raise UnboundedError("objective decreases without bound")
-        out = [(0.0, np.zeros(row.size)) for row in objectives]
-    else:
-        T, basis = _feasible_tableau(A_eq, b_eq, A_ub, b_ub)
-        out = [_phase2(T, basis, row) for row in objectives]
-    return out if c.ndim == 2 else out[0]
+        return 0.0, np.zeros(c.size)
+    T, basis = _feasible_tableau(A_eq, b_eq, A_ub, b_ub)
+    return _phase2(T, basis, c)

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .datamodel import open_utf8
 from .errors import ConfigError, DataError
 
 
@@ -239,41 +240,62 @@ def complete_space(space: FiniteStructureSpace) -> FiniteStructureSpace:
     return FiniteStructureSpace(space.outcomes, obs_map, theta)
 
 
+def _labels(value, what):
+    """``value`` as a frozenset, which must come from a JSON list of
+    scalars (strings, numbers, booleans or null)."""
+    if not isinstance(value, list) or not all(map(_is_scalar, value)):
+        raise DataError(f"{what} must be a list of strings or numbers")
+    return frozenset(value)
+
+
+def _is_scalar(value):
+    """Whether a parsed JSON value is hashable, i.e. neither list nor
+    object."""
+    return not isinstance(value, (list, dict))
+
+
 def load_space_json(path):
     """Read a structure space description from JSON.
 
     Expected keys: ``outcomes`` (list), ``structures`` (list of objects with
     ``name``, ``predicts`` (outcome list) and optional ``theta`` label), and
     an optional ``assumption`` (list of structure names used as the default
-    hypothesis).  Returns ``(space, assumption_or_None)``.
+    hypothesis).  Names, outcomes and labels are JSON scalars.  Returns
+    ``(space, assumption_or_None)``.
     """
-    with open(path) as fh:
+    with open_utf8(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: the top level must be a JSON object")
     for key in ("outcomes", "structures"):
         if key not in raw:
             raise DataError(f"missing key {key!r} in {path}")
-    if not isinstance(raw["structures"], list):
+    if not (isinstance(raw["structures"], list)
+            and all(isinstance(item, dict) for item in raw["structures"])):
         raise DataError("'structures' must be a list of objects")
     obs_map, theta = {}, {}
     for item in raw["structures"]:
         if "name" not in item or "predicts" not in item:
             raise DataError("each structure needs 'name' and 'predicts'")
         name = item["name"]
+        if not (_is_scalar(name) and _is_scalar(item.get("theta"))):
+            raise DataError("structure names and 'theta' labels must be "
+                            "strings or numbers")
         if name in obs_map:
             raise DataError(f"duplicate structure name {name!r}")
-        obs_map[name] = frozenset(item["predicts"])
+        obs_map[name] = _labels(item["predicts"], f"'predicts' of {name!r}")
         if "theta" in item:
             theta[name] = item["theta"]
     if theta and set(theta) != set(obs_map):
         raise DataError("either all structures carry a theta label or none")
-    space = FiniteStructureSpace(frozenset(raw["outcomes"]), obs_map,
-                                 theta or None)
+    space = FiniteStructureSpace(_labels(raw["outcomes"], "'outcomes'"),
+                                 obs_map, theta or None)
     assumption = raw.get("assumption")
     if assumption is not None:
-        assumption = frozenset(assumption)
+        assumption = _labels(assumption, "'assumption'")
         if not assumption <= space.structures:
             raise DataError("'assumption' names unknown structures")
     return space, assumption

@@ -184,7 +184,7 @@ class TestCriterion3RoyExactness:
             assert abs(lp_val - min_efficiency_loss(dist)) < 1e-9
 
             # (b) analytic treated-outcome bounds equal the LP optima
-            bounds = potential_outcome_bounds(dist, verify=False)
+            bounds = potential_outcome_bounds(dist)
             for z, key in ((0, "z0"), (1, "z1")):
                 cz = _objective_vector(z)
                 pz = dist.pr_z(z)

@@ -157,6 +157,49 @@ class TestExitCodes:
         assert "unrecognized arguments" in err
 
 
+def _one_structure(**fields):
+    return {"outcomes": ["a", "b"],
+            "structures": [{"name": "s", "predicts": ["a"], **fields}]}
+
+
+_NOT_UTF8_SAMPLE = b"y,d,z\n1.0,1,0\n\xff\xfe,0,1\n"
+_SPACE_ARGV = ["structures", "analyze", "--space"]
+
+
+@pytest.mark.parametrize("argv,content,code", [
+    pytest.param(["late", "point", "--input"], _NOT_UTF8_SAMPLE, 2,
+                 id="late-point-not-utf8"),
+    pytest.param(["roy", "bounds", "--input"], _NOT_UTF8_SAMPLE, 2,
+                 id="roy-bounds-not-utf8"),
+    pytest.param(["dilate", "region", "--a", "0", "--b", "1", "--input"],
+                 b"y_l,y_u\n0,1\n0.5,\xff\n", 2, id="dilate-not-utf8"),
+    pytest.param(_SPACE_ARGV, json.dumps(_one_structure()).encode("utf-16"),
+                 2, id="space-utf16"),
+    *[pytest.param(_SPACE_ARGV, json.dumps(space).encode(), 2,
+                   id=f"space-{name}") for name, space in [
+        ("top-level-5", 5),
+        ("outcomes-5", {**_one_structure(), "outcomes": 5}),
+        ("structure-5", {"outcomes": ["a"], "structures": [5]}),
+        ("predicts-5", _one_structure(predicts=5)),
+        ("predicts-nested", _one_structure(predicts=[["a"]])),
+        ("name-list", _one_structure(name=["s"])),
+        ("assumption-3", {**_one_structure(), "assumption": 3})]],
+    pytest.param(["late", "point", "--union", "--tails", "u1", "--input"],
+                 b"y,d,z\n", 1, id="union-with-tails"),
+])
+def test_bad_input_exits_with_one_line(capsys, tmp_path, argv, content, code):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    got, out, err = run_cli(capsys, *argv, str(path))
+    assert got == code
+    assert out == ""
+    assert "Traceback" not in err
+    # a usage error is followed by argparse's usage summary
+    message, _, usage = err.partition("usage:")
+    assert message.count("\n") == 1 and message.endswith("\n")
+    assert bool(usage) == (code == 1)
+
+
 @pytest.fixture(scope="module")
 def tied_csv(tmp_path_factory):
     """The built-in design at n=5000 with outcomes rounded to 0.1, so that
