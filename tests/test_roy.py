@@ -1,5 +1,7 @@
 """Binary selection model: refutability, minimal inefficiency, sharp bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -199,24 +201,23 @@ class TestBounds:
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
 
-    def test_closed_forms_agree_with_highs(self, monkeypatch):
-        # refuted draws included; the seed-5 draws take both branches of
-        # every min and max in the closed forms
-        branch_draws = random_dists(5, 60)
-        branches = {(name, taken) for dist in branch_draws
-                    for name, taken in closed_form_branches(dist).items()}
-        assert branches == {(name, taken) for name in
-                            ("refuted", "u0 capped", "l1 raised", "u1 capped")
-                            for taken in (False, True)}
-        dists = random_dists(3, 40) + branch_draws
-        assert any(check_roy_refutable(d)["refuted"] for d in dists)
+    def test_verify_mode_agrees_on_random_distributions(self):
         rng = np.random.default_rng(7)
         admitted = 0
         # every draw is checked, refuted or not, until 100 admitted ones
         while admitted < 100:
             p = rng.dirichlet(np.ones(8) * rng.uniform(0.3, 3.0)).reshape(2, 2, 2)
-            dists.append(RoyDistribution(p))
-            admitted += not check_roy_refutable(dists[-1])["refuted"]
+            dist = RoyDistribution(p)
+            highs = conditional_highs_bounds(dist)
+            for verify in (True, False):
+                assert_agrees_with_highs(
+                    potential_outcome_bounds(dist, verify=verify), highs)
+            admitted += not check_roy_refutable(dist)["refuted"]
+
+    def test_verified_call_solves_no_lp(self, monkeypatch):
+        dists = random_dists(3, 40)
+        assert any(check_roy_refutable(d)["refuted"] for d in dists)
+        assert not all(check_roy_refutable(d)["refuted"] for d in dists)
         want = [conditional_highs_bounds(dist) for dist in dists]
 
         def refuse(*args, **kwargs):
@@ -226,10 +227,30 @@ class TestBounds:
         monkeypatch.setattr(roy, "solve_lp", refuse)
         for dist, highs in zip(dists, want):
             for verify in (True, False):
-                bounds = potential_outcome_bounds(dist, verify=verify)
-                for z in ("z0", "z1"):
-                    assert np.abs(np.subtract(bounds[z], highs[z])).max() \
-                        <= 1e-9
+                assert_agrees_with_highs(
+                    potential_outcome_bounds(dist, verify=verify), highs)
+
+    def test_certificate_catches_a_shifted_end(self):
+        # the HiGHS comparison is the bounds' certificate: on draws that
+        # take both branches of every min and max in the closed forms,
+        # refuted ones included, it passes the bounds and fails each end
+        # shifted by 1e-8 either way
+        dists = random_dists(5, 60)
+        branches = {(name, taken) for dist in dists
+                    for name, taken in closed_form_branches(dist).items()}
+        assert branches == {(name, taken) for name in
+                            ("refuted", "u0 capped", "l1 raised", "u1 capped")
+                            for taken in (False, True)}
+        for dist in dists:
+            bounds = potential_outcome_bounds(dist)
+            highs = conditional_highs_bounds(dist)
+            assert_agrees_with_highs(bounds, highs)
+            for z, end, shift in itertools.product(("z0", "z1"), (0, 1),
+                                                   (1e-8, -1e-8)):
+                ends = list(bounds[z])
+                ends[end] += shift
+                with pytest.raises(AssertionError):
+                    assert_agrees_with_highs({**bounds, z: tuple(ends)}, highs)
 
     def test_z1_upper_bound_on_refuted_data(self):
         # the inefficient mass exceeds Pr(Y=0, D=0, Z=1) = 0.0915, so only
@@ -361,6 +382,12 @@ def conditional_highs_bounds(dist):
     return out
 
 
+def assert_agrees_with_highs(bounds, highs):
+    """Each end of ``bounds`` within 1e-9 of the HiGHS end."""
+    for z in ("z0", "z1"):
+        assert np.abs(np.subtract(bounds[z], highs[z])).max() <= 1e-9
+
+
 def tiny_arm_draws(pz1, count):
     """Admitted draws among ``count`` with Pr(Z=1) = pz1 and each arm's four
     cells flat-Dirichlet(0.5)."""
@@ -385,10 +412,8 @@ class TestTinyArms:
         dists = tiny_arm_draws(pz1, 400)
         assert len(dists) > 150
         for dist in dists:
-            bounds = potential_outcome_bounds(dist)
-            want = conditional_highs_bounds(dist)
-            for z in ("z0", "z1"):
-                assert np.abs(np.subtract(bounds[z], want[z])).max() <= 1e-9
+            assert_agrees_with_highs(potential_outcome_bounds(dist),
+                                     conditional_highs_bounds(dist))
 
     def test_conditional_restatement_is_exact(self):
         # on balanced arms it gives the same bounds as the joint scale
