@@ -183,7 +183,11 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
     n = sample.n
     if n < 20:
         raise ConfigError(f"need n >= 20 for the data-driven rules, got n={n}")
-    sd = float(np.std(sample.y, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(sample.y, ddof=1))
+    if not math.isfinite(sd):
+        raise DataError("outcomes spread too widely for the bandwidth rule: "
+                        "their standard deviation overflows")
     if sd <= 0:
         raise ConfigError("outcome is constant: bandwidth rule gives h = 0")
     h = sd * math.log(n) / (2.0 * n ** (1.0 / 5.0))

@@ -100,7 +100,7 @@ def estimate_delta(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
     if not (kappa > 0):  # NaN fails too
         raise ConfigError("kappa must be positive")
     tab = _Moments(sample, set1, set0)
-    mass0, mass1 = (tab.mean(w, tab.count) for w in tab.mass)
+    mass0, mass1 = (float(tab.mean(w, tab.count)) for w in tab.mass)
     delta = mass1 - mass0
     if delta < -kappa:
         regime = "below"
@@ -193,7 +193,7 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
     tab = _Moments(sample, set1, set0)
     if delta.regime == "point":
         point = _estimate_late(tab)
-        sig, _ = _late_variance(tab, "outcome")
+        sig = float(_late_variance(tab, "outcome")[0])
         return BoundEstimate(
             lower=point.point, upper=point.point, regime="point",
             n=sample.n, sigma_lower=sig, sigma_upper=sig, flags=tuple(flags),
@@ -310,7 +310,7 @@ def _bound(tab, set1, set0, delta, t, which, h):
     denom = max(delta.mass1, delta.mass0)
     w_denom = w_den1 if delta.mass1 >= delta.mass0 else w_den0
 
-    base_val, corr_val, other_val = (tab.mean(w, sy)
+    base_val, corr_val, other_val = (float(tab.mean(w, sy))
                                      for w in (base_w, corr_w, other_w))
     # the corrected side is subtracted for d=0: L = (other - base - corr)/denom
     numerator = (base_val + corr_val - other_val if side_d == 1

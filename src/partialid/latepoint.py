@@ -8,8 +8,10 @@ Every estimator reads a grouped moment table (``_Moments``): observations
 are grouped by (D, Z) cell, core membership and band position, and the
 means and covariances are sums over at most 48 groups (96 for a bound,
 which splits each group by its threshold cut).  The tails do not move the
-cores, so the union extracts them once and evaluates each tail spec on the
-same table."""
+cores, so a table stacked over tail specs carries one row of region
+memberships per spec, and the union evaluates all sixteen specs in one
+pass: their masses, point estimates, 6x6 covariances and delta-method
+variances are arrays with a leading spec axis."""
 
 from __future__ import annotations
 
@@ -176,7 +178,9 @@ class _Moments:
     sum of group-constant weights times y^0, y^1 or y^2, so the table keeps
     per group the count, the sum of y and the sum of squares about the
     group mean.  A tail spec only changes which groups lie in each side's
-    region (``with_tails``), so one table serves all sixteen specs.
+    region, so one table serves all sixteen specs: ``with_tails`` stacks
+    it over specs, and every weight, mean and covariance then gains a
+    leading spec axis.
 
     Side d's own arm is Z=d.  Each side-d weight is a sum over the two arms
     of a raw part divided by that arm's frequency; ``mass_parts`` and
@@ -204,15 +208,22 @@ class _Moments:
             self.code, y, _GROUPS)
         m1 = int(self.count[z == 1].sum()) / self.n
         self.m = (1.0 - m1, m1)  # indexed by z
-        self.mass = [self.column(self.mass_parts(d)) for d in (0, 1)]
+        # side d's contrast weight on every group, before its region cuts it
+        self.contrast = [self.column({d: self.cell[d, d],
+                                      1 - d: -self.cell[d, 1 - d]})
+                         for d in (0, 1)]
+        self.mass = self.region_masses()
 
-    def with_tails(self, tails: TailSpec):
-        """The table with each side's region widened by the spec's tails."""
+    def with_tails(self, specs):
+        """The table stacked over tail specs: row i of each side's region
+        is the core widened by the tails of ``specs[i]``."""
         out = copy.copy(self)
         low, high = self.pos == _LOW, self.pos == _HIGH
-        out.inside = (self.inside[0] | low & tails.lower0 | high & tails.upper0,
-                      self.inside[1] | low & tails.lower1 | high & tails.upper1)
-        out.mass = [out.column(out.mass_parts(d)) for d in (0, 1)]
+        flags = np.array([[s.lower0, s.upper0, s.lower1, s.upper1]
+                          for s in specs])[:, :, None]
+        out.inside = tuple(self.inside[d] | low & flags[:, 2 * d]
+                           | high & flags[:, 2 * d + 1] for d in (0, 1))
+        out.mass = out.region_masses()
         return out
 
     def split(self, cut):
@@ -222,10 +233,16 @@ class _Moments:
         out.code = 2 * self.code + cut
         out.count, out.sum_y, out.y_mean, out.ss_y = _group_sums(
             out.code, self.sample.y, 2 * self.count.size)
-        for name in ("pos", "z1", "inside", "cell", "mass"):
+        for name in ("pos", "z1", "inside", "cell", "contrast", "mass"):
             setattr(out, name, np.repeat(getattr(self, name), 2, axis=-1))
         out.cut = np.tile([0.0, 1.0], self.count.size)
         return out
+
+    def region_masses(self):
+        """Each side's contrast weight inside its region, ``mass[d]``: the
+        values of ``column(mass_parts(d))``, read off ``contrast``."""
+        return [np.where(self.inside[d], self.contrast[d], 0.0)
+                for d in (0, 1)]
 
     def mass_parts(self, d):
         """Side d's contrast weight inside its region: the own-arm cell
@@ -249,8 +266,8 @@ class _Moments:
 
     def mean(self, weight, sums):
         """Sample mean of the column ``weight[code]`` times y (``sums`` is
-        ``sum_y``) or times 1 (``sums`` is ``count``)."""
-        return float(weight @ sums) / self.n
+        ``sum_y``) or times 1 (``sums`` is ``count``), one per spec row."""
+        return weight @ sums / self.n
 
     def arm_means(self, parts, sums):
         """Means of y or 1 times each raw part: {z: mean}."""
@@ -260,13 +277,17 @@ class _Moments:
         """Covariance (ddof 0) of the vector with entries ``weights[j][code]``
         times y if ``with_y[j]``, else times 1: in group g entry j is
         level[g] + slope[g] * (y - y_mean[g]), so it is the between-group
-        part of the levels plus the within-group part of the slopes."""
-        w = np.column_stack(weights)
+        part of the levels plus the within-group part of the slopes.  On a
+        stacked table the result is one matrix per spec row."""
+        w = np.empty(np.broadcast_shapes(*(np.shape(x) for x in weights))
+                     + (len(weights),))
+        for j, x in enumerate(weights):
+            w[..., j] = x
         slope = w * np.asarray(with_y)
         level = np.where(with_y, w * self.y_mean[:, None], w)
-        dev = level - self.count @ level / self.n
-        return ((dev.T * self.count) @ dev
-                + (slope.T * self.ss_y) @ slope) / self.n
+        dev = level - (self.count @ level / self.n)[..., None, :]
+        return ((dev.mT * self.count) @ dev
+                + (slope.mT * self.ss_y) @ slope) / self.n
 
 
 def _group_sums(code, y, groups):
@@ -294,17 +315,27 @@ def estimate_late(sample: Sample, set1: IntervalUnion,
     return _estimate_late(_Moments(sample, set1, set0))
 
 
+def _floor_error(mass1, mass0):
+    """The weak-identification error of one pair of complier masses, d=1
+    checked first, or None when both clear the floor."""
+    for label, mass in (("d=1", mass1), ("d=0", mass0)):
+        if mass < MIN_MASS:
+            return WeakIdentificationError(
+                f"estimated complier mass for {label} is {mass:.3g} < {MIN_MASS:g}",
+                mass=float(mass),
+            )
+    return None
+
+
 def _estimate_late(tab):
     num0, num1 = (tab.mean(w, tab.sum_y) for w in tab.mass)
     den0, den1 = (tab.mean(w, tab.count) for w in tab.mass)
-    for label, mass in (("d=1", den1), ("d=0", den0)):
-        if mass < MIN_MASS:
-            raise WeakIdentificationError(
-                f"estimated complier mass for {label} is {mass:.3g} < {MIN_MASS:g}",
-                mass=mass,
-            )
+    error = _floor_error(den1, den0)
+    if error is not None:
+        raise error
     point = num1 / den1 - num0 / den0
-    return LateEstimate(point=point, mass1=den1, mass0=den0, n=tab.n)
+    return LateEstimate(point=float(point), mass1=float(den1),
+                        mass0=float(den0), n=tab.n)
 
 
 def late_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
@@ -330,21 +361,26 @@ def late_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
     Returns ``(sigma, components)`` with components a dict of Pi, Gamma, D,
     Sigma and the pi vector.
     """
-    return _late_variance(_Moments(sample, set1, set0), method)
-
-
-def _late_variance(tab, method):
     if method not in ("outcome", "gradient"):
         raise ConfigError(
             f"variance method must be 'outcome' or 'gradient', got {method!r}")
+    sigma, components = _late_variance(_Moments(sample, set1, set0), method)
+    return float(sigma), components
+
+
+def _late_variance(tab, method):
+    """``late_variance`` on a table.  On a table stacked over tail specs,
+    sigma and every component but D gain the leading spec axis, and the
+    delta-method form is one batched product."""
     w0, w1 = tab.mass
-    # core means: Y-weighted contrast d=1, d=0, complier mass d=1, d=0
+    # core means: Y-weighted contrast d=1, d=0, complier mass d=1, d=0;
+    # each list below has its spec axis last, and ``.T`` puts it first
     pi = np.array([tab.mean(w1, tab.sum_y), tab.mean(w0, tab.sum_y),
-                   tab.mean(w1, tab.count), tab.mean(w0, tab.count)])
-    if pi[2] < MIN_MASS or pi[3] < MIN_MASS:
+                   tab.mean(w1, tab.count), tab.mean(w0, tab.count)]).T
+    if np.any(pi[..., 2:] < MIN_MASS):
         raise WeakIdentificationError(
             "complier mass below identification floor in variance step",
-            mass=float(min(pi[2], pi[3])),
+            mass=float(np.min(pi[..., 2:])),
         )
     # influence vector: Z=1, Z=0, the four cores
     Sigma = tab.cov([tab.z1, 1.0 - tab.z1, w1, w0, w1, w0],
@@ -357,23 +393,27 @@ def _late_variance(tab, method):
         # outcome-weighted cross moments in every column: the own-arm
         # moment in the Z=1 row, the opposite-arm cell inside the other
         # side's region in the Z=0 row
-        own = [tab.arm_means(tab.mass_parts(d), tab.sum_y)[d] for d in (1, 0)]
-        cross = [tab.mean(tab.cell[d, 1 - d] * tab.inside[1 - d], tab.sum_y)
-                 for d in (1, 0)]
-        gamma_star = np.array([own + own, cross + cross])
+        cell, inside = tab.cell, tab.inside
+        own1, own0, cross1, cross0 = tab.mean(np.array([
+            cell[1, 1] * inside[1], cell[0, 0] * inside[0],
+            cell[1, 0] * inside[0], cell[0, 1] * inside[1]]), tab.sum_y)
+        rows = [[own1, own0, own1, own0], [cross1, cross0, cross1, cross0]]
     else:
         # arm-derivative block: column j gives the moments whose rescaled
         # arm deviations reproduce d pi_j / d (arm frequency)
         raw = [tab.arm_means(tab.mass_parts(d), sums)
                for sums in (tab.sum_y, tab.count) for d in (1, 0)]
-        gamma_star = np.array([[r[1] for r in raw], [r[0] for r in raw]])
-    Gamma = np.vstack([gamma_star, np.eye(4)])
+        rows = [[r[1] for r in raw], [r[0] for r in raw]]
+    Gamma = np.zeros(pi.shape[:-1] + (6, 4))
+    Gamma[..., :2, :] = np.array(rows).T.mT  # rows x columns, spec first
+    Gamma[..., 2:, :] = np.eye(4)
 
-    Pi = np.array([1.0 / pi[2], -1.0 / pi[3],
-                   -pi[0] / pi[2] ** 2, pi[1] / pi[3] ** 2])
+    p1, p2, p3, p4 = pi.T
+    Pi = np.array([1.0 / p3, -1.0 / p4, -p1 / p3 ** 2, p2 / p4 ** 2]).T
 
-    var = float(Pi @ Gamma.T @ D.T @ Sigma @ D @ Gamma @ Pi)
-    sigma = float(np.sqrt(max(var, 0.0)))
+    var = (Pi[..., None, :] @ Gamma.mT @ D.T @ Sigma @ D @ Gamma
+           @ Pi[..., None])[..., 0, 0]
+    sigma = np.sqrt(np.maximum(var, 0.0))
     components = {"Pi": Pi, "Gamma": Gamma, "D": D, "Sigma": Sigma, "pi": pi}
     return sigma, components
 
@@ -385,17 +425,34 @@ def _core_moments(sample, est, b_n, band, threshold_scale):
     return _Moments(sample, core1, core0, band)
 
 
-def _known_tail(cores, tails, alpha):
-    tab = cores.with_tails(tails)
-    base = _estimate_late(tab)
-    sigma, _ = _late_variance(tab, "outcome")
-    zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    half = zq * sigma / np.sqrt(tab.n)
-    return LateEstimate(
-        point=base.point, mass1=base.mass1, mass0=base.mass0, n=base.n,
-        sigma=sigma, ci=(base.point - half, base.point + half), alpha=alpha,
-        tails=tails,
-    )
+def _known_tails(cores, specs, alpha):
+    """Known-tail estimates of the specs, in one pass over the cores' table
+    stacked over them.
+
+    Returns the estimates of the specs whose complier masses clear the
+    floor, in spec order, and the weak-identification errors of the
+    others.  Those specs are dropped before anything divides by a mass.
+    """
+    stack = cores.with_tails(specs)
+    mass0, mass1 = (stack.mean(w, stack.count) for w in stack.mass)
+    errors = [_floor_error(m1, m0) for m1, m0 in zip(mass1, mass0)]
+    kept = [s for s, e in zip(specs, errors) if e is None]
+    errors = [e for e in errors if e is not None]
+    if not kept:
+        return [], errors
+    if errors:
+        stack = cores.with_tails(kept)
+    sigma, comp = _late_variance(stack, "outcome")
+    p1, p2, p3, p4 = comp["pi"].T
+    point = p1 / p3 - p2 / p4
+    half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * sigma / np.sqrt(cores.n)
+    members = [
+        LateEstimate(point=p, mass1=m1, mass0=m0, n=cores.n, sigma=s,
+                     ci=(p - h, p + h), alpha=alpha, tails=tails)
+        for p, m1, m0, s, h, tails in zip(point.tolist(), p3.tolist(),
+                                          p4.tolist(), sigma.tolist(),
+                                          half.tolist(), kept)]
+    return members, errors
 
 
 def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
@@ -403,42 +460,36 @@ def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
                         threshold_scale="absolute") -> LateEstimate:
     """Point estimate plus the centred normal confidence interval for one
     fixed tail condition."""
-    return _known_tail(_core_moments(sample, est, b_n, band, threshold_scale),
-                       tails, alpha)
+    members, errors = _known_tails(
+        _core_moments(sample, est, b_n, band, threshold_scale), [tails], alpha)
+    if errors:
+        raise errors[0]
+    return members[0]
 
 
 def conservative_union_ci(sample: Sample, est: DensityEstimate, b_n, band,
                           alpha=0.05, threshold_scale="absolute"):
     """Convex hull of the sixteen known-tail confidence intervals.
 
-    The cores and their moment table are built once; each tail spec only
-    moves the tail groups in or out of each side's region.  Tail conditions
-    that trigger weak-identification errors are skipped; if all sixteen
-    fail, the weak-identification error is re-raised.
+    The cores and their moment table are built once, and all sixteen tail
+    specs are evaluated as one stack over it.  Tail conditions that trigger
+    weak-identification errors are skipped; if all sixteen fail, the
+    weak-identification error is re-raised with the last skipped spec's
+    mass.
     """
     try:
         cores = _core_moments(sample, est, b_n, band, threshold_scale)
     except WeakIdentificationError as exc:  # no level: every spec fails
         raise WeakIdentificationError(
             "all 16 tail conditions are infeasible", mass=exc.mass) from exc
-    members = []
-    skipped = 0
-    last_error = None
-    for tails in TailSpec.all_specs():
-        try:
-            members.append(_known_tail(cores, tails, alpha))
-        except WeakIdentificationError as exc:
-            skipped += 1
-            last_error = exc
+    members, errors = _known_tails(cores, TailSpec.all_specs(), alpha)
     if not members:
         raise WeakIdentificationError(
-            "all 16 tail conditions are infeasible", mass=last_error.mass)
-    lo = min(m.ci[0] for m in members)
-    hi = max(m.ci[1] for m in members)
+            "all 16 tail conditions are infeasible", mass=errors[-1].mass)
     return {
-        "ci": (lo, hi),
+        "ci": (min(m.ci[0] for m in members), max(m.ci[1] for m in members)),
         "feasible": len(members),
-        "skipped": skipped,
+        "skipped": len(errors),
         "members": members,
     }
 

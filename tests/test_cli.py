@@ -164,6 +164,9 @@ def _one_structure(**fields):
 
 _NOT_UTF8_SAMPLE = b"y,d,z\n1.0,1,0\n\xff\xfe,0,1\n"
 _SPACE_ARGV = ["structures", "analyze", "--space"]
+# 40 rows of outcomes up to 4e300, whose squared spread overflows
+_HUGE_SAMPLE = b"y,d,z\n" + b"".join(
+    b"%de299,%d,%d\n" % (k, k % 2, k // 2 % 2) for k in range(1, 41))
 
 
 @pytest.mark.parametrize("argv,content,code", [
@@ -186,6 +189,9 @@ _SPACE_ARGV = ["structures", "analyze", "--space"]
         ("assumption-3", {**_one_structure(), "assumption": 3})]],
     pytest.param(["late", "point", "--union", "--tails", "u1", "--input"],
                  b"y,d,z\n", 1, id="union-with-tails"),
+    pytest.param(["late", "point", "--h", "1e-300", "--input"], _HUGE_SAMPLE,
+                 2, id="late-point-spread-overflows",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_bad_input_exits_with_one_line(capsys, tmp_path, argv, content, code):
     path = tmp_path / "input"

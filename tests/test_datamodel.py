@@ -167,6 +167,15 @@ class TestEmpiricalConfig:
         assert cfg.h > 0 and cfg.b > 0
         assert cfg.tails is not None
 
+    def test_overflowing_spread_is_a_data_error(self):
+        # squares of deviations near 1e300 overflow; the rule must say so
+        # rather than hand on an infinite bandwidth
+        s = make_sample(200, seed=7)
+        s = Sample(y=s.y * 1e300, d=s.d, z=s.z)
+        with np.errstate(all="raise"):
+            with pytest.raises(DataError, match="standard deviation overflows"):
+                default_empirical_config(s)
+
     def test_deterministic(self):
         s = make_sample(200, seed=6)
         a = default_empirical_config(s)

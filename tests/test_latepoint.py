@@ -236,8 +236,10 @@ class TestVariance:
         assert comp_out["Sigma"].shape == (6, 6)
         assert comp_out["Gamma"].shape == (6, 4)
 
-    def test_unknown_method_rejected(self):
+    def test_unknown_method_rejected(self, monkeypatch):
+        # before the moment table is built
         s = make_sample(100, seed=11)
+        monkeypatch.setattr(latepoint, "_Moments", None)
         with pytest.raises(ConfigError, match="method"):
             late_variance(s, FULL, FULL, method="fancy")
 
@@ -392,6 +394,76 @@ def check_union_against_oracle(sample, est, band, b_n, scale):
     return len(skipped)
 
 
+def check_union_against_known_tail(sample, est, band, b_n, scale):
+    """Compare every union member with ``known_tail_estimate`` for its spec,
+    and the all-infeasible error's mass with the last failing spec's;
+    returns how many specs were skipped."""
+    known, error = {}, None
+    for tails in TailSpec.all_specs():
+        try:
+            known[tails] = known_tail_estimate(sample, est, tails, b_n, band,
+                                               threshold_scale=scale)
+        except WeakIdentificationError as exc:
+            error = exc
+    if not known:
+        with pytest.raises(WeakIdentificationError,
+                           match="all 16 tail conditions") as info:
+            conservative_union_ci(sample, est, b_n, band,
+                                  threshold_scale=scale)
+        assert_close(info.value.mass, error.mass)
+        return 16
+    res = conservative_union_ci(sample, est, b_n, band, threshold_scale=scale)
+    assert [m.tails for m in res["members"]] == list(known)
+    assert res["skipped"] == 16 - len(known)
+    for member in res["members"]:
+        want = known[member.tails]
+        width = max(abs(want.ci[0]), abs(want.ci[1]))
+        assert_close(member.point, want.point, width)
+        for key in ("sigma", "mass1", "mass0"):
+            assert_close(getattr(member, key), getattr(want, key))
+        for got, end in zip(member.ci, want.ci):
+            assert_close(got, end, width)
+    return 16 - len(known)
+
+
+# (compliance, threshold scale, skipped specs) of the small-arm fits
+WEAK_CASES = [
+    (0.8, "relative", 0),      # every spec feasible
+    (0.42, "relative", 8),     # reversed a little: half the specs fail
+    (0.45, "absolute", 16),    # every spec under the floor
+    (0.3, "relative", 16),     # no positive level for d=1 at all
+]
+
+
+def weak_fit(comply, scale):
+    """A fit with an arm of about 18 observations and the given
+    compliance: (sample, density estimate, band, level, scale)."""
+    rng = np.random.default_rng(5)
+    n = 120
+    z = (rng.random(n) < 0.15).astype(int)
+    d = np.where(rng.random(n) < comply, z, 1 - z)
+    s = Sample(y=rng.normal(2.0, 1.0, n) + d, d=d, z=z)
+    band = (0.5, 4.5)
+    b_n = 0.02 if scale == "absolute" else 0.3
+    return s, _density(s, 0.5, band), band, b_n, scale
+
+
+class TestStackedUnion:
+    """The union's one pass over the table stacked over all sixteen specs
+    against sixteen one-spec ``known_tail_estimate`` calls."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fits())
+    def test_members_equal_known_tail(self, fit):
+        check_union_against_known_tail(*fit)
+
+    @pytest.mark.parametrize("comply,scale,skips", WEAK_CASES)
+    def test_skipped_and_infeasible_specs(self, comply, scale, skips):
+        fit = weak_fit(comply, scale)
+        assert check_union_against_known_tail(*fit) == skips
+
+
 class TestMomentTableOracle:
     """The grouped moment table against the per-observation oracle."""
 
@@ -401,22 +473,9 @@ class TestMomentTableOracle:
     def test_union_members_and_skips(self, fit):
         check_union_against_oracle(*fit)
 
-    @pytest.mark.parametrize("comply,scale,skips", [
-        (0.8, "relative", 0),      # every spec feasible
-        (0.42, "relative", 8),     # reversed a little: half the specs fail
-        (0.45, "absolute", 16),    # every spec under the floor
-        (0.3, "relative", 16),     # no positive level for d=1 at all
-    ])
+    @pytest.mark.parametrize("comply,scale,skips", WEAK_CASES)
     def test_weak_identification_cases(self, comply, scale, skips):
-        rng = np.random.default_rng(5)
-        n = 120
-        z = (rng.random(n) < 0.15).astype(int)
-        d = np.where(rng.random(n) < comply, z, 1 - z)
-        s = Sample(y=rng.normal(2.0, 1.0, n) + d, d=d, z=z)
-        band = (0.5, 4.5)
-        b_n = 0.02 if scale == "absolute" else 0.3
-        est = _density(s, 0.5, band)
-        assert check_union_against_oracle(s, est, band, b_n, scale) == skips
+        assert check_union_against_oracle(*weak_fit(comply, scale)) == skips
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -484,6 +543,25 @@ class TestUnionCost:
         # sums of the residuals and of their squares about the rough means
         assert sets_calls == [TailSpec()]
         assert passes == [s.n] * 4
+
+    def test_one_covariance_stack_per_union(self, monkeypatch):
+        # all sixteen specs share one batched covariance: a per-spec loop
+        # would make sixteen calls
+        s = make_sample(3000, seed=21)
+        est = _density(s)
+        shapes = []
+        cov = latepoint._Moments.cov
+
+        def cov_recorder(self, *args, **kwargs):
+            out = cov(self, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(latepoint._Moments, "cov", cov_recorder)
+        res = conservative_union_ci(s, est, 0.3, (-3.0, 8.0),
+                                    threshold_scale="relative")
+        assert res["feasible"] == 16
+        assert shapes == [(16, 6, 6)]
 
     def test_union_at_a_million_observations(self):
         # per-spec sets and n x 6 covariances took about 4.3 s here; the
