@@ -14,39 +14,62 @@ dilation    bootstrap sup-norm dilations and interval-data set inference
 simulate    normal designs, their exact truth, coverage drivers
 cli         command-line interface (`partialid`)
 
-The package root re-exports every submodule's public names.  The package
-loads numpy and the standard library only.
+The package root re-exports every submodule's public names, and loads
+lazily (PEP 562): ``import partialid`` imports no submodule and no numpy,
+and the first use of a name imports the submodule that owns it.  The
+package needs numpy and the standard library only.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DataError, InternalConsistencyError,
-                     PartialIdError, WeakIdentificationError)
-from .sets import IntervalUnion, superlevel_set
-from .datamodel import (EmpiricalPQ, RunConfig, Sample, build_empirical,
-                        default_empirical_config, default_simulation_config,
-                        default_threshold, load_intervals_csv,
-                        load_sample_csv, theorem_bandwidth, theorem_trimming)
-from .density import (DensityEstimate, Kernel, cell_sum, default_grid,
-                      estimate_density_diff)
-from .latepoint import (LateEstimate, TailSpec, check_iam_implication,
-                        conservative_union_ci, estimate_late,
-                        estimate_trimmed_sets, known_tail_estimate,
-                        late_variance, wald_estimate)
-from .latebounds import (BoundEstimate, DeltaEstimate, bound_variance,
-                         estimate_bounds, estimate_delta, estimate_threshold)
-from .simplex import InfeasibleError, UnboundedError, solve_lp
-from .roy import (RoyDistribution, build_polyhedron, check_roy_refutable,
-                  min_efficiency_loss, optimize_functional,
-                  potential_outcome_bounds)
-from .structures import (FiniteStructureSpace, binary_decidability,
-                         check_extension, complete_space, confirmable_sets,
-                         load_space_json, nonrefutable_sets)
-from .dilation import (CharacterizingFunction, bootstrap_critical_value,
-                       confidence_region, estimated_identified_set,
-                       interval_data_stats, interval_mean_distance,
-                       interval_mean_model)
-from .simulate import (CoverageResult, HalfDensity, SimDesign, draw_sample,
-                       run_coverage, true_identified_late)
+# submodule -> the public names the root re-exports from it
+_EXPORTS = {
+    "errors": ("ConfigError", "DataError", "InternalConsistencyError",
+               "PartialIdError", "WeakIdentificationError"),
+    "sets": ("IntervalUnion", "superlevel_set"),
+    "datamodel": ("EmpiricalPQ", "RunConfig", "Sample", "build_empirical",
+                  "default_empirical_config", "default_simulation_config",
+                  "default_threshold", "load_intervals_csv",
+                  "load_sample_csv", "theorem_bandwidth", "theorem_trimming"),
+    "density": ("DensityEstimate", "Kernel", "cell_sum", "default_grid",
+                "estimate_density_diff"),
+    "latepoint": ("LateEstimate", "TailSpec", "check_iam_implication",
+                  "conservative_union_ci", "estimate_late",
+                  "estimate_trimmed_sets", "known_tail_estimate",
+                  "late_variance", "wald_estimate"),
+    "latebounds": ("BoundEstimate", "DeltaEstimate", "bound_variance",
+                   "estimate_bounds", "estimate_delta", "estimate_threshold"),
+    "simplex": ("InfeasibleError", "UnboundedError", "solve_lp"),
+    "roy": ("RoyDistribution", "build_polyhedron", "check_roy_refutable",
+            "min_efficiency_loss", "optimize_functional",
+            "potential_outcome_bounds"),
+    "structures": ("FiniteStructureSpace", "binary_decidability",
+                   "check_extension", "complete_space", "confirmable_sets",
+                   "load_space_json", "nonrefutable_sets"),
+    "dilation": ("CharacterizingFunction", "bootstrap_critical_value",
+                 "confidence_region", "estimated_identified_set",
+                 "interval_data_stats", "interval_mean_distance",
+                 "interval_mean_model"),
+    "simulate": ("CoverageResult", "HalfDensity", "SimDesign", "draw_sample",
+                 "run_coverage", "true_identified_late"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_OWNER])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted([*__all__, *(n for n in globals() if n.startswith("__"))])

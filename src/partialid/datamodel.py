@@ -37,7 +37,7 @@ class Sample:
         if not np.isfinite(y).all():
             raise DataError("y contains non-finite values")
         for name, arr in (("d", d), ("z", z)):
-            if not np.isin(arr, (0, 1)).all():
+            if not ((arr == 0) | (arr == 1)).all():
                 raise DataError(f"{name} must contain only 0 or 1")
         if not (np.any(z == 1) and np.any(z == 0)):
             raise DataError("both instrument arms (z=0 and z=1) must be present")

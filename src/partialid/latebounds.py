@@ -241,7 +241,8 @@ def bound_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
 
     Returns ``(sigma, components)`` where components include the matrices
     and an ``unstable`` flag set when the sub-density at the threshold falls
-    below 1e-6.
+    below 1e-6.  An infinite ``t`` has no threshold term: M2 is zero,
+    ``min_density_at_t`` is 0 and ``unstable`` is False.
     """
     if delta.regime == "point":
         raise ConfigError("bound variance is only defined in a bound regime")
@@ -290,23 +291,6 @@ def _bound(tab, set1, set0, delta, t, which, h):
     w_den0 = e[4] + _arm_slope(tab, tab.mass_parts(0), cnt) * e[6]
     w_g = e[5] + _arm_slope(tab, corr_parts, cnt) * e[6]
 
-    # sub-density levels at the threshold (own arm Z=d and opposite arm)
-    own_dens = float(cell_sum(tab.sample, h, [t], d=side_d, z=side_d)[0])
-    opp_dens = float(cell_sum(tab.sample, h, [t], d=side_d, z=1 - side_d)[0])
-    t_in = bool((set0, set1)[side_d].contains(np.array([t]))[0])
-    min_dens = opp_dens if t_in else own_dens
-    unstable = min_dens < DENSITY_FLOOR
-    g_slope = max(min_dens, DENSITY_FLOOR)
-    if direction == "high":
-        g_slope = -g_slope
-
-    # threshold influence: criterion solves g(t) = |delta|
-    sgn = -1.0 if delta.regime == "below" else 1.0
-    w_absdelta = sgn * (w_den1 - w_den0)
-    w_t = (w_absdelta - w_g) / g_slope
-    # correction term's threshold sensitivity: d/dt of the collected mass
-    bt = t * min_dens if direction == "low" else -t * min_dens
-
     denom = max(delta.mass1, delta.mass0)
     w_denom = w_den1 if delta.mass1 >= delta.mass0 else w_den0
 
@@ -321,7 +305,28 @@ def _bound(tab, set1, set0, delta, t, which, h):
     M1 = np.vstack([sign_corr * w_base, sign_corr * w_corr_fixed_t,
                     -sign_corr * w_other, w_denom])
     M2 = np.zeros_like(M1)
-    M2[1] = sign_corr * bt * w_t
+    # an infinite threshold cuts nothing or the whole side, so the collected
+    # mass does not move with it: the M2 row stays zero and, with no density
+    # floor in the variance, nothing is unstable
+    min_dens, unstable = 0.0, False
+    if np.isfinite(t):
+        # sub-density levels at the threshold (own arm Z=d and opposite arm)
+        own_dens = float(cell_sum(tab.sample, h, [t], d=side_d, z=side_d)[0])
+        opp_dens = float(cell_sum(tab.sample, h, [t], d=side_d,
+                                  z=1 - side_d)[0])
+        t_in = bool((set0, set1)[side_d].contains(t))
+        min_dens = opp_dens if t_in else own_dens
+        unstable = min_dens < DENSITY_FLOOR
+        g_slope = max(min_dens, DENSITY_FLOOR)
+        if direction == "high":
+            g_slope = -g_slope
+
+        # threshold influence: criterion solves g(t) = |delta|
+        sgn = -1.0 if delta.regime == "below" else 1.0
+        w_t = (sgn * (w_den1 - w_den0) - w_g) / g_slope
+        # correction term's threshold sensitivity: d/dt of the collected mass
+        bt = t * min_dens if direction == "low" else -t * min_dens
+        M2[1] = sign_corr * bt * w_t
     Gamma = np.array([1.0 / denom, 1.0 / denom, 1.0 / denom, -L / denom])
 
     var = float(Gamma @ (M1 + M2) @ Sigma @ (M1 + M2).T @ Gamma)

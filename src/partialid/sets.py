@@ -31,8 +31,9 @@ class IntervalUnion:
             else:
                 merged.append([lo, hi])
         self.intervals = tuple((lo, hi) for lo, hi in merged)
-        # flat endpoint array for O(log k) membership via searchsorted
-        self._edges = np.array([e for iv in self.intervals for e in iv])
+        # left and right ends for O(log k) membership via searchsorted
+        self._lo, self._hi = np.array(self.intervals,
+                                      dtype=float).reshape(-1, 2).T
 
     def __bool__(self):
         return bool(self.intervals)
@@ -50,14 +51,11 @@ class IntervalUnion:
     def contains(self, y):
         """Vectorised membership test (closed intervals)."""
         y = np.asarray(y, dtype=float)
-        if self._edges.size == 0:
+        if not self:
             return np.zeros(y.shape, dtype=bool)
-        idx = np.searchsorted(self._edges, y, side="left")
-        # inside an interval iff searchsorted lands at an odd position,
-        # or exactly on a left endpoint (even position with equality)
-        inside = (idx % 2 == 1)
-        on_edge = (idx < self._edges.size) & (self._edges[np.minimum(idx, self._edges.size - 1)] == y)
-        return inside | on_edge
+        # the last interval starting at or before y holds y iff y <= its end
+        i = np.searchsorted(self._lo, y, side="right") - 1
+        return (i >= 0) & (y <= self._hi[i])
 
     def union(self, other):
         return IntervalUnion(self.intervals + other.intervals)

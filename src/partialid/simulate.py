@@ -167,7 +167,9 @@ def _positive_intervals(plus: HalfDensity, minus: HalfDensity):
         return whole if plus.mass > 0 else []
     vp, vm = plus.sd ** 2, minus.sd ** 2
     qa, qb = 0.5 / vm - 0.5 / vp, plus.mean / vp - minus.mean / vm
-    qc = (math.log(plus.mass * minus.sd / (minus.mass * plus.sd))
+    # a log per mass: their product with an sd can underflow to 0
+    qc = (math.log(plus.mass) - math.log(minus.mass)
+          + math.log(minus.sd / plus.sd)
           + 0.5 * minus.mean ** 2 / vm - 0.5 * plus.mean ** 2 / vp)
     if qa == 0.0 and qb == 0.0:
         return whole if qc > 0 else []

@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -299,6 +300,25 @@ class TestLateBoundsAndTest:
         assert res["bounds"]["lower"] <= res["bounds"]["upper"]
         assert res["interval"][0] <= res["interval"][1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_thresholds_give_a_finite_report(self, capsys,
+                                                       tmp_path):
+        # coin-flip d and z: both threshold scans end at the empty cut
+        rng = np.random.default_rng(0)
+        y = rng.integers(0, 5, 200)
+        d, z = rng.integers(0, 2, 200), rng.integers(0, 2, 200)
+        path = tmp_path / "coins.csv"
+        path.write_text("y,d,z\n" + "".join(
+            f"{a},{b},{c}\n" for a, b, c in zip(y, d, z)))
+        code, out, err = run_cli(capsys, "late", "bounds", "--input",
+                                 str(path), "--kappa-scale", "0.01")
+        assert (code, err) == (0, "")
+        bounds = json.loads(out)["results"]["bounds"]
+        assert (bounds["t_lower"], bounds["t_upper"]) == ("-inf", "inf")
+        values = [bounds["sigma_lower"], bounds["sigma_upper"],
+                  *json.loads(out)["results"]["interval"]]
+        assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+
     def test_test_payload(self, capsys, sample_csv):
         code, out, _ = run_cli(capsys, "late", "test", "--input", sample_csv)
         assert code == 0
@@ -566,23 +586,85 @@ class TestSimulate:
         assert err == "error: n must be at least 2\n"
 
 
-def _scipy_modules_after(code):
-    """scipy modules loaded by a fresh interpreter that runs ``code``."""
+def _fresh(code, *args, **env):
+    """Last stdout line of a fresh interpreter that runs ``code`` with
+    ``args`` and the package on its path; an ``env`` value of None unsets
+    that variable, any other sets it."""
     src = os.path.dirname(os.path.dirname(partialid.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code += ("; import sys; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    full = dict(os.environ)
+    full["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [full.get("PYTHONPATH")] if p])
+    for key, value in env.items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    out = subprocess.run([sys.executable, "-c", code, *args], env=full,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
+def _modules_after(code, prefix):
+    """Modules under ``prefix`` that a fresh interpreter running ``code``
+    has loaded."""
+    return json.loads(_fresh(
+        f"{code}; import json, sys; print(json.dumps(sorted(m for m in "
+        f"sys.modules if m.split('.')[0] == {prefix!r})))"))
+
+
+# The names the package root bound when it imported every submodule
+# eagerly: owner -> its re-exported names.  Each owner is itself a name.
+_ROOT_NAMES = {
+    "errors": "ConfigError DataError InternalConsistencyError PartialIdError "
+              "WeakIdentificationError",
+    "sets": "IntervalUnion superlevel_set",
+    "datamodel": "EmpiricalPQ RunConfig Sample build_empirical "
+                 "default_empirical_config default_simulation_config "
+                 "default_threshold load_intervals_csv load_sample_csv "
+                 "theorem_bandwidth theorem_trimming",
+    "density": "DensityEstimate Kernel cell_sum default_grid "
+               "estimate_density_diff",
+    "latepoint": "LateEstimate TailSpec check_iam_implication "
+                 "conservative_union_ci estimate_late estimate_trimmed_sets "
+                 "known_tail_estimate late_variance wald_estimate",
+    "latebounds": "BoundEstimate DeltaEstimate bound_variance estimate_bounds "
+                  "estimate_delta estimate_threshold",
+    "simplex": "InfeasibleError UnboundedError solve_lp",
+    "roy": "RoyDistribution build_polyhedron check_roy_refutable "
+           "min_efficiency_loss optimize_functional potential_outcome_bounds",
+    "structures": "FiniteStructureSpace binary_decidability check_extension "
+                  "complete_space confirmable_sets load_space_json "
+                  "nonrefutable_sets",
+    "dilation": "CharacterizingFunction bootstrap_critical_value "
+                "confidence_region estimated_identified_set "
+                "interval_data_stats interval_mean_distance "
+                "interval_mean_model",
+    "simulate": "CoverageResult HalfDensity SimDesign draw_sample "
+                "run_coverage true_identified_late",
+}
+
+# In a fresh interpreter: the names ``from partialid import *`` binds, and
+# those among them that are not the object their owner (argv[1], as JSON
+# name -> owning submodule) holds; a submodule's own name is the submodule.
+_STAR_IMPORT = """
+import importlib, json, sys
+owners = json.loads(sys.argv[1])
+ns = {}
+exec("from partialid import *", ns)
+del ns["__builtins__"]
+wrong = []
+for name, value in ns.items():
+    owner = importlib.import_module("partialid." + owners[name])
+    if value is not (owner if owners[name] == name else getattr(owner, name)):
+        wrong.append(name)
+print(json.dumps([sorted(ns), wrong]))
+"""
+
+
 class TestImports:
     def test_cli_path_loads_no_scipy(self):
-        assert _scipy_modules_after("import partialid.cli, partialid.roy") \
-            == "[]"
+        assert _modules_after("import partialid.cli, partialid.roy",
+                              "scipy") == []
 
     def test_coverage_run_loads_no_scipy(self):
         # the simulation truth is closed-form, so the package needs no scipy
@@ -591,19 +673,51 @@ class TestImports:
                 "tails=d.tails); "
                 "r = p.run_coverage(d, 'known', 300, 2, cfg, seed=0, "
                 "threads=1); print(r.truth)")
-        assert _scipy_modules_after(code) == "[]"
+        assert _modules_after(code, "scipy") == []
 
     def test_cli_loads_no_thread_pool(self):
         # run_coverage imports its pool when it runs
-        code = ("import partialid.cli, sys; print(sorted(m for m in "
-                "sys.modules if m.startswith('concurrent')))")
-        src = os.path.dirname(os.path.dirname(partialid.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+        assert _modules_after("import partialid.cli", "concurrent") == []
+
+    def test_root_loads_no_numpy_and_no_submodule(self):
+        assert _modules_after("import partialid", "numpy") == []
+        assert _modules_after("import partialid", "partialid") == \
+            ["partialid"]
+
+    def test_roy_loads_no_late_code(self):
+        loaded = _modules_after("import partialid.roy", "partialid")
+        assert not {"partialid.latepoint", "partialid.latebounds",
+                    "partialid.simulate", "partialid.dilation",
+                    "partialid.structures"} & set(loaded)
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+    def test_cli_runs_blas_on_one_thread_unless_told(self, preset, want):
+        code = ("import os, partialid.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert _fresh(code, OPENBLAS_NUM_THREADS=preset) == want
+
+    def test_library_imports_leave_the_environment_alone(self):
+        code = ("import importlib, os; before = dict(os.environ); "
+                "import partialid; "
+                f"[importlib.import_module('partialid.' + m) for m in "
+                f"{sorted(_ROOT_NAMES)!r}]; print(dict(os.environ) == before)")
+        assert _fresh(code, OPENBLAS_NUM_THREADS=None) == "True"
+
+    def test_root_names_resolve_to_their_owners(self):
+        owners = {name: module for module, names in _ROOT_NAMES.items()
+                  for name in [module, *names.split()]}
+        assert len(owners) == 78
+        assert partialid.__all__ == sorted(owners)
+        assert [n for n in dir(partialid) if not n.startswith("_")] == \
+            partialid.__all__
+        bound, wrong = json.loads(_fresh(_STAR_IMPORT, json.dumps(owners)))
+        assert (bound, wrong) == (sorted(owners), [])
+
+    def test_unknown_root_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError) as err:
+            partialid.no_such_name
+        assert str(err.value) == \
+            "module 'partialid' has no attribute 'no_such_name'"
 
 
 class TestRender:

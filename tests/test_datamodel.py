@@ -25,6 +25,26 @@ class TestSample:
             Sample(y=np.zeros(4), d=np.array([0, 1, 2, 0]),
                    z=np.array([0, 1, 0, 1]))
 
+    @pytest.mark.parametrize("codes", [np.array([0.0, 1.0, 1.0, 0.0]),
+                                       np.array([False, True, True, False]),
+                                       np.array([0, 1, 1, 0], dtype=object)])
+    def test_accepts_binary_codes_of_any_dtype(self, codes):
+        s = Sample(y=np.zeros(4), d=codes, z=codes)
+        assert s.d.dtype == s.z.dtype == np.int8
+        assert s.d.tolist() == s.z.tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("name", ["d", "z"])
+    @pytest.mark.parametrize("bad", [np.array([0, 1, 2, 0]),
+                                     np.array([0.0, 1.0, np.nan, 0.0]),
+                                     np.array(["0", "1", "1", "0"]),
+                                     np.array(["d", "z", "d", "z"])])
+    def test_rejects_non_binary_codes(self, name, bad):
+        cols = {"d": np.array([0, 1, 1, 0]), "z": np.array([0, 1, 1, 0])}
+        cols[name] = bad
+        with pytest.raises(DataError) as err:
+            Sample(y=np.zeros(4), **cols)
+        assert str(err.value) == f"{name} must contain only 0 or 1"
+
     def test_rejects_nan_outcome(self):
         with pytest.raises(DataError, match="non-finite"):
             Sample(y=np.array([0.0, np.nan]), d=np.array([0, 1]),

@@ -193,6 +193,24 @@ class TestBoundVariance:
         assert comp["M1"].shape == (4, 7)
         assert comp["Sigma"].shape == (7, 7)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("t, beyond", [(-np.inf, -100.0), (np.inf, 100.0)])
+    def test_infinite_threshold_is_the_limit_beyond_the_data(self, which, t,
+                                                             beyond):
+        # past the data by more than h the kernel density is 0, so the cut
+        # and the variance no longer move with t: the infinite t gives the
+        # same sigma, with a zero M2 row and no density floor
+        s, set1, set0 = gap_population()
+        de = estimate_delta(s, set1, set0, kappa=0.01)
+        sig, comp = bound_variance(s, set1, set0, de, t, which, h=0.5)
+        far, far_comp = bound_variance(s, set1, set0, de, beyond, which,
+                                       h=0.5)
+        assert math.isfinite(sig) and sig == far
+        assert not comp["M2"].any() and not far_comp["M2"].any()
+        assert comp["min_density_at_t"] == 0.0
+        assert comp["unstable"] is False
+
     def test_point_regime_rejected(self):
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.5)

@@ -14,6 +14,7 @@ def ivs(draw_pairs):
 
 pairs = st.lists(
     st.tuples(st.floats(-50, 50), st.floats(-50, 50)), max_size=6)
+ends = st.floats(-50, 50) | st.sampled_from([-np.inf, np.inf])
 
 
 class TestIntervalUnion:
@@ -57,6 +58,36 @@ class TestIntervalUnion:
 
     def test_jsonable(self):
         assert IntervalUnion([(0, 1)]).to_jsonable() == [[0.0, 1.0]]
+
+    @given(st.lists(st.tuples(ends, ends, st.booleans()), max_size=6),
+           st.lists(st.floats(allow_nan=True), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_contains_matches_endpoint_search(self, raw, extra):
+        # one-point intervals, infinite ends, every endpoint and its two
+        # float neighbours, both infinities and NaN
+        u = IntervalUnion([(a, a) if point else (min(a, b), max(a, b))
+                           for a, b, point in raw])
+        edges = np.array([e for iv in u.intervals for e in iv])
+        ys = np.concatenate((edges, np.nextafter(edges, -np.inf),
+                             np.nextafter(edges, np.inf), extra,
+                             [-np.inf, np.inf, np.nan, 0.0]))
+        assert u.contains(ys).tolist() == edge_search_contains(u, ys).tolist()
+        assert [bool(u.contains(y)) for y in ys[:4]] == \
+            edge_search_contains(u, ys[:4]).tolist()
+
+
+def edge_search_contains(u, y):
+    """Reference for ``IntervalUnion.contains``: one left search over the
+    flat endpoint array; y is inside iff it lands at an odd position, or
+    exactly on a left end."""
+    y = np.asarray(y, dtype=float)
+    edges = np.array([e for iv in u.intervals for e in iv])
+    if edges.size == 0:
+        return np.zeros(y.shape, dtype=bool)
+    idx = np.searchsorted(edges, y, side="left")
+    on_edge = ((idx < edges.size)
+               & (edges[np.minimum(idx, edges.size - 1)] == y))
+    return (idx % 2 == 1) | on_edge
 
 
 def loop_superlevel_set(grid, values, threshold, lo, hi):

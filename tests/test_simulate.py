@@ -250,6 +250,71 @@ class TestOracle:
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+# ----------------------------------------------------------------------
+# the abstract's claim: under the relaxed assumption the identified set is
+# "the same as imposing A when A is not rejected" (PAPER.md); in the LATE
+# application A is instrument monotonicity and the set is a point
+# ----------------------------------------------------------------------
+FULL_TAILS = TailSpec(upper1=True, lower1=True, upper0=True, lower0=True)
+
+
+@st.composite
+def monotone_designs(draw):
+    """Designs that satisfy monotonicity: each treatment side is one normal
+    in both arms, with more treated mass in the encouraged arm, p1 >= q1
+    (so q0 >= p0), by at least 0.1, and the tails are full."""
+    q1 = draw(st.floats(0.0, 0.9))
+    p1 = draw(st.floats(q1 + 0.1, 1.0))
+    mu1, mu0 = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    assume(abs(mu1 - mu0) >= 0.5)
+    sd1, sd0 = draw(SDS), draw(SDS)
+    lo = draw(st.floats(-5.0, 5.0))
+    return SimDesign(
+        pr_z1=draw(st.floats(0.1, 0.9)),
+        p={1: HalfDensity(p1, mu1, sd1), 0: HalfDensity(1.0 - p1, mu0, sd0)},
+        q={1: HalfDensity(q1, mu1, sd1), 0: HalfDensity(1.0 - q1, mu0, sd0)},
+        band=(lo, lo + draw(st.floats(0.5, 8.0))), tails=FULL_TAILS)
+
+
+def wald_ratio(design):
+    """The population Wald/IV ratio (E[Y|Z=1] - E[Y|Z=0]) /
+    (Pr(D=1|Z=1) - Pr(D=1|Z=0)), the LATE that monotonicity identifies."""
+    mean_y = [sum(hd.mass * hd.mean for hd in arm.values())
+              for arm in (design.p, design.q)]
+    return (mean_y[0] - mean_y[1]) / (design.p[1].mass - design.q[1].mass)
+
+
+class TestRelaxedEqualsMonotone:
+    @settings(max_examples=300, deadline=None)
+    @given(monotone_designs())
+    def test_truth_is_the_wald_ratio(self, design):
+        assert true_identified_late(design) == pytest.approx(
+            wald_ratio(design), rel=1e-12)
+
+    def test_subnormal_cell_mass(self):
+        # q1 = 5e-324 times an sd once underflowed to a division by zero
+        design = SimDesign(
+            pr_z1=0.5,
+            p={1: HalfDensity(1.0, 0.0, 0.5), 0: HalfDensity(0.0, 1.0, 1.0)},
+            q={1: HalfDensity(5e-324, 0.0, 0.5),
+               0: HalfDensity(1.0, 1.0, 1.0)},
+            band=(0.0, 1.0), tails=FULL_TAILS)
+        assert true_identified_late(design) == pytest.approx(-1.0, rel=1e-12)
+        assert wald_ratio(design) == pytest.approx(-1.0, rel=1e-12)
+
+    def test_example_design(self):
+        # p1 = 0.7 N(3, 1), q1 = 0.4 N(3, 1), p0 = 0.3 N(1, 1),
+        # q0 = 0.6 N(1, 1): the LATE is 3 - 1 = 2
+        treated, untreated = (3.0, 1.0), (1.0, 1.0)
+        design = SimDesign(
+            pr_z1=0.5,
+            p={1: HalfDensity(0.7, *treated), 0: HalfDensity(0.3, *untreated)},
+            q={1: HalfDensity(0.4, *treated), 0: HalfDensity(0.6, *untreated)},
+            band=(-2.5, 7.0), tails=FULL_TAILS)
+        assert true_identified_late(design) == pytest.approx(2.0, rel=1e-12)
+        assert wald_ratio(design) == pytest.approx(2.0, rel=1e-12)
+
+
 class TestHalfDensity:
     def test_pdf_integrates_to_mass(self):
         hd = HalfDensity(0.3, 2.0, 0.5)
