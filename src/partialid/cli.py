@@ -161,29 +161,26 @@ def _override(cfg, args, **updates) -> RunConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _resolve_config(sample, args) -> RunConfig:
+def _late_fit(args):
+    """Load, tune and fit: the prologue of the three `late` commands."""
+    sample = load_sample_csv(args.input)
     cfg = default_empirical_config(sample, alpha=args.alpha, seed=args.seed)
     updates = {}
     if args.band is not None:
         updates["band"] = _parse_band(args.band)
     if args.threshold_scale is not None:
         updates["threshold_scale"] = args.threshold_scale
-    return _override(cfg, args, **updates)
-
-
-def _fit_density(sample, cfg):
-    grid = default_grid(cfg.band, cfg.h)
-    return estimate_density_diff(build_empirical(sample), sample, Kernel(),
-                                 cfg.h, grid)
+    cfg = _override(cfg, args, **updates)
+    est = estimate_density_diff(build_empirical(sample), sample, Kernel(),
+                                cfg.h, default_grid(cfg.band, cfg.h))
+    return sample, cfg, est
 
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 def _cmd_late_point(args):
-    sample = load_sample_csv(args.input)
-    cfg = _resolve_config(sample, args)
-    est = _fit_density(sample, cfg)
+    sample, cfg, est = _late_fit(args)
     diagnostic = check_iam_implication(est, b_n=cfg.b)
     wald = wald_estimate(sample)
     results = {
@@ -221,9 +218,7 @@ def _cmd_late_point(args):
 
 def _cmd_late_bounds(args):
     kappa_scale = _positive_finite("--kappa-scale", args.kappa_scale)
-    sample = load_sample_csv(args.input)
-    cfg = _resolve_config(sample, args)
-    est = _fit_density(sample, cfg)
+    sample, cfg, est = _late_fit(args)
     tails = TailSpec.from_string(args.tails) if args.tails else cfg.tails
     set1, set0 = estimate_trimmed_sets(est, tails, cfg.b, cfg.band,
                                        threshold_scale=cfg.threshold_scale)
@@ -251,9 +246,7 @@ def _cmd_late_bounds(args):
 
 
 def _cmd_late_test(args):
-    sample = load_sample_csv(args.input)
-    cfg = _resolve_config(sample, args)
-    est = _fit_density(sample, cfg)
+    sample, cfg, est = _late_fit(args)
     diagnostic = check_iam_implication(est, b_n=cfg.b)
     return {
         "config": cfg.to_jsonable(),

@@ -68,8 +68,6 @@ def build_empirical(sample: Sample) -> EmpiricalPQ:
     """Build the empirical instrument arms of a sample."""
     n_z1 = int(np.count_nonzero(sample.z == 1))
     n_z0 = sample.n - n_z1
-    if n_z1 == 0 or n_z0 == 0:
-        raise ConfigError("degenerate instrument: one z-arm is empty")
     return EmpiricalPQ(pr_z1=n_z1 / sample.n, pr_z0=n_z0 / sample.n,
                        n_z1=n_z1, n_z0=n_z0)
 
@@ -178,7 +176,6 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
     Requires n >= 20; the rules are unreliable below that.
     """
     from .density import cell_sum  # local: avoid cycle
-    from .latepoint import TailSpec
 
     n = sample.n
     if n < 20:
@@ -191,8 +188,7 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
     if sd <= 0:
         raise ConfigError("outcome is constant: bandwidth rule gives h = 0")
     h = sd * math.log(n) / (2.0 * n ** (1.0 / 5.0))
-    m_l = float(np.quantile(sample.y, 0.01))
-    m_u = float(np.quantile(sample.y, 0.99))
+    m_l, m_u = np.quantile(sample.y, (0.01, 0.99)).tolist()
     if m_l >= m_u:
         raise ConfigError("degenerate 1%/99% quantile band")
 
@@ -208,13 +204,6 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
         b = theorem_trimming(n)
         notes.append("average density level non-positive; fell back to the rate rule for b")
 
-    tails = TailSpec(
-        upper1=_tail_flag(sample, d=1, upper=True),
-        lower1=_tail_flag(sample, d=1, upper=False),
-        upper0=_tail_flag(sample, d=0, upper=True),
-        lower0=_tail_flag(sample, d=0, upper=False),
-    )
-
     return RunConfig(
         band=(m_l, m_u),
         h=h,
@@ -222,34 +211,28 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
         kappa=default_threshold(n),
         alpha=alpha,
         seed=seed,
-        tails=tails,
+        tails=_tail_spec(sample),
         notes=tuple(notes),
     )
 
 
-def _tail_variance(sample, d, z, upper):
-    """Empirical variance of Y in the (D=d, Z=z) cell restricted to its own
-    upper (lower) decile, times the squared conditional treatment share."""
-    arm = sample.z == z
-    cell = (sample.d == d) & arm
-    n_arm = int(np.count_nonzero(arm))
-    n_cell = int(np.count_nonzero(cell))
-    if n_arm == 0 or n_cell < 2:
-        return 0.0
-    ys = sample.y[cell]
-    cut = np.quantile(ys, 0.9 if upper else 0.1)
-    tail = ys[ys >= cut] if upper else ys[ys <= cut]
-    if tail.size < 2:
-        return 0.0
-    share = n_cell / n_arm
-    return float(np.var(tail, ddof=1)) * share ** 2
+def _tail_spec(sample):
+    """Tail signs: side d's upper (lower) tail set is present iff its own
+    arm's (Z=d) weighted decile-tail variance is at least the other arm's."""
+    from .latepoint import TailSpec  # local: avoid cycle
 
-
-def _tail_flag(sample, d, upper):
-    """Tail set present iff the own-arm weighted tail variance dominates."""
-    own = _tail_variance(sample, d=d, z=d, upper=upper)
-    other = _tail_variance(sample, d=d, z=1 - d, upper=upper)
-    return own >= other
+    var = {}  # (d, z): upper and lower decile-tail variance of the cell
+    for z in (0, 1):
+        arm = sample.z == z
+        for d in (0, 1):
+            ys = sample.y[arm & (sample.d == d)]
+            share = ys.size / np.count_nonzero(arm)
+            lo, hi = np.quantile(ys, (0.1, 0.9)) if ys.size else (0.0, 0.0)
+            var[d, z] = [float(np.var(tail, ddof=1)) * share ** 2
+                         if tail.size >= 2 else 0.0
+                         for tail in (ys[ys >= hi], ys[ys <= lo])]
+    return TailSpec(*(own >= other for d in (1, 0)
+                      for own, other in zip(var[d, d], var[d, 1 - d])))
 
 
 @contextlib.contextmanager
@@ -264,34 +247,49 @@ def open_utf8(path):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def load_sample_csv(path) -> Sample:
-    """Read a `y,d,z` CSV into a Sample, with per-row validation."""
-    ys, ds, zs = [], [], []
+def _data_rows(path, header):
+    """The CSV's data rows with their record numbers ``i``: the header is
+    matched ignoring case and surrounding spaces, blank rows are skipped
+    and every other row must have one cell per header column."""
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            first = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty")
-        if [c.strip().lower() for c in header] != ["y", "d", "z"]:
-            raise DataError(f"{path}: expected header 'y,d,z', got {header!r}")
+        if [c.strip().lower() for c in first] != header:
+            raise DataError(f"{path}: expected header "
+                            f"{','.join(header)!r}, got {first!r}")
         for i, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != 3:
-                raise DataError(f"{path}, row {i}: expected 3 columns, got {len(row)}")
-            try:
-                y = float(row[0])
-            except ValueError:
-                raise DataError(f"{path}, row {i}: non-numeric outcome {row[0]!r}")
-            d, z = row[1].strip(), row[2].strip()
-            if d not in ("0", "1"):
-                raise DataError(f"{path}, row {i}: treatment must be 0 or 1, got {d!r}")
-            if z not in ("0", "1"):
-                raise DataError(f"{path}, row {i}: instrument must be 0 or 1, got {z!r}")
-            ys.append(y)
-            ds.append(int(d))
-            zs.append(int(z))
+            if len(row) != len(header):
+                raise _row_error(path, i, f"expected {len(header)} columns, "
+                                          f"got {len(row)}")
+            yield i, row
+
+
+def _row_error(path, i, message):
+    """The error of record ``i`` of the CSV (the header is record 1)."""
+    return DataError(f"{path}, row {i}: {message}")
+
+
+def load_sample_csv(path) -> Sample:
+    """Read a `y,d,z` CSV into a Sample, with per-row validation."""
+    ys, ds, zs = [], [], []
+    for i, row in _data_rows(path, ["y", "d", "z"]):
+        try:
+            y = float(row[0])
+        except ValueError:
+            raise _row_error(path, i, f"non-numeric outcome {row[0]!r}")
+        d, z = row[1].strip(), row[2].strip()
+        if d not in ("0", "1"):
+            raise _row_error(path, i, f"treatment must be 0 or 1, got {d!r}")
+        if z not in ("0", "1"):
+            raise _row_error(path, i, f"instrument must be 0 or 1, got {z!r}")
+        ys.append(y)
+        ds.append(int(d))
+        zs.append(int(z))
     if not ys:
         raise DataError(f"{path}: no data rows")
     try:
@@ -303,27 +301,15 @@ def load_sample_csv(path) -> Sample:
 def load_intervals_csv(path):
     """Read a `y_l,y_u` CSV into a pair of arrays, with validation."""
     lows, highs = [], []
-    with open_utf8(path) as fh:
-        reader = csv.reader(fh)
+    for i, row in _data_rows(path, ["y_l", "y_u"]):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty")
-        if [c.strip().lower() for c in header] != ["y_l", "y_u"]:
-            raise DataError(f"{path}: expected header 'y_l,y_u', got {header!r}")
-        for i, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}, row {i}: expected 2 columns, got {len(row)}")
-            try:
-                lo, hi = float(row[0]), float(row[1])
-            except ValueError:
-                raise DataError(f"{path}, row {i}: non-numeric cell")
-            if lo > hi:
-                raise DataError(f"{path}, row {i}: y_l > y_u")
-            lows.append(lo)
-            highs.append(hi)
+            lo, hi = float(row[0]), float(row[1])
+        except ValueError:
+            raise _row_error(path, i, "non-numeric cell")
+        if lo > hi:
+            raise _row_error(path, i, "y_l > y_u")
+        lows.append(lo)
+        highs.append(hi)
     if not lows:
         raise DataError(f"{path}: no data rows")
     return np.array(lows), np.array(highs)

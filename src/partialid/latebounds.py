@@ -241,8 +241,8 @@ def bound_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
 
     Returns ``(sigma, components)`` where components include the matrices
     and an ``unstable`` flag set when the sub-density at the threshold falls
-    below 1e-6.  An infinite ``t`` has no threshold term: M2 is zero,
-    ``min_density_at_t`` is 0 and ``unstable`` is False.
+    below 1e-6 and that floor scales a nonzero M2 row.  An infinite ``t`` has
+    no threshold term: M2 is zero and ``min_density_at_t`` is 0.
     """
     if delta.regime == "point":
         raise ConfigError("bound variance is only defined in a bound regime")
@@ -316,7 +316,6 @@ def _bound(tab, set1, set0, delta, t, which, h):
                                   z=1 - side_d)[0])
         t_in = bool((set0, set1)[side_d].contains(t))
         min_dens = opp_dens if t_in else own_dens
-        unstable = min_dens < DENSITY_FLOOR
         g_slope = max(min_dens, DENSITY_FLOOR)
         if direction == "high":
             g_slope = -g_slope
@@ -327,6 +326,8 @@ def _bound(tab, set1, set0, delta, t, which, h):
         # correction term's threshold sensitivity: d/dt of the collected mass
         bt = t * min_dens if direction == "low" else -t * min_dens
         M2[1] = sign_corr * bt * w_t
+        # at t * min_dens = 0 the M2 row is 0 whatever the floor
+        unstable = min_dens < DENSITY_FLOOR and bool(M2[1].any())
     Gamma = np.array([1.0 / denom, 1.0 / denom, 1.0 / denom, -L / denom])
 
     var = float(Gamma @ (M1 + M2) @ Sigma @ (M1 + M2).T @ Gamma)

@@ -212,6 +212,9 @@ def potential_outcome_bounds(dist: RoyDistribution, verify=True):
     l0 = float(p[1, 1, 0]) / pz0
     u0 = (float(p[1, 1, 0]) + min(float(p[1, 0, 0]),
                                   pz0 / pz1 * float(p[1, :, 1].sum()))) / pz0
-    l1 = (float(p[1, 1, 1]) + max(0.0, m_el - float(p[0, 1, 1]))) / pz1
+    # m - Pr(Y=0, D=1, Z=1) <= Pr(Y=0, D=0, Z=1) holds exactly; the cap
+    # keeps it so after rounding, and with it l1 <= u1
+    l1 = (float(p[1, 1, 1]) + max(0.0, min(m_el - float(p[0, 1, 1]),
+                                           float(p[0, 0, 1])))) / pz1
     u1 = (float(p[1, :, 1].sum()) + min(m_el, float(p[0, 0, 1]))) / pz1
     return {"z0": (l0, u0), "z1": (l1, u1), "min_efficiency_loss": m_el}

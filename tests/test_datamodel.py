@@ -1,22 +1,31 @@
 """Sample containers, CSV loaders, tuning rules, and run configuration."""
 
+import csv
 import dataclasses
+import importlib.util
 import math
+import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from partialid.datamodel import (Sample, build_empirical, load_sample_csv,
-                                 load_intervals_csv, RunConfig,
+                                 load_intervals_csv, open_utf8, RunConfig,
                                  default_empirical_config,
                                  default_simulation_config,
                                  theorem_bandwidth, theorem_trimming,
                                  default_threshold)
+from partialid.density import cell_sum
 from partialid.errors import ConfigError, DataError
+from partialid.latepoint import TailSpec
 from partialid.simulate import SimDesign, draw_sample
 
 from conftest import make_sample, write_sample_csv
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestSample:
@@ -211,3 +220,309 @@ class TestEmpiricalConfig:
         cfg = default_empirical_config(s)
         assert time.perf_counter() - start < 10.0
         assert cfg.h > 0 and cfg.b > 0
+
+
+# ----------------------------------------------------------------------
+# Differential oracles: the loaders' and the tuning step's earlier,
+# one-job-at-a-time forms, kept as slow references.
+# ----------------------------------------------------------------------
+def old_load_sample_csv(path):
+    ys, ds, zs = [], [], []
+    with open_utf8(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty")
+        if [c.strip().lower() for c in header] != ["y", "d", "z"]:
+            raise DataError(f"{path}: expected header 'y,d,z', got {header!r}")
+        for i, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 3:
+                raise DataError(
+                    f"{path}, row {i}: expected 3 columns, got {len(row)}")
+            try:
+                y = float(row[0])
+            except ValueError:
+                raise DataError(
+                    f"{path}, row {i}: non-numeric outcome {row[0]!r}")
+            d, z = row[1].strip(), row[2].strip()
+            if d not in ("0", "1"):
+                raise DataError(
+                    f"{path}, row {i}: treatment must be 0 or 1, got {d!r}")
+            if z not in ("0", "1"):
+                raise DataError(
+                    f"{path}, row {i}: instrument must be 0 or 1, got {z!r}")
+            ys.append(y)
+            ds.append(int(d))
+            zs.append(int(z))
+    if not ys:
+        raise DataError(f"{path}: no data rows")
+    try:
+        return Sample(np.array(ys), np.array(ds), np.array(zs))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def old_load_intervals_csv(path):
+    lows, highs = [], []
+    with open_utf8(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty")
+        if [c.strip().lower() for c in header] != ["y_l", "y_u"]:
+            raise DataError(
+                f"{path}: expected header 'y_l,y_u', got {header!r}")
+        for i, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 2:
+                raise DataError(
+                    f"{path}, row {i}: expected 2 columns, got {len(row)}")
+            try:
+                lo, hi = float(row[0]), float(row[1])
+            except ValueError:
+                raise DataError(f"{path}, row {i}: non-numeric cell")
+            if lo > hi:
+                raise DataError(f"{path}, row {i}: y_l > y_u")
+            lows.append(lo)
+            highs.append(hi)
+    if not lows:
+        raise DataError(f"{path}: no data rows")
+    return np.array(lows), np.array(highs)
+
+
+def old_tail_variance(sample, d, z, upper):
+    arm = sample.z == z
+    cell = (sample.d == d) & arm
+    n_arm = int(np.count_nonzero(arm))
+    n_cell = int(np.count_nonzero(cell))
+    if n_arm == 0 or n_cell < 2:
+        return 0.0
+    ys = sample.y[cell]
+    cut = np.quantile(ys, 0.9 if upper else 0.1)
+    tail = ys[ys >= cut] if upper else ys[ys <= cut]
+    if tail.size < 2:
+        return 0.0
+    share = n_cell / n_arm
+    return float(np.var(tail, ddof=1)) * share ** 2
+
+
+def old_tail_flag(sample, d, upper):
+    own = old_tail_variance(sample, d=d, z=d, upper=upper)
+    other = old_tail_variance(sample, d=d, z=1 - d, upper=upper)
+    return own >= other
+
+
+def old_empirical_config(sample):
+    """The tuning step with one quantile call per band end and per tail,
+    and each (D, Z) cell masked once per tail."""
+    n = sample.n
+    if n < 20:
+        raise ConfigError(f"need n >= 20 for the data-driven rules, got n={n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(sample.y, ddof=1))
+    if not math.isfinite(sd):
+        raise DataError("outcomes spread too widely for the bandwidth rule: "
+                        "their standard deviation overflows")
+    if sd <= 0:
+        raise ConfigError("outcome is constant: bandwidth rule gives h = 0")
+    h = sd * math.log(n) / (2.0 * n ** (1.0 / 5.0))
+    m_l = float(np.quantile(sample.y, 0.01))
+    m_u = float(np.quantile(sample.y, 0.99))
+    if m_l >= m_u:
+        raise ConfigError("degenerate 1%/99% quantile band")
+    ys = np.sort(sample.y)
+    f1 = cell_sum(sample, h, ys, 1, 1) - cell_sum(sample, h, ys, 1, 0)
+    f0 = cell_sum(sample, h, ys, 0, 0) - cell_sum(sample, h, ys, 0, 1)
+    b = n ** (-1.0 / 4.0) * float(np.mean(f1 + f0))
+    notes = []
+    if not b > 0:
+        b = theorem_trimming(n)
+        notes.append("average density level non-positive; fell back to the "
+                     "rate rule for b")
+    tails = TailSpec(
+        upper1=old_tail_flag(sample, d=1, upper=True),
+        lower1=old_tail_flag(sample, d=1, upper=False),
+        upper0=old_tail_flag(sample, d=0, upper=True),
+        lower0=old_tail_flag(sample, d=0, upper=False),
+    )
+    return RunConfig(band=(m_l, m_u), h=h, b=b, kappa=default_threshold(n),
+                     tails=tails, notes=tuple(notes))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the differential compares any error
+        return "raised", type(exc), str(exc)
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def assert_same_tuning(got, want):
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1:] == want[1:]
+        return
+    for name in ("h", "b", "band", "kappa", "tails", "notes"):
+        assert getattr(got[1], name) == getattr(want[1], name), name
+
+
+def _spaced(name):
+    """A header cell: ``name`` in any case with optional padding."""
+    return st.tuples(st.sampled_from(["", " ", "  "]),
+                     st.lists(st.booleans(), min_size=len(name),
+                              max_size=len(name)),
+                     st.sampled_from(["", " ", "\t"])).map(
+        lambda t: t[0] + "".join(c.upper() if up else c
+                                 for c, up in zip(name, t[1])) + t[2])
+
+
+_NUMBER = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.integers(-50, 50).map(str),
+    st.sampled_from([" 1.5", "2.5 ", "1e3", "-0", '"4.5"', "1_0"]))
+_CODE = st.sampled_from(["0", "1", " 0", "1 ", " 1 ", '"0"', '" 1"'])
+_BAD = st.sampled_from(["", " ", "2", "0.0", "abc", "01", "nan", "inf",
+                        '"2,5"', '""'])
+_BLANK = st.sampled_from(["", " ", "\t", ",,", " , , ", ","])
+# one valid row of each file kind
+_GOOD_ROWS = {
+    ("y", "d", "z"): st.tuples(_NUMBER, _CODE, _CODE),
+    ("y_l", "y_u"): st.tuples(_NUMBER, _NUMBER).map(
+        lambda t: sorted(t, key=lambda c: float(c.strip(' "')))),
+}
+
+
+@st.composite
+def csv_texts(draw, columns):
+    """The bytes of a CSV: a header of any case and padding (now and then
+    a wrong one), valid rows with quoted cells, blank rows, one line end,
+    and perhaps no data rows, a bad cell, a row of the wrong width or a
+    byte that is not UTF-8 at a random place."""
+    if draw(st.integers(0, 19)) == 7:
+        header = draw(st.sampled_from(["", "y,d", "x,d,z", "y_l,y_u,y",
+                                       "y;d;z", '"y,d,z"']))
+    else:
+        header = ",".join(draw(_spaced(c)) for c in columns)
+    rows = [",".join(row) for row in draw(
+        st.lists(_GOOD_ROWS[tuple(columns)], min_size=1, max_size=40))]
+    fault = draw(st.sampled_from(["none", "none", "none", "cell", "width",
+                                  "no rows"]))
+    if fault == "no rows":
+        rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_BLANK))
+    if fault == "cell":
+        row = list(draw(_GOOD_ROWS[tuple(columns)]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_BAD)
+        rows.insert(draw(st.integers(0, len(rows))), ",".join(row))
+    elif fault == "width":
+        width = draw(st.integers(1, len(columns) + 2).filter(
+            lambda w: w != len(columns)))
+        row = draw(st.lists(_NUMBER, min_size=width, max_size=width))
+        rows.insert(draw(st.integers(0, len(rows))), ",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([header] + rows)
+    if draw(st.booleans()):
+        text += end
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 7:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+class TestLoaderDifferential:
+    """The shared row reader gives the earlier loaders' arrays and error
+    texts, row numbers included."""
+
+    @given(data=csv_texts(["y", "d", "z"]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_sample_loader(self, tmp_path, data):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        got, want = (outcome(load_sample_csv, path),
+                     outcome(old_load_sample_csv, path))
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert_same_arrays((got[1].y, got[1].d, got[1].z),
+                               (want[1].y, want[1].d, want[1].z))
+        else:
+            assert got[1:] == want[1:]
+
+    @given(data=csv_texts(["y_l", "y_u"]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_intervals_loader(self, tmp_path, data):
+        path = tmp_path / "iv.csv"
+        path.write_bytes(data)
+        got, want = (outcome(load_intervals_csv, path),
+                     outcome(old_load_intervals_csv, path))
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert_same_arrays(got[1], want[1])
+        else:
+            assert got[1:] == want[1:]
+
+
+@st.composite
+def tuning_samples(draw):
+    """Samples with cells of 0 to 40 observations (a one-observation cell
+    among them), continuous, tenth-rounded or integer outcomes."""
+    counts = draw(st.lists(st.integers(0, 40), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, 3))] = 1
+    assume(counts[0] + counts[1] > 0 and counts[2] + counts[3] > 0)
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y, d, z = [], [], []
+    for cell, count in enumerate(counts):
+        zc, dc = divmod(cell, 2)
+        draws = rng.normal(dc * 2.0 - zc, 1.0 + zc, count)
+        y.append(draws if decimals is None else np.round(draws, decimals))
+        d += [dc] * count
+        z += [zc] * count
+    return Sample(y=np.concatenate(y), d=np.array(d), z=np.array(z))
+
+
+class TestTuningDifferential:
+    """One visit per (D, Z) cell and one quantile call for the band give
+    the same tuning values as one call per tail and per band end."""
+
+    @given(sample=tuning_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_samples(self, sample):
+        assert_same_tuning(outcome(default_empirical_config, sample),
+                           outcome(old_empirical_config, sample))
+
+    # the benchmark's CLI mix draws its inputs from this pool of seeds
+    @pytest.mark.parametrize("seed", range(16))
+    def test_cli_mix_pool_inputs(self, tmp_path, seed):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_gen_inputs",
+            os.path.join(ROOT, "perfbench", "gen_inputs.py"))
+        gen_inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_inputs)
+        gen_inputs.write_cli_inputs(tmp_path, seed)
+        for name in ("sec33", "gap", "rounded", "small"):
+            path = tmp_path / f"{name}.csv"
+            sample = load_sample_csv(path)
+            want = old_load_sample_csv(path)
+            assert_same_arrays((sample.y, sample.d, sample.z),
+                               (want.y, want.d, want.z))
+            assert_same_tuning(outcome(default_empirical_config, sample),
+                               outcome(old_empirical_config, sample))
+        path = tmp_path / "intervals.csv"
+        assert_same_arrays(load_intervals_csv(path),
+                           old_load_intervals_csv(path))

@@ -7,9 +7,10 @@ import pytest
 
 from partialid.datamodel import Sample
 from partialid.errors import ConfigError, WeakIdentificationError
-from partialid.latebounds import (DeltaEstimate, estimate_bounds,
-                                  estimate_delta, estimate_threshold,
-                                  bound_variance, _scan_threshold)
+from partialid.latebounds import (DENSITY_FLOOR, DeltaEstimate,
+                                  estimate_bounds, estimate_delta,
+                                  estimate_threshold, bound_variance,
+                                  _scan_threshold)
 from partialid.latepoint import (_Moments, _late_variance,
                                  estimate_late)
 from partialid.sets import IntervalUnion
@@ -210,6 +211,20 @@ class TestBoundVariance:
         assert not comp["M2"].any() and not far_comp["M2"].any()
         assert comp["min_density_at_t"] == 0.0
         assert comp["unstable"] is False
+        # the finite t's density is 0 too, but its M2 row is t * 0 * w_t = 0,
+        # so the density floor never enters its variance
+        assert far_comp["unstable"] is False
+
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_density_below_the_floor_flags(self, which):
+        # inside h of the cell's top value 7 the density is positive but
+        # below the floor, and the floor scales the nonzero M2 row
+        s, set1, set0 = gap_population()
+        de = estimate_delta(s, set1, set0, kappa=0.01)
+        _, comp = bound_variance(s, set1, set0, de, 7.5 - 1e-7, which, h=0.5)
+        assert 0.0 < comp["min_density_at_t"] < DENSITY_FLOOR
+        assert comp["M2"].any()
+        assert comp["unstable"] is True
 
     def test_point_regime_rejected(self):
         s, set1, set0 = gap_population()

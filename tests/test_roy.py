@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import partialid.roy as roy
 from partialid.errors import DataError
@@ -426,3 +426,45 @@ class TestTinyArms:
                 hi = optimize_functional(dist, c, "max")[0] / pz
                 assert abs(lo - want[f"z{z}"][0]) <= 1e-9
                 assert abs(hi - want[f"z{z}"][1]) <= 1e-9
+
+
+@st.composite
+def dirichlet_dists(draw):
+    """Dirichlet draws of mixed concentration, refuted ones included, now
+    and then with up to four cells set to zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.dirichlet(np.ones(8) * draw(st.floats(0.1, 3.0))).reshape(2, 2, 2)
+    for cell in draw(st.lists(st.tuples(*[st.integers(0, 1)] * 3),
+                              max_size=4)):
+        p[cell] = 0.0
+    assume(p[:, :, 0].sum() > 0 and p[:, :, 1].sum() > 0)
+    return RoyDistribution(p / p.sum())
+
+
+class TestBoundProperties:
+    """The closed forms' order on every draw, and their reduction to the
+    bounds under unrelaxed efficient selection where no choice need be
+    inefficient."""
+
+    @given(dist=dirichlet_dists())
+    @example(dist=RoyDistribution(np.array(
+        [0.0, 2.7372994696281037e-17, 0.0, 0.12233873534040339,
+         0.0, 0.0, 0.6256794188589034, 0.25198184580069324]).reshape(
+             2, 2, 2)))
+    @settings(max_examples=500, deadline=None)
+    def test_lower_end_below_upper_end(self, dist):
+        # z=1: m - Pr(Y=0,D=1,Z=1) <= min(m, Pr(Y=0,D=0,Z=1)), as the
+        # minimal loss m is at most Pr(Y=0, Z=1)
+        bounds = potential_outcome_bounds(dist)
+        for z in (0, 1):
+            lo, hi = bounds[f"z{z}"]
+            assert lo <= hi
+
+    @given(dist=dirichlet_dists())
+    @settings(max_examples=500, deadline=None)
+    def test_no_efficiency_loss_gives_the_unrelaxed_bounds(self, dist):
+        bounds = potential_outcome_bounds(dist)
+        assume(bounds["min_efficiency_loss"] == 0.0)
+        p, pz1 = dist.p, dist.pr_z(1)
+        assert bounds["z1"] == (float(p[1, 1, 1]) / pz1,
+                                float(p[1, :, 1].sum()) / pz1)
