@@ -15,6 +15,14 @@ as aligned text).  Reports are a pure function of argv and ``--seed``;
 wall-clock timing is only attached under ``--timing``.  Exit codes:
 0 success, 1 usage error, 2 data/configuration error, 3 weak
 identification.
+
+Importing this module loads no library module besides ``errors``, and no
+numpy.  Once the arguments parse, ``run`` binds the names of the modules
+the command's group runs (``_GROUP_MODULES``) in this module's globals,
+so ``--help``, ``--version``, usage errors and ``structures analyze``
+start without numpy.  Any other library name resolves from its owner on
+first attribute access (PEP 562).  A name already bound is kept, so a
+wrapper or a patch set on this module is what the command calls.
 """
 
 from __future__ import annotations
@@ -27,29 +35,42 @@ import math
 import os
 import sys
 import time
+from importlib import import_module
 
-# OpenBLAS's thread pool adds ~75 ms to numpy's import (0.17 s vs 0.09 s).
+# OpenBLAS's thread pool adds ~75 ms to numpy's import (0.17 s vs 0.09 s);
+# set before any command loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from . import __version__
+from . import _EXPORTS, _OWNER, __version__
 from .errors import (ConfigError, DataError, PartialIdError,
                      WeakIdentificationError)
-from .datamodel import (RunConfig, build_empirical, default_empirical_config,
-                        default_simulation_config, load_intervals_csv,
-                        load_sample_csv)
-from .density import Kernel, default_grid, estimate_density_diff
-from .dilation import (confidence_region, estimated_identified_set,
-                       interval_data_stats, interval_mean_model)
-from .latebounds import estimate_bounds, estimate_delta
-from .latepoint import (TailSpec, check_iam_implication,
-                        conservative_union_ci, estimate_trimmed_sets,
-                        known_tail_estimate, wald_estimate)
-from .roy import RoyDistribution, check_roy_refutable, potential_outcome_bounds
-from .simulate import SimDesign, run_coverage
-from .structures import (binary_decidability, check_extension,
-                         confirmable_sets, load_space_json, nonrefutable_sets)
+
+# command group -> the library modules its commands run
+_GROUP_MODULES = {
+    "late": ("datamodel", "density", "latepoint", "latebounds"),
+    "roy": ("datamodel", "roy"),
+    "dilate": ("datamodel", "dilation"),
+    "structures": ("structures",),
+    "simulate": ("datamodel", "simulate"),
+}
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"partialid.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(group):
+    """Bind the names of ``group``'s modules here, keeping any name that is
+    already bound."""
+    scope = globals()
+    for module_name in _GROUP_MODULES[group]:
+        module = import_module(f"partialid.{module_name}")
+        for name in _EXPORTS[module_name]:
+            scope.setdefault(name, getattr(module, name))
 
 
 class _UsageError(Exception):
@@ -65,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
+    if hasattr(obj, "tolist"):  # a numpy scalar or array
         obj = obj.tolist()  # Python scalars and lists
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
@@ -89,7 +110,8 @@ def _flatten(prefix, obj, lines):
 def _render(report, fmt):
     payload = _jsonable(report)
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     lines = []
     _flatten("", payload, lines)
     width = max(len(k) for k, _ in lines)
@@ -256,6 +278,8 @@ def _cmd_late_test(args):
 
 
 def _cmd_roy_bounds(args):
+    import numpy as np
+
     if (args.input is None) == (args.cells is None):
         raise ConfigError("provide exactly one of --input or --cells")
     if args.input is not None:
@@ -329,6 +353,8 @@ def _cmd_structures_analyze(args):
 
 
 def _cmd_dilate_region(args):
+    import numpy as np
+
     if args.grid_points < 1:
         raise ConfigError("--grid-points must be at least 1, got "
                           f"{args.grid_points}")
@@ -505,6 +531,7 @@ def run(argv=None):
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    _bind(args.group)
     start = time.perf_counter()
     try:
         report = args.func(args)

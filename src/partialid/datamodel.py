@@ -4,7 +4,6 @@ reads: bandwidth, trimming level and regime threshold at the sample size."""
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -12,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_utf8
 
 
 @dataclass(frozen=True)
@@ -235,18 +234,6 @@ def _tail_spec(sample):
                       for own, other in zip(var[d, d], var[d, 1 - d])))
 
 
-@contextlib.contextmanager
-def open_utf8(path):
-    """Open ``path`` as UTF-8 text, with the ``newline=""`` that ``csv``
-    needs.  A byte that is not UTF-8 raises :class:`DataError` wherever in
-    the file the reader meets it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
 def _data_rows(path, header):
     """The CSV's data rows with their record numbers ``i``: the header is
     matched ignoring case and surrounding spaces, blank rows are skipped
@@ -282,6 +269,8 @@ def load_sample_csv(path) -> Sample:
             y = float(row[0])
         except ValueError:
             raise _row_error(path, i, f"non-numeric outcome {row[0]!r}")
+        if not math.isfinite(y):
+            raise _row_error(path, i, f"non-finite outcome {row[0]!r}")
         d, z = row[1].strip(), row[2].strip()
         if d not in ("0", "1"):
             raise _row_error(path, i, f"treatment must be 0 or 1, got {d!r}")
@@ -306,6 +295,8 @@ def load_intervals_csv(path):
             lo, hi = float(row[0]), float(row[1])
         except ValueError:
             raise _row_error(path, i, "non-numeric cell")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise _row_error(path, i, "non-finite cell")
         if lo > hi:
             raise _row_error(path, i, "y_l > y_u")
         lows.append(lo)

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the UTF-8 opener whose
+decoding errors become :class:`DataError`."""
+
+import contextlib
 
 
 class PartialIdError(Exception):
@@ -30,3 +33,15 @@ class InternalConsistencyError(PartialIdError):
     Raised only through its subclasses ``simplex.InfeasibleError`` and
     ``simplex.UnboundedError``, when a linear program has no optimum.
     """
+
+
+@contextlib.contextmanager
+def open_utf8(path):
+    """Open ``path`` as UTF-8 text, with the ``newline=""`` that ``csv``
+    needs.  A byte that is not UTF-8 raises :class:`DataError` wherever in
+    the file the reader meets it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -24,8 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .datamodel import open_utf8
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_utf8
 
 
 @dataclass(frozen=True)

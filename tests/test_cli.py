@@ -101,6 +101,21 @@ class TestExitCodes:
         assert code == 2
         assert "row 3" in err
 
+    def test_non_finite_outcome_names_its_row(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("y,d,z\n1.0,1,0\n2.0,0,1\ninf,1,1\n")
+        code, out, err = run_cli(capsys, "late", "point", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}, row 4: non-finite outcome 'inf'\n"
+
+    def test_non_finite_interval_names_its_row(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("y_l,y_u\n0,1\nnan,2\n")
+        code, out, err = run_cli(capsys, "dilate", "region", "--a=0", "--b=1",
+                                 "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}, row 3: non-finite cell\n"
+
     def test_weak_identification_is_3(self, capsys, sample_csv):
         code, _, err = run_cli(capsys, "late", "point", "--input", sample_csv,
                                "--b", "99", "--threshold-scale", "absolute",
@@ -608,8 +623,26 @@ def _modules_after(code, prefix):
     """Modules under ``prefix`` that a fresh interpreter running ``code``
     has loaded."""
     return json.loads(_fresh(
-        f"{code}; import json, sys; print(json.dumps(sorted(m for m in "
+        f"{code}\nimport json, sys; print(json.dumps(sorted(m for m in "
         f"sys.modules if m.split('.')[0] == {prefix!r})))"))
+
+
+def _modules_after_run(argv, prefix):
+    """Modules under ``prefix`` loaded after a fresh interpreter imports
+    the CLI and runs ``argv`` through it, output and exit discarded."""
+    return _modules_after(f"""
+import contextlib, io
+from partialid.cli import run
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        run({list(argv)!r})
+    except SystemExit:  # --help and --version
+        pass""", prefix)
+
+
+_LATE_MODULES = {"partialid.density", "partialid.latepoint",
+                 "partialid.latebounds"}
 
 
 # The names the package root bound when it imported every submodule
@@ -684,6 +717,50 @@ class TestImports:
         assert _modules_after("import partialid", "partialid") == \
             ["partialid"]
 
+    def test_cli_import_loads_no_numpy_and_no_library_module(self):
+        assert _modules_after("import partialid.cli", "numpy") == []
+        assert _modules_after("import partialid.cli", "partialid") == \
+            ["partialid", "partialid.cli", "partialid.errors"]
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"],
+                                      ["late", "point"]],
+                             ids=["version", "help", "usage-error"])
+    def test_startup_loads_no_numpy(self, argv):
+        assert _modules_after_run(argv, "numpy") == []
+
+    def test_structures_analyze_loads_no_numpy(self, space_json):
+        argv = ["structures", "analyze", "--space", space_json]
+        assert _modules_after_run(argv, "numpy") == []
+        assert _modules_after_run(argv, "partialid") == \
+            ["partialid", "partialid.cli", "partialid.errors",
+             "partialid.structures"]
+
+    @pytest.mark.parametrize("command", ["point", "bounds", "test"])
+    def test_late_loads_only_late_code(self, sample_csv, command):
+        loaded = _modules_after_run(
+            ["late", command, "--input", sample_csv], "partialid")
+        assert _LATE_MODULES <= set(loaded)
+        assert not {"partialid.roy", "partialid.simplex",
+                    "partialid.simulate", "partialid.dilation",
+                    "partialid.structures"} & set(loaded)
+
+    def test_roy_loads_only_roy_code(self):
+        loaded = _modules_after_run(
+            ["roy", "bounds", "--cells", ",".join(["0.125"] * 8)],
+            "partialid")
+        assert "partialid.roy" in loaded
+        assert not (_LATE_MODULES | {"partialid.simulate",
+                                     "partialid.dilation",
+                                     "partialid.structures"}) & set(loaded)
+
+    def test_dilate_loads_only_dilation_code(self, intervals_csv):
+        loaded = _modules_after_run(
+            ["dilate", "region", "--a=0", "--b=1", "--boot=100",
+             "--input", intervals_csv], "partialid")
+        assert "partialid.dilation" in loaded
+        assert not (_LATE_MODULES | {"partialid.roy", "partialid.simplex",
+                                     "partialid.structures"}) & set(loaded)
+
     def test_roy_loads_no_late_code(self):
         loaded = _modules_after("import partialid.roy", "partialid")
         assert not {"partialid.latepoint", "partialid.latebounds",
@@ -718,6 +795,50 @@ class TestImports:
             partialid.no_such_name
         assert str(err.value) == \
             "module 'partialid' has no attribute 'no_such_name'"
+
+
+class TestLazyNames:
+    """Library names on the CLI module: resolved on first use, bound per
+    command group, and never rebound over a name already set."""
+
+    @pytest.mark.parametrize("argv,group,name", [
+        (["late", "point", "--input"], "late", "load_sample_csv"),
+        (["roy", "bounds", "--input"], "roy", "potential_outcome_bounds"),
+        (["structures", "analyze", "--space"], "structures",
+         "binary_decidability"),
+        (["dilate", "region", "--a=0", "--b=1", "--boot=100", "--input"],
+         "dilate", "confidence_region")])
+    def test_patch_before_the_first_command_is_called(
+            self, capsys, monkeypatch, request, argv, group, name):
+        from partialid import _EXPORTS, cli
+
+        # unbind the group's names, as in a process that ran no command yet
+        for module in cli._GROUP_MODULES[group]:
+            for bound in _EXPORTS[module]:
+                monkeypatch.delitem(vars(cli), bound, raising=False)
+        original = getattr(cli, name)
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorder)
+        source = request.getfixturevalue(
+            {"late": "sample_csv", "roy": "binary_csv",
+             "structures": "space_json", "dilate": "intervals_csv"}[group])
+        code, _, _ = run_cli(capsys, *argv, source)
+        assert code == 0
+        assert calls == [name]
+        assert getattr(cli, name) is recorder
+
+    def test_unknown_name_is_an_attribute_error(self):
+        from partialid import cli
+
+        with pytest.raises(AttributeError) as err:
+            cli.no_such_name
+        assert str(err.value) == \
+            "module 'partialid.cli' has no attribute 'no_such_name'"
 
 
 class TestRender:

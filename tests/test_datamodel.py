@@ -247,6 +247,9 @@ def old_load_sample_csv(path):
             except ValueError:
                 raise DataError(
                     f"{path}, row {i}: non-numeric outcome {row[0]!r}")
+            if not math.isfinite(y):
+                raise DataError(
+                    f"{path}, row {i}: non-finite outcome {row[0]!r}")
             d, z = row[1].strip(), row[2].strip()
             if d not in ("0", "1"):
                 raise DataError(
@@ -286,6 +289,8 @@ def old_load_intervals_csv(path):
                 lo, hi = float(row[0]), float(row[1])
             except ValueError:
                 raise DataError(f"{path}, row {i}: non-numeric cell")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DataError(f"{path}, row {i}: non-finite cell")
             if lo > hi:
                 raise DataError(f"{path}, row {i}: y_l > y_u")
             lows.append(lo)
