@@ -33,6 +33,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 from importlib import import_module
@@ -83,6 +84,25 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+
+
+# argparse takes a value such as "-1,4" for an option, since it is not a
+# plain negative number, so a value of these options that starts with '-'
+# and a digit or '.' is joined to its option before parsing
+_SIGNED_VALUE_OPTIONS = ("--band", "--cells")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_values(argv):
+    """``argv`` with ``--band -1,4`` written ``--band=-1,4`` (and the same
+    for ``--cells``), so both spellings parse and echo alike."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _jsonable(obj):
@@ -524,7 +544,7 @@ def build_parser() -> _Parser:
 
 def run(argv=None):
     """Parse argv, dispatch, and print a report; returns the exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,11 +11,17 @@ that polyhedron and admit closed forms, which
 the polyhedron itself, and :func:`optimize_functional` optimises any
 linear functional of the cells over it with the bundled simplex solver.
 
+The refutability slack, the minimal loss and the four bound ends are scalar
+closed forms on the eight observed cell masses, which
+:class:`RoyDistribution` reads once as Python floats; numpy is used only
+where arrays are the point (the polyhedron, the LP and counting a sample).
+
 Cell masses are C[d, y, k, z] = Pr(Y(1)=y, Y(0)=k, D=d, Z=z).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,10 @@ from .errors import DataError
 from .simplex import solve_lp
 
 _ATOL = 1e-9
+
+# to_jsonable keys in cell order, position 4y + 2d + z
+_CELL_KEYS = tuple(f"pr_y{y}_d{d}_z{z}"
+                   for y in (0, 1) for d in (0, 1) for z in (0, 1))
 
 
 def _cell_index(d, y, k, z):
@@ -36,7 +46,11 @@ class RoyDistribution:
     """Observed joint distribution of (Y, D, Z), all binary.
 
     ``p[y, d, z]`` is Pr(Y=y, D=d, Z=z); entries are nonnegative and sum to
-    one, and both instrument arms must have positive probability.
+    one, and both instrument arms must have positive probability.  ``p`` is
+    kept clipped at zero and read-only; the same eight masses are kept as a
+    tuple of Python floats at position 4y + 2d + z (``p.ravel()`` order),
+    and every per-distribution quantity is scalar arithmetic on them, summed
+    in the order numpy's reductions over ``p`` use.
     """
 
     p: np.ndarray
@@ -45,18 +59,21 @@ class RoyDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (2, 2, 2):
             raise DataError("p must have shape (2, 2, 2) indexed [y, d, z]")
-        if not np.isfinite(p).all():
+        f = p.ravel().tolist()
+        if not all(map(math.isfinite, f)):
             raise DataError("cell probabilities must be finite")
-        if (p < -_ATOL).any():
+        if min(f) < -_ATOL:
             raise DataError("cell probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-8:
             raise DataError("cell probabilities must sum to one")
-        p = np.clip(p, 0.0, None)
+        f = tuple([x if x > 0.0 else 0.0 for x in f])
+        p = np.array(f).reshape(2, 2, 2)
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_cells", f)
         # the arm masses scale every bound and constraint row
-        object.__setattr__(self, "_pz", (float(p[:, :, 0].sum()),
-                                         float(p[:, :, 1].sum())))
+        object.__setattr__(self, "_pz", (f[0] + f[2] + f[4] + f[6],
+                                         f[1] + f[3] + f[5] + f[7]))
         if self.pr_z(0) <= 0 or self.pr_z(1) <= 0:
             raise DataError("both instrument arms need positive probability")
 
@@ -69,23 +86,20 @@ class RoyDistribution:
         if y.shape != d.shape or y.shape != z.shape or y.ndim != 1 or y.size == 0:
             raise DataError("y, d, z must be equal-length nonempty vectors")
         for name, v in (("y", y), ("d", d), ("z", z)):
-            if not np.isin(v, (0, 1)).all():
+            if (v & ~1).any():  # a bit other than the lowest is set
                 raise DataError(f"{name} must be binary")
-        p = np.zeros((2, 2, 2))
-        np.add.at(p, (y, d, z), 1.0)
-        return cls(p / y.size)
+        counts = np.bincount(4 * y + 2 * d + z, minlength=8)
+        return cls(counts.reshape(2, 2, 2) / y.size)
 
     def pr_z(self, z):
         return self._pz[z]
 
     def pr_y_given_z(self, y, z):
-        return float(self.p[y, :, z].sum()) / self.pr_z(z)
+        f = self._cells
+        return (f[4 * y + z] + f[4 * y + 2 + z]) / self._pz[z]
 
     def to_jsonable(self):
-        return {
-            f"pr_y{y}_d{d}_z{z}": float(self.p[y, d, z])
-            for y in (0, 1) for d in (0, 1) for z in (0, 1)
-        }
+        return dict(zip(_CELL_KEYS, self._cells))
 
 
 def check_roy_refutable(dist: RoyDistribution):
@@ -97,17 +111,17 @@ def check_roy_refutable(dist: RoyDistribution):
     slack Pr(Y=0|Z=0) - Pr(Y=0|Z=1) (negative means refuted).
     """
     slack = dist.pr_y_given_z(0, 0) - dist.pr_y_given_z(0, 1)
-    return {"refuted": bool(slack < 0), "slack": float(slack)}
+    return {"refuted": slack < 0, "slack": slack}
 
 
 def min_efficiency_loss(dist: RoyDistribution):
     """Smallest total probability of strictly inefficient choices
     compatible with the observed distribution (joint scale, i.e. a mass of
     (Y, D, Z) cells, not conditional on Z=1)."""
-    pz1, pz0 = dist.pr_z(1), dist.pr_z(0)
-    py0z1 = float(dist.p[0, :, 1].sum())
-    py0z0 = float(dist.p[0, :, 0].sum())
-    return max(0.0, py0z1 - py0z0 * pz1 / pz0)
+    f = dist._cells
+    pz0, pz1 = dist._pz
+    # Pr(Y=0, Z=1) - Pr(Y=0, Z=0) Pr(Z=1) / Pr(Z=0)
+    return max(0.0, (f[1] + f[3]) - (f[0] + f[2]) * pz1 / pz0)
 
 
 def _pattern(rows):
@@ -206,15 +220,14 @@ def potential_outcome_bounds(dist: RoyDistribution, verify=True):
     still passes ``verify=False``.
     Returns ``{"z0": (lo, hi), "z1": (lo, hi), "min_efficiency_loss": m}``.
     """
-    p = dist.p
-    pz1, pz0 = dist.pr_z(1), dist.pr_z(0)
+    f = dist._cells
+    pz0, pz1 = dist._pz
     m_el = min_efficiency_loss(dist)
-    l0 = float(p[1, 1, 0]) / pz0
-    u0 = (float(p[1, 1, 0]) + min(float(p[1, 0, 0]),
-                                  pz0 / pz1 * float(p[1, :, 1].sum()))) / pz0
+    py1z1 = f[5] + f[7]  # Pr(Y=1, Z=1)
+    l0 = f[6] / pz0
+    u0 = (f[6] + min(f[4], pz0 / pz1 * py1z1)) / pz0
     # m - Pr(Y=0, D=1, Z=1) <= Pr(Y=0, D=0, Z=1) holds exactly; the cap
     # keeps it so after rounding, and with it l1 <= u1
-    l1 = (float(p[1, 1, 1]) + max(0.0, min(m_el - float(p[0, 1, 1]),
-                                           float(p[0, 0, 1])))) / pz1
-    u1 = (float(p[1, :, 1].sum()) + min(m_el, float(p[0, 0, 1]))) / pz1
+    l1 = (f[7] + max(0.0, min(m_el - f[3], f[1]))) / pz1
+    u1 = (py1z1 + min(m_el, f[1])) / pz1
     return {"z0": (l0, u0), "z1": (l1, u1), "min_efficiency_loss": m_el}

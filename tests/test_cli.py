@@ -161,6 +161,29 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: --band values must be finite: -inf,inf\n"
 
+    @pytest.mark.parametrize("band", ["-1,4", "-.5,4", "-3,-1"])
+    def test_negative_band_after_a_space(self, capsys, sample_csv, band):
+        # argparse takes "-1,4" for an option; both spellings give the same
+        # report, the command echo included
+        spaced = run_cli(capsys, "late", "point", "--input", sample_csv,
+                         "--band", band)
+        joined = run_cli(capsys, "late", "point", "--input", sample_csv,
+                         f"--band={band}")
+        assert spaced == joined
+        assert spaced[0] in (0, 3)
+
+    def test_negative_cells_after_a_space_are_2(self, capsys):
+        code, out, err = run_cli(capsys, "roy", "bounds", "--cells",
+                                 "-0.1,0.1,0,0,0,0,0.5,0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: cell probabilities must be nonnegative\n"
+
+    def test_option_after_band_is_still_an_option(self, capsys, sample_csv):
+        code, _, err = run_cli(capsys, "late", "point", "--input", sample_csv,
+                               "--band", "--h", "1")
+        assert code == 1
+        assert "--band: expected one argument" in err
+
     @pytest.mark.parametrize("argv", [
         ["late", "point", "--input", "x.csv", "--threads", "2"],
         ["roy", "bounds", "--cells", "0.125,0.125,0.125,0.125,0.125,0.125,"

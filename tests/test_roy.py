@@ -429,16 +429,21 @@ class TestTinyArms:
 
 
 @st.composite
-def dirichlet_dists(draw):
+def dirichlet_cells(draw):
     """Dirichlet draws of mixed concentration, refuted ones included, now
-    and then with up to four cells set to zero."""
+    and then with up to four cells set to zero: the cell array."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     p = rng.dirichlet(np.ones(8) * draw(st.floats(0.1, 3.0))).reshape(2, 2, 2)
     for cell in draw(st.lists(st.tuples(*[st.integers(0, 1)] * 3),
                               max_size=4)):
         p[cell] = 0.0
     assume(p[:, :, 0].sum() > 0 and p[:, :, 1].sum() > 0)
-    return RoyDistribution(p / p.sum())
+    return p / p.sum()
+
+
+def dirichlet_dists():
+    """:func:`dirichlet_cells` as distributions."""
+    return dirichlet_cells().map(RoyDistribution)
 
 
 class TestBoundProperties:
@@ -468,3 +473,213 @@ class TestBoundProperties:
         p, pz1 = dist.p, dist.pr_z(1)
         assert bounds["z1"] == (float(p[1, 1, 1]) / pz1,
                                 float(p[1, :, 1].sum()) / pz1)
+
+
+# The numpy constructor and closed forms that the scalar ones replaced,
+# kept as the oracle they must match bit for bit.
+
+def old_cells(p):
+    """The checks of the numpy constructor, in its order; the clipped
+    cells."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (2, 2, 2):
+        raise DataError("p must have shape (2, 2, 2) indexed [y, d, z]")
+    if not np.isfinite(p).all():
+        raise DataError("cell probabilities must be finite")
+    if (p < -1e-9).any():
+        raise DataError("cell probabilities must be nonnegative")
+    if abs(p.sum() - 1.0) > 1e-8:
+        raise DataError("cell probabilities must sum to one")
+    p = np.clip(p, 0.0, None)
+    if old_pr_z(p, 0) <= 0 or old_pr_z(p, 1) <= 0:
+        raise DataError("both instrument arms need positive probability")
+    return p
+
+
+def old_pr_z(p, z):
+    return float(p[:, :, z].sum())
+
+
+def old_pr_y_given_z(p, y, z):
+    return float(p[y, :, z].sum()) / old_pr_z(p, z)
+
+
+def old_check_roy_refutable(p):
+    slack = old_pr_y_given_z(p, 0, 0) - old_pr_y_given_z(p, 0, 1)
+    return {"refuted": bool(slack < 0), "slack": float(slack)}
+
+
+def old_min_efficiency_loss(p):
+    pz1, pz0 = old_pr_z(p, 1), old_pr_z(p, 0)
+    py0z1 = float(p[0, :, 1].sum())
+    py0z0 = float(p[0, :, 0].sum())
+    return max(0.0, py0z1 - py0z0 * pz1 / pz0)
+
+
+def old_potential_outcome_bounds(p):
+    pz1, pz0 = old_pr_z(p, 1), old_pr_z(p, 0)
+    m_el = old_min_efficiency_loss(p)
+    l0 = float(p[1, 1, 0]) / pz0
+    u0 = (float(p[1, 1, 0]) + min(float(p[1, 0, 0]),
+                                  pz0 / pz1 * float(p[1, :, 1].sum()))) / pz0
+    l1 = (float(p[1, 1, 1]) + max(0.0, min(m_el - float(p[0, 1, 1]),
+                                           float(p[0, 0, 1])))) / pz1
+    u1 = (float(p[1, :, 1].sum()) + min(m_el, float(p[0, 0, 1]))) / pz1
+    return {"z0": (l0, u0), "z1": (l1, u1), "min_efficiency_loss": m_el}
+
+
+def old_to_jsonable(p):
+    return {f"pr_y{y}_d{d}_z{z}": float(p[y, d, z])
+            for y in (0, 1) for d in (0, 1) for z in (0, 1)}
+
+
+def assert_identical(got, want):
+    """Equal, and equal in type and in the sign of every zero."""
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def assert_matches_numpy_oracle(cells):
+    """Every scalar output of ``RoyDistribution(cells)`` is the numpy
+    oracle's, bit for bit; an error has the oracle's type and text."""
+    try:
+        p = old_cells(cells)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            RoyDistribution(cells)
+        assert str(got.value) == str(exc)
+        return
+    dist = RoyDistribution(cells)
+    assert np.array_equal(dist.p, p)
+    for z in (0, 1):
+        assert_identical(dist.pr_z(z), old_pr_z(p, z))
+        for y in (0, 1):
+            assert_identical(dist.pr_y_given_z(y, z), old_pr_y_given_z(p, y, z))
+    assert_identical(check_roy_refutable(dist), old_check_roy_refutable(p))
+    assert_identical(min_efficiency_loss(dist), old_min_efficiency_loss(p))
+    assert_identical(potential_outcome_bounds(dist),
+                     old_potential_outcome_bounds(p))
+    assert_identical(dist.to_jsonable(), old_to_jsonable(p))
+
+
+def _tiny_arm(pz1):
+    """Cells with Pr(Z=1) = pz1 and every cell positive."""
+    p = np.array([0.1, 1.0, 0.2, 2.0, 0.3, 3.0, 0.4, 4.0]).reshape(2, 2, 2)
+    p[:, :, 0] *= (1.0 - pz1) / p[:, :, 0].sum()
+    p[:, :, 1] *= pz1 / p[:, :, 1].sum()
+    return p
+
+
+class TestNumpyOracle:
+    """The scalar closed forms on the eight cell floats give exactly what
+    the numpy formulas on ``p`` gave, errors included."""
+
+    @given(cells=dirichlet_cells())
+    @example(cells=_tiny_arm(1e-7))
+    @example(cells=_tiny_arm(1.0 - 1e-7))
+    # l1's cap binds only after rounding here
+    @example(cells=np.array(
+        [0.0, 2.7372994696281037e-17, 0.0, 0.12233873534040339,
+         0.0, 0.0, 0.6256794188589034, 0.25198184580069324]).reshape(
+             2, 2, 2))
+    # refuted, with the inefficient mass above Pr(Y=0, D=0, Z=1)
+    @example(cells=np.array(
+        [0.0576, 0.0915, 0.1122, 0.1318, 0.3133, 0.0164, 0.1568, 0.1204]
+    ).reshape(2, 2, 2))
+    @settings(max_examples=2000, deadline=None)
+    def test_agrees_exactly(self, cells):
+        assert_matches_numpy_oracle(cells)
+
+    def test_draws_reach_every_branch(self):
+        # the fixed draws below cover both sides of every min and max and
+        # arms down to 1e-7
+        dists = random_dists(5, 60)
+        for dist in dists:
+            assert_matches_numpy_oracle(np.array(dist.p))
+        for pz1 in (1e-5, 1e-7):
+            for dist in tiny_arm_draws(pz1, 100):
+                assert_matches_numpy_oracle(np.array(dist.p))
+
+    @pytest.mark.parametrize("cell,value", [
+        ((0, 0, 1), np.nan), ((1, 1, 0), np.inf), ((0, 1, 0), -np.inf),
+        ((0, 0, 1), -1e-8), ((1, 0, 1), -1e-10), ((0, 0, 0), -0.0)])
+    def test_edited_cell(self, cell, value):
+        # -1e-10 is within tolerance and clipped to zero
+        p = balanced_dist().p.copy()
+        p[cell] = value
+        assert_matches_numpy_oracle(p)
+
+    def test_sum_off_by_2e_8(self):
+        p = balanced_dist().p.copy()
+        p[1, 1, 1] += 2e-8
+        assert_matches_numpy_oracle(p)
+
+    @pytest.mark.parametrize("cells", [
+        np.zeros((2, 2)), np.full(8, 0.125), [[0.5, 0.5]],
+        np.full((2, 2, 2), 0.2)])
+    def test_bad_shape_or_mass(self, cells):
+        with pytest.raises(DataError):
+            old_cells(cells)
+        assert_matches_numpy_oracle(cells)
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_empty_arm(self, arm):
+        p = np.zeros((2, 2, 2))
+        p[:, :, 1 - arm] = 0.25
+        assert_matches_numpy_oracle(p)
+        # an arm whose only mass is clipped away is empty too
+        p[0, 0, arm] = -1e-10
+        assert_matches_numpy_oracle(p)
+
+    def test_p_is_clipped_and_read_only(self):
+        cells = np.array(balanced_dist().p)
+        cells[1, 1, 1] += cells[0, 1, 1]
+        cells[0, 1, 1] = -1e-10
+        dist = RoyDistribution(cells)
+        assert dist.p[0, 1, 1] == 0.0
+        assert (dist.p >= 0).all()
+        assert not dist.p.flags.writeable
+        with pytest.raises(ValueError):
+            dist.p[0, 0, 0] = 0.5
+        # the caller's array is neither clipped nor frozen
+        assert cells[0, 1, 1] == -1e-10
+        assert cells.flags.writeable
+
+
+def old_from_sample(y, d, z):
+    """The cell counts of the parent's ``from_sample``: one ``np.add.at``."""
+    y, d, z = (np.asarray(v, dtype=int) for v in (y, d, z))
+    p = np.zeros((2, 2, 2))
+    np.add.at(p, (y, d, z), 1.0)
+    return p / y.size
+
+
+class TestFromSample:
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_matches_add_at(self, n):
+        rng = np.random.default_rng(n)
+        y, d, z = rng.integers(0, 2, (3, n))
+        z[0], z[-1] = 0, 1
+        dist = RoyDistribution.from_sample(y, d, z)
+        assert np.array_equal(dist.p, old_from_sample(y, d, z))
+
+    @pytest.mark.parametrize("name,bad", [("y", 2), ("d", -1), ("z", 3),
+                                          ("y", -2)])
+    def test_non_binary_names_the_column(self, name, bad):
+        cols = {"y": [0, 1, 1, 0], "d": [1, 0, 1, 0], "z": [0, 1, 0, 1]}
+        cols[name] = cols[name][:-1] + [bad]
+        with pytest.raises(DataError) as exc:
+            RoyDistribution.from_sample(cols["y"], cols["d"], cols["z"])
+        assert str(exc.value) == f"{name} must be binary"
+
+    def test_first_non_binary_column_is_named(self):
+        with pytest.raises(DataError, match="^d must be binary$"):
+            RoyDistribution.from_sample([0, 1], [0, 2], [0, 5])
+
+    @pytest.mark.parametrize("y,d,z", [([0, 1], [0], [1, 0]),
+                                       ([], [], []),
+                                       ([[0, 1]], [[0, 1]], [[0, 1]])])
+    def test_unequal_or_empty(self, y, d, z):
+        with pytest.raises(DataError) as exc:
+            RoyDistribution.from_sample(y, d, z)
+        assert str(exc.value) == "y, d, z must be equal-length nonempty vectors"
