@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .datamodel import sorted_quantile
 from .errors import ConfigError, DataError
 
 
@@ -93,7 +94,8 @@ def bootstrap_critical_value(sample, n_boot, alpha, seed):
             gap = np.abs(cum[ends] - base).max() / n
             sup = max(sup, gap)
         etas[b] = root_n * sup
-    return float(np.quantile(etas, 1.0 - alpha))
+    etas.sort()
+    return sorted_quantile(etas, 1.0 - alpha)
 
 
 # ----------------------------------------------------------------------

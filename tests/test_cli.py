@@ -624,10 +624,9 @@ class TestSimulate:
         assert err == "error: n must be at least 2\n"
 
 
-def _fresh(code, *args, **env):
-    """Last stdout line of a fresh interpreter that runs ``code`` with
-    ``args`` and the package on its path; an ``env`` value of None unsets
-    that variable, any other sets it."""
+def _child_env(**env):
+    """This process's environment with the package on the path; an ``env``
+    value of None unsets that variable, any other sets it."""
     src = os.path.dirname(os.path.dirname(partialid.__file__))
     full = dict(os.environ)
     full["PYTHONPATH"] = os.pathsep.join(
@@ -637,9 +636,19 @@ def _fresh(code, *args, **env):
             full.pop(key, None)
         else:
             full[key] = value
-    out = subprocess.run([sys.executable, "-c", code, *args], env=full,
-                         capture_output=True, text=True, check=True)
+    return full
+
+
+def _fresh(code, *args, **env):
+    """Last stdout line of a fresh interpreter that runs ``code`` with
+    ``args`` and the package on its path (``env`` as for ``_child_env``)."""
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         env=_child_env(**env), capture_output=True,
+                         text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
+
+
+_CLI = [sys.executable, "-m", "partialid.cli"]
 
 
 def _modules_after(code, prefix):
@@ -784,6 +793,18 @@ class TestImports:
         assert not (_LATE_MODULES | {"partialid.roy", "partialid.simplex",
                                      "partialid.structures"}) & set(loaded)
 
+    @pytest.mark.parametrize("argv", [
+        ["late", "point", "--input"], ["late", "bounds", "--input"],
+        ["late", "test", "--input"],
+        ["dilate", "region", "--a=0", "--b=1", "--boot=100", "--input"]],
+        ids=["late-point", "late-bounds", "late-test", "dilate-region"])
+    def test_late_and_dilate_load_no_masked_arrays(self, request, argv):
+        # np.quantile imports numpy.ma, some 20 ms of a fresh process
+        source = request.getfixturevalue(
+            "intervals_csv" if argv[0] == "dilate" else "sample_csv")
+        loaded = _modules_after_run([*argv, source], "numpy")
+        assert "numpy" in loaded and "numpy.ma" not in loaded
+
     def test_roy_loads_no_late_code(self):
         loaded = _modules_after("import partialid.roy", "partialid")
         assert not {"partialid.latepoint", "partialid.latebounds",
@@ -818,6 +839,66 @@ class TestImports:
             partialid.no_such_name
         assert str(err.value) == \
             "module 'partialid' has no attribute 'no_such_name'"
+
+
+class TestMain:
+    """``main`` is ``run`` in a process of its own."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["late", "point", "--input", "{sample}"], 0),
+        (["dilate", "region", "--a=0", "--b=1", "--boot=100", "--input",
+          "{intervals}"], 0),
+        (["late", "point"], 1),
+        (["late", "point", "--input", "/nonexistent/x.csv"], 2),
+        (["late", "point", "--input", "{sample}", "--b", "99",
+          "--threshold-scale", "absolute", "--tails", "none"], 3)],
+        ids=["late-point", "dilate-region", "usage", "missing-file", "weak"])
+    def test_exit_code_and_output_match_run(self, capsys, sample_csv,
+                                            intervals_csv, argv, code):
+        argv = [a.format(sample=sample_csv, intervals=intervals_csv)
+                for a in argv]
+        child = subprocess.run(_CLI + argv, env=_child_env(),
+                               capture_output=True)
+        assert run_cli(capsys, *argv) == \
+            (code, child.stdout.decode(), child.stderr.decode())
+        assert child.returncode == code
+
+    def test_run_freezes_nothing(self, capsys, sample_csv):
+        import gc
+
+        assert run_cli(capsys, "late", "test", "--input", sample_csv)[0] == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_exit_still_runs_atexit_handlers(self, sample_csv):
+        code = ("import atexit, gc, sys\n"
+                "from partialid import cli\n"
+                "atexit.register(lambda: print('frozen', "
+                "gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                "sys.argv = ['partialid', 'late', 'test', '--input', "
+                f"{sample_csv!r}]\n"
+                "cli.main()")
+        child = subprocess.run([sys.executable, "-c", code],
+                               env=_child_env(), capture_output=True,
+                               text=True)
+        assert child.returncode == 0
+        assert json.loads(child.stdout)["results"]["n"] == 400
+        assert child.stderr == "frozen True\n"
+
+    # buffered, the report fails at the flush and stays buffered for the
+    # flush at exit; unbuffered, it fails at the write
+    @pytest.mark.parametrize("unbuffered", [None, "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_2_with_one_line(self, sample_csv, unbuffered):
+        child = subprocess.Popen(_CLI + ["late", "point", "--input",
+                                         sample_csv],
+                                 env=_child_env(PYTHONUNBUFFERED=unbuffered),
+                                 stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+        child.stdout.close()  # before the child can write its report
+        err = child.stderr.read().decode()
+        assert child.wait() == 2
+        assert err == ("error: standard output closed before the report "
+                       "was written\n")
 
 
 class TestLazyNames:

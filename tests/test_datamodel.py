@@ -9,15 +9,15 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from partialid.datamodel import (Sample, build_empirical, load_sample_csv,
                                  load_intervals_csv, open_utf8, RunConfig,
                                  default_empirical_config,
                                  default_simulation_config,
-                                 theorem_bandwidth, theorem_trimming,
-                                 default_threshold)
+                                 sorted_quantile, theorem_bandwidth,
+                                 theorem_trimming, default_threshold)
 from partialid.density import cell_sum
 from partialid.errors import ConfigError, DataError
 from partialid.latepoint import TailSpec
@@ -180,6 +180,47 @@ class TestRunConfig:
         out = cfg.to_jsonable()
         for key in ("band", "alpha", "h", "b", "kappa", "threshold_scale"):
             assert key in out
+
+
+# finite values whose differences stay finite: subnormals, signed zeros,
+# magnitudes near 1e300 and small integers, which tie
+_QUANTILE_VALUES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                     9.9e299, -9.9e299]),
+    st.integers(-3, 3).map(float))
+_LEVELS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.01, 0.1, 0.5, 0.9, 0.99]),
+    st.floats(0.0, 1.0),
+    # 1 - alpha, as the bootstrap critical value takes it
+    st.floats(2.0 ** -53, 1.0).map(lambda alpha: 1.0 - alpha))
+
+
+class TestSortedQuantile:
+    """The sorted-array quantile equals numpy's default one."""
+
+    @given(values=st.lists(_QUANTILE_VALUES, min_size=1, max_size=80),
+           q=_LEVELS)
+    @example(values=[-1e300], q=0.5)
+    @example(values=[5e-324, 1e-320, 5e-324], q=0.95)
+    @example(values=[1e300, -1e300, 3.0], q=1.0)
+    @example(values=[2.0, 2.0, 2.0, 1.0], q=0.0)
+    @settings(max_examples=2000, deadline=None)
+    def test_equals_numpy(self, values, q):
+        ys = np.array(values)
+        got = sorted_quantile(np.sort(ys), q)
+        assert type(got) is float
+        assert got == np.quantile(ys, q)
+
+    def test_without_zeros_of_both_signs_the_bits_agree(self):
+        # numpy partitions and the helper sorts, so only the order of
+        # tied zeros can differ between them
+        rng = np.random.default_rng(4)
+        for n in range(1, 60):
+            ys = np.abs(np.round(rng.normal(0, 1, n), 1))
+            for q in (0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0):
+                got = sorted_quantile(np.sort(ys), q)
+                assert repr(got) == repr(float(np.quantile(ys, q)))
 
 
 class TestEmpiricalConfig:
