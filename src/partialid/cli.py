@@ -80,16 +80,19 @@ def _bind(group):
             scope.setdefault(name, getattr(module, name))
 
 
-class _UsageError(Exception):
-    pass
+class _ParseEnd(Exception):
+    """Ends a parse; ``args`` are the exit code and the text for stderr."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse variant that reports usage problems via exception so the
-    driver can map them to exit code 1."""
+    """Argparse variant that ends a parse by exception, so that ``run``
+    returns its exit code: 1 on a usage error, 0 after --help or --version."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+        self.exit(1, f"{self.prog}: error: {message}\n{self.format_usage()}\n")
+
+    def exit(self, status=0, message=None):
+        raise _ParseEnd(status, message or "")
 
 
 # argparse takes a value such as "-1,4" for an option, since it is not a
@@ -251,12 +254,7 @@ def _cmd_late_point(args):
         late = known_tail_estimate(sample, est, tails, cfg.b, cfg.band,
                                    cfg.alpha,
                                    threshold_scale=cfg.threshold_scale)
-        results["estimate"] = late.point
-        results["sigma"] = late.sigma
-        results["ci"] = list(late.ci)
-        results["complier_mass_d1"] = late.mass1
-        results["complier_mass_d0"] = late.mass0
-        results["tails"] = tails.to_jsonable()
+        results.update(late.to_jsonable())
     if not diagnostic["passes"]:
         warnings.append("testable implication violated at the chosen "
                         "trimming level")
@@ -284,10 +282,8 @@ def _cmd_late_bounds(args):
         warnings.append(
             "the complier-mass gap sits near the regime threshold; the "
             "alternative regime's output is reported alongside")
-        alt_regime = ("point" if delta.regime != "point"
-                      else ("below" if delta.delta < 0 else "above"))
-        alt_delta = dataclasses.replace(delta, regime=alt_regime)
-        alt = estimate_bounds(sample, set1, set0, alt_delta, h=cfg.h)
+        alt = estimate_bounds(sample, set1, set0, delta.alternative(),
+                              h=cfg.h)
         results["alternative_regime"] = alt.to_jsonable()
     return {"config": cfg.to_jsonable(), "results": results,
             "warnings": warnings}
@@ -554,9 +550,9 @@ def run(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    except _ParseEnd as exc:
+        sys.stderr.write(exc.args[1])
+        return exc.args[0]
     _bind(args.group)
     start = time.perf_counter()
     try:

@@ -200,7 +200,7 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
 
     Requires n >= 20; the rules are unreliable below that.
     """
-    from .density import cell_sum  # local: avoid cycle
+    from .density import _signed_differences  # local: avoid cycle
 
     n = sample.n
     if n < 20:
@@ -220,8 +220,7 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
 
     # the density differences at the sorted observations, from the cell
     # sums: tied outcomes would make them an invalid DensityEstimate grid
-    f1 = cell_sum(sample, h, ys, 1, 1) - cell_sum(sample, h, ys, 1, 0)
-    f0 = cell_sum(sample, h, ys, 0, 0) - cell_sum(sample, h, ys, 0, 1)
+    f1, f0 = _signed_differences(sample, h, ys)
     density_level = float(np.mean(f1 + f0))
     b = n ** (-1.0 / 4.0) * density_level
     notes = []

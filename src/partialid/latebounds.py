@@ -16,16 +16,16 @@ scan over the order statistics runs per observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, WeakIdentificationError
-from .datamodel import Sample
+from .datamodel import Sample, theorem_bandwidth
 from .density import cell_sum
-from .latepoint import MIN_MASS, _Moments, _estimate_late, _late_variance
+from .latepoint import MIN_MASS, _Moments, _one_spec
 from .sets import IntervalUnion
 
 #: density floor below which the threshold-variance correction is flagged
@@ -42,6 +42,13 @@ class DeltaEstimate:
     mass1: float
     mass0: float
     near_boundary: bool
+
+    def alternative(self):
+        """The estimate in the regime across kappa from its own: 'point' for
+        a bound regime, else 'below' or 'above' by the sign of the gap."""
+        if self.regime != "point":
+            return replace(self, regime="point")
+        return replace(self, regime="below" if self.delta < 0 else "above")
 
     def to_jsonable(self):
         return {
@@ -100,19 +107,14 @@ def estimate_delta(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
     if not (kappa > 0):  # NaN fails too
         raise ConfigError("kappa must be positive")
     tab = _Moments(sample, set1, set0)
-    mass0, mass1 = (float(tab.mean(w, tab.count)) for w in tab.mass)
+    mass1, mass0 = map(float, tab.complier_masses())
     delta = mass1 - mass0
-    if delta < -kappa:
-        regime = "below"
-    elif delta > kappa:
-        regime = "above"
-    else:
-        regime = "point"
-    return DeltaEstimate(
-        delta=delta, kappa=float(kappa), regime=regime,
+    point = DeltaEstimate(
+        delta=delta, kappa=float(kappa), regime="point",
         mass1=mass1, mass0=mass0,
         near_boundary=bool(0.5 * kappa <= abs(delta) <= 2.0 * kappa),
     )
+    return point.alternative() if abs(delta) > kappa else point
 
 
 def _scan_threshold(y, contrib, target):
@@ -185,18 +187,17 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
     the corrected side's complier mean is evaluated with the gap mass
     collected at the low or high end, and both ratios share the larger
     complier mass as denominator.  ``h`` is the bandwidth of the density
-    level at each threshold (default n^{-1/5}).
+    level at each threshold (default ``theorem_bandwidth``, n^{-1/5}).
     """
     flags = []
     if delta.near_boundary:
         flags.append("delta_near_regime_boundary")
     tab = _Moments(sample, set1, set0)
     if delta.regime == "point":
-        point = _estimate_late(tab)
-        sig = float(_late_variance(tab, "outcome")[0])
+        late = _one_spec(tab)
         return BoundEstimate(
-            lower=point.point, upper=point.point, regime="point",
-            n=sample.n, sigma_lower=sig, sigma_upper=sig, flags=tuple(flags),
+            lower=late.point, upper=late.point, regime="point", n=sample.n,
+            sigma_lower=late.sigma, sigma_upper=late.sigma, flags=tuple(flags),
         )
 
     denom = max(delta.mass1, delta.mass0)
@@ -256,7 +257,7 @@ def _bound(tab, set1, set0, delta, t, which, h):
     """One bound with its standard deviation and variance components, all
     read from the table split by the bound's threshold cut."""
     if h is None:
-        h = tab.n ** (-1.0 / 5.0)
+        h = theorem_bandwidth(tab.n)
 
     side_d = 1 if delta.regime == "below" else 0
     # low-end correction serves the lower bound on the d=1 side but the

@@ -11,13 +11,14 @@ which splits each group by its threshold cut).  The tails do not move the
 cores, so a table stacked over tail specs carries one row of region
 memberships per spec, and the union evaluates all sixteen specs in one
 pass: their masses, point estimates, 6x6 covariances and delta-method
-variances are arrays with a leading spec axis."""
+variances are arrays with a leading spec axis; every other estimate is
+that pass over one spec (``_one_spec``)."""
 
 from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Optional
 
@@ -145,20 +146,16 @@ class LateEstimate:
     tails: Optional[TailSpec] = None
 
     def to_jsonable(self):
+        """The estimate as ``late point`` prints it, None fields left out."""
         out = {
             "estimate": self.point,
+            "sigma": self.sigma,
+            "ci": None if self.ci is None else list(self.ci),
             "complier_mass_d1": self.mass1,
             "complier_mass_d0": self.mass0,
-            "n": self.n,
+            "tails": None if self.tails is None else self.tails.to_jsonable(),
         }
-        if self.sigma is not None:
-            out["sigma"] = self.sigma
-        if self.ci is not None:
-            out["ci"] = [self.ci[0], self.ci[1]]
-            out["alpha"] = self.alpha
-        if self.tails is not None:
-            out["tails"] = self.tails.to_jsonable()
-        return out
+        return {key: value for key, value in out.items() if value is not None}
 
 
 #: groups of the moment table: (D, Z) cell x core-1 membership x core-0
@@ -269,6 +266,10 @@ class _Moments:
         ``sum_y``) or times 1 (``sums`` is ``count``), one per spec row."""
         return weight @ sums / self.n
 
+    def complier_masses(self):
+        """The estimated complier masses (d=1, d=0), one per spec row."""
+        return tuple(self.mean(self.mass[d], self.count) for d in (1, 0))
+
     def arm_means(self, parts, sums):
         """Means of y or 1 times each raw part: {z: mean}."""
         return {z: self.mean(parts[z], sums) for z in (0, 1)}
@@ -306,13 +307,14 @@ def _group_sums(code, y, groups):
 
 def estimate_late(sample: Sample, set1: IntervalUnion,
                   set0: IntervalUnion) -> LateEstimate:
-    """Two-ratio point estimator over the trimmed regions.
+    """Two-ratio point estimator over the given regions, with its plug-in
+    ``"outcome"`` standard deviation (see ``late_variance``).
 
     Numerators are sample means of Y times the instrument-arm contrast of
     treatment-cell indicators inside the region; denominators are the same
     means without Y (the estimated complier masses).
     """
-    return _estimate_late(_Moments(sample, set1, set0))
+    return replace(_one_spec(_Moments(sample, set1, set0)), tails=None)
 
 
 def _floor_error(mass1, mass0):
@@ -325,17 +327,6 @@ def _floor_error(mass1, mass0):
                 mass=float(mass),
             )
     return None
-
-
-def _estimate_late(tab):
-    num0, num1 = (tab.mean(w, tab.sum_y) for w in tab.mass)
-    den0, den1 = (tab.mean(w, tab.count) for w in tab.mass)
-    error = _floor_error(den1, den0)
-    if error is not None:
-        raise error
-    point = num1 / den1 - num0 / den0
-    return LateEstimate(point=float(point), mass1=float(den1),
-                        mass0=float(den0), n=tab.n)
 
 
 def late_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
@@ -364,24 +355,23 @@ def late_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
     if method not in ("outcome", "gradient"):
         raise ConfigError(
             f"variance method must be 'outcome' or 'gradient', got {method!r}")
-    sigma, components = _late_variance(_Moments(sample, set1, set0), method)
+    tab = _Moments(sample, set1, set0)
+    error = _floor_error(*tab.complier_masses())
+    if error is not None:
+        raise error
+    sigma, components = _late_variance(tab, method)
     return float(sigma), components
 
 
 def _late_variance(tab, method):
-    """``late_variance`` on a table.  On a table stacked over tail specs,
-    sigma and every component but D gain the leading spec axis, and the
-    delta-method form is one batched product."""
+    """``late_variance`` on a table whose masses clear the floor.  On a
+    table stacked over tail specs, sigma and every component but D gain
+    the leading spec axis, and the delta-method form is one batched product."""
     w0, w1 = tab.mass
     # core means: Y-weighted contrast d=1, d=0, complier mass d=1, d=0;
     # each list below has its spec axis last, and ``.T`` puts it first
     pi = np.array([tab.mean(w1, tab.sum_y), tab.mean(w0, tab.sum_y),
-                   tab.mean(w1, tab.count), tab.mean(w0, tab.count)]).T
-    if np.any(pi[..., 2:] < MIN_MASS):
-        raise WeakIdentificationError(
-            "complier mass below identification floor in variance step",
-            mass=float(np.min(pi[..., 2:])),
-        )
+                   *tab.complier_masses()]).T
     # influence vector: Z=1, Z=0, the four cores
     Sigma = tab.cov([tab.z1, 1.0 - tab.z1, w1, w0, w1, w0],
                     [False, False, True, True, False, False])
@@ -425,34 +415,46 @@ def _core_moments(sample, est, b_n, band, threshold_scale):
     return _Moments(sample, core1, core0, band)
 
 
-def _known_tails(cores, specs, alpha):
-    """Known-tail estimates of the specs, in one pass over the cores' table
-    stacked over them.
+def _known_tails(tab, specs, alpha=None):
+    """Known-tail estimates of the specs, in one pass over the table
+    stacked over them: each estimate's point, masses and sigma, and its
+    interval unless ``alpha`` is None.
 
     Returns the estimates of the specs whose complier masses clear the
     floor, in spec order, and the weak-identification errors of the
     others.  Those specs are dropped before anything divides by a mass.
     """
-    stack = cores.with_tails(specs)
-    mass0, mass1 = (stack.mean(w, stack.count) for w in stack.mass)
-    errors = [_floor_error(m1, m0) for m1, m0 in zip(mass1, mass0)]
+    stack = tab.with_tails(specs)
+    errors = [_floor_error(m1, m0) for m1, m0 in zip(*stack.complier_masses())]
     kept = [s for s, e in zip(specs, errors) if e is None]
     errors = [e for e in errors if e is not None]
     if not kept:
         return [], errors
     if errors:
-        stack = cores.with_tails(kept)
+        stack = tab.with_tails(kept)
     sigma, comp = _late_variance(stack, "outcome")
     p1, p2, p3, p4 = comp["pi"].T
     point = p1 / p3 - p2 / p4
-    half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * sigma / np.sqrt(cores.n)
+    cis = [None] * len(kept)
+    if alpha is not None:
+        zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+        half = zq * sigma / np.sqrt(tab.n)
+        cis = [(p - h, p + h) for p, h in zip(point.tolist(), half.tolist())]
     members = [
-        LateEstimate(point=p, mass1=m1, mass0=m0, n=cores.n, sigma=s,
-                     ci=(p - h, p + h), alpha=alpha, tails=tails)
-        for p, m1, m0, s, h, tails in zip(point.tolist(), p3.tolist(),
-                                          p4.tolist(), sigma.tolist(),
-                                          half.tolist(), kept)]
+        LateEstimate(point=p, mass1=m1, mass0=m0, n=tab.n, sigma=s, ci=ci,
+                     alpha=alpha, tails=tails)
+        for p, m1, m0, s, ci, tails in zip(point.tolist(), p3.tolist(),
+                                           p4.tolist(), sigma.tolist(), cis,
+                                           kept)]
     return members, errors
+
+
+def _one_spec(tab, tails=TailSpec(), alpha=None) -> LateEstimate:
+    """``_known_tails`` of one spec (by default, the table's own regions)."""
+    members, errors = _known_tails(tab, [tails], alpha)
+    if errors:
+        raise errors[0]
+    return members[0]
 
 
 def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
@@ -460,11 +462,8 @@ def known_tail_estimate(sample: Sample, est: DensityEstimate, tails: TailSpec,
                         threshold_scale="absolute") -> LateEstimate:
     """Point estimate plus the centred normal confidence interval for one
     fixed tail condition."""
-    members, errors = _known_tails(
-        _core_moments(sample, est, b_n, band, threshold_scale), [tails], alpha)
-    if errors:
-        raise errors[0]
-    return members[0]
+    return _one_spec(_core_moments(sample, est, b_n, band, threshold_scale),
+                     tails, alpha)
 
 
 def conservative_union_ci(sample: Sample, est: DensityEstimate, b_n, band,
@@ -478,14 +477,14 @@ def conservative_union_ci(sample: Sample, est: DensityEstimate, b_n, band,
     mass.
     """
     try:
-        cores = _core_moments(sample, est, b_n, band, threshold_scale)
-    except WeakIdentificationError as exc:  # no level: every spec fails
+        members, errors = _known_tails(
+            _core_moments(sample, est, b_n, band, threshold_scale),
+            TailSpec.all_specs(), alpha)
+        if not members:
+            raise errors[-1]
+    except WeakIdentificationError as exc:  # no level, or all under the floor
         raise WeakIdentificationError(
             "all 16 tail conditions are infeasible", mass=exc.mass) from exc
-    members, errors = _known_tails(cores, TailSpec.all_specs(), alpha)
-    if not members:
-        raise WeakIdentificationError(
-            "all 16 tail conditions are infeasible", mass=errors[-1].mass)
     return {
         "ci": (min(m.ci[0] for m in members), max(m.ci[1] for m in members)),
         "feasible": len(members),

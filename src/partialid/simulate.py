@@ -215,13 +215,13 @@ def true_identified_late(design: SimDesign):
 
 
 def _one_replication(design, n, cfg: RunConfig, estimator, truth, seed):
-    sample = draw_sample(design, n, seed)
-    emp = build_empirical(sample)
-    grid = default_grid(cfg.band, cfg.h)
-    est = estimate_density_diff(emp, sample, Kernel(), cfg.h, grid)
     record = {"error": None, "estimate": None, "sigma": None,
               "ci": None, "covered": None}
     try:
+        sample = draw_sample(design, n, seed)
+        emp = build_empirical(sample)
+        grid = default_grid(cfg.band, cfg.h)
+        est = estimate_density_diff(emp, sample, Kernel(), cfg.h, grid)
         if estimator == "known":
             late = known_tail_estimate(sample, est, cfg.tails, cfg.b,
                                        cfg.band, cfg.alpha,

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import partialid
 import partialid.simulate
-from partialid.cli import _clamp_threads, _render, run
+from partialid.cli import _clamp_threads, _render, build_parser, run
 from partialid.datamodel import Sample
 
 from conftest import make_sample, write_sample_csv
@@ -83,6 +84,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "late", "point")  # missing --input
         assert code == 1
         assert "usage" in err
+
+    def test_version_returns_0(self, capsys):
+        want = (0, partialid.__version__ + "\n", "")
+        assert run_cli(capsys, "--version") == want
+
+    def test_help_returns_0(self, capsys):
+        assert run_cli(capsys, "--help") == (0, build_parser().format_help(),
+                                             "")
+
+    def test_group_help_returns_0(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
+        code, out, err = run_cli(capsys, "late", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(
+            "usage: partialid late [-h] {point,bounds,test} ...\n")
+        for line in ("point estimate and interval",
+                     "interval bounds under unequal complier masses",
+                     "testable-implication diagnostic"):
+            assert line in out
 
     def test_unknown_group_is_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
@@ -295,6 +315,24 @@ class TestLatePoint:
                              "--seed", "4")
         assert out1 == out2
 
+    def test_estimate_prints_its_jsonable_form(self, capsys, monkeypatch,
+                                               sample_csv):
+        from partialid import cli
+
+        original, estimates = cli.known_tail_estimate, []
+
+        def recorder(*args, **kwargs):
+            estimates.append(original(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(cli, "known_tail_estimate", recorder)
+        code, out, _ = run_cli(capsys, "late", "point", "--input", sample_csv)
+        assert code == 0
+        res = json.loads(out)["results"]
+        for key in ("n", "wald", "implication_diagnostic"):
+            del res[key]
+        assert res == estimates[0].to_jsonable()
+
     def test_union_flag(self, capsys, sample_csv):
         code, out, _ = run_cli(capsys, "late", "point", "--input", sample_csv,
                                "--union")
@@ -326,6 +364,39 @@ class TestLatePoint:
         _, out2, _ = run_cli(capsys, "late", "point", "--input", sample_csv,
                              "--timing")
         assert json.loads(out2)["timing_seconds"] > 0
+
+
+def _gen_inputs():
+    """``perfbench/gen_inputs.py``, which writes the benchmark's inputs."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "gen_inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen_inputs",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOneEvaluationPath:
+    # the benchmark's CLI mix reads sec33.csv of these pool seeds, on which
+    # `late bounds` resolves to the point regime
+    @pytest.mark.parametrize("seed", range(4))
+    def test_point_regime_bounds_equal_the_point_estimate(self, capsys,
+                                                          tmp_path, seed):
+        _gen_inputs().write_cli_inputs(tmp_path, seed)
+        path = str(tmp_path / "sec33.csv")
+        code, out, _ = run_cli(capsys, "late", "point", "--input", path)
+        assert code == 0
+        point = json.loads(out)["results"]
+        code, out, _ = run_cli(capsys, "late", "bounds", "--input", path)
+        assert code == 0
+        bounds = json.loads(out)["results"]["bounds"]
+        assert bounds["regime"] == "point"
+        for got, want in ((bounds["lower"], point["estimate"]),
+                          (bounds["upper"], point["estimate"]),
+                          (bounds["sigma_lower"], point["sigma"]),
+                          (bounds["sigma_upper"], point["sigma"])):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestLateBoundsAndTest:
@@ -576,6 +647,15 @@ class TestSimulate:
         assert rows[0] == ["estimate", "sigma", "covered", "error"]
         assert len(rows) == 5
 
+    def test_draws_missing_an_arm_are_counted(self, capsys):
+        # at n = 5 some draws hold one instrument arm only
+        code, out, _ = run_cli(capsys, "simulate", "coverage", "--n", "5",
+                               "--m", "60", "--threads", "1", "--seed", "3")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["replications"] == 60
+        assert res["errors"] > 0
+
     @pytest.mark.parametrize("requested,want", [
         (None, None), (-3, 1), (0, 1), (1, 1), (3, 3), (4, 3), (10**9, 3)])
     def test_threads_clamped_to_cpu_count(self, monkeypatch, requested,
@@ -661,16 +741,13 @@ def _modules_after(code, prefix):
 
 def _modules_after_run(argv, prefix):
     """Modules under ``prefix`` loaded after a fresh interpreter imports
-    the CLI and runs ``argv`` through it, output and exit discarded."""
+    the CLI and runs ``argv`` through it, output and exit code discarded."""
     return _modules_after(f"""
 import contextlib, io
 from partialid.cli import run
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
-    try:
-        run({list(argv)!r})
-    except SystemExit:  # --help and --version
-        pass""", prefix)
+    run({list(argv)!r})""", prefix)
 
 
 _LATE_MODULES = {"partialid.density", "partialid.latepoint",

@@ -1,5 +1,6 @@
 """Trimmed complier-mean contrast: point estimator, tails, variance, union."""
 
+import re
 import time
 from statistics import NormalDist
 
@@ -140,6 +141,14 @@ class TestEstimateLate:
         with pytest.raises(WeakIdentificationError):
             estimate_late(s, nothing, FULL)
 
+    def test_sigma_is_the_outcome_variance(self):
+        s = make_sample(1500, seed=11)
+        est = estimate_late(s, FULL, FULL)
+        assert est.ci is None and est.tails is None
+        assert_close(est.sigma, late_variance(s, FULL, FULL)[0])
+        assert set(est.to_jsonable()) == {
+            "estimate", "sigma", "complier_mass_d1", "complier_mass_d0"}
+
 
 class TestTailSpec:
     def test_sixteen_specs(self):
@@ -235,6 +244,14 @@ class TestVariance:
         assert sig_out != pytest.approx(sig_grad, rel=1e-6)
         assert comp_out["Sigma"].shape == (6, 6)
         assert comp_out["Gamma"].shape == (6, 4)
+
+    def test_floor_error_names_the_side(self):
+        # the d=0 region holds no outcome: its mass is 0, d=1's is 0.6
+        s = discrete_sample()
+        nothing = IntervalUnion([(100.0, 101.0)])
+        with pytest.raises(WeakIdentificationError,
+                           match="complier mass for d=0 is 0 < 0.0001"):
+            late_variance(s, FULL, nothing)
 
     def test_unknown_method_rejected(self, monkeypatch):
         # before the moment table is built
@@ -462,6 +479,35 @@ class TestStackedUnion:
     def test_skipped_and_infeasible_specs(self, comply, scale, skips):
         fit = weak_fit(comply, scale)
         assert check_union_against_known_tail(*fit) == skips
+
+
+class TestOneEvaluationPath:
+    """``estimate_late`` on the regions ``estimate_trimmed_sets`` returns
+    against ``known_tail_estimate`` on the same fit and spec: the given
+    regions' table and the band-coded cores' table stacked over the spec."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fits(), st.sampled_from(TailSpec.all_specs()))
+    def test_given_regions_match_known_tail(self, fit, tails):
+        sample, est, band, b_n, scale = fit
+        try:
+            set1, set0 = estimate_trimmed_sets(est, tails, b_n, band,
+                                               threshold_scale=scale)
+        except WeakIdentificationError:  # no level, so no regions
+            return
+        try:
+            want = known_tail_estimate(sample, est, tails, b_n, band,
+                                       threshold_scale=scale)
+        except WeakIdentificationError as exc:
+            with pytest.raises(WeakIdentificationError,
+                               match=re.escape(str(exc))):
+                estimate_late(sample, set1, set0)
+            return
+        got = estimate_late(sample, set1, set0)
+        assert_close(got.point, want.point)
+        for key in ("mass1", "mass0", "sigma"):
+            assert_close(getattr(got, key), getattr(want, key))
 
 
 class TestMomentTableOracle:

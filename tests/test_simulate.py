@@ -454,6 +454,19 @@ class TestRunCoverage:
         assert all("WeakIdentificationError" in r["error"]
                    for r in res.records)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_missing_an_arm_is_recorded(self, threads):
+        # at n = 5 some draws hold one instrument arm only: each such
+        # replication records the sample's error, and the run goes on
+        design = SimDesign.sec33()
+        res = run_coverage(design, "known", 5, 60, coverage_cfg(5), seed=3,
+                           threads=threads)
+        assert res.m == len(res.records) == 60
+        errors = [r["error"] for r in res.records if r["error"] is not None]
+        assert res.n_errors == len(errors)
+        assert any(e.startswith("DataError: both instrument arms")
+                   for e in errors)
+
     def test_union_estimator_runs(self):
         design = SimDesign.sec33()
         cfg = self.small_cfg()
