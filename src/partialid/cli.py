@@ -341,7 +341,16 @@ def _cmd_roy_bounds(args):
 def _cmd_structures_analyze(args):
     space, assumption = load_space_json(args.space)
     if args.hypothesis:
-        hypothesis = frozenset(args.hypothesis.split(","))
+        # a token names the structure the report prints as it (the JSON
+        # number 1 is written 1); an unknown one stays text for the space
+        # to reject
+        hypothesis = set()
+        for token in args.hypothesis.split(","):
+            match = {s for s in space.structures if str(s) == token}
+            if len(match) > 1:
+                raise DataError(f"hypothesis name {token!r} matches "
+                                f"{len(match)} structures")
+            hypothesis |= match or {token}
     elif assumption is not None:
         hypothesis = assumption
     else:
@@ -365,7 +374,7 @@ def _cmd_structures_analyze(args):
     if space.theta is not None:
         results["identified_sets"] = {
             str(outcome): sorted(map(str, space.identified_set(outcome)))
-            for outcome in space.outcomes
+            for outcome in sorted(space.outcomes, key=str)
         }
     if args.extension:
         ext_space, _ = load_space_json(args.extension)

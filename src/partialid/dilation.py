@@ -121,10 +121,9 @@ def _shift_knots(values, direction):
     """Gaps between consecutive distinct values and the band headroom on
     each gap: 1 - F for ``'down'``, F for ``'up'``."""
     v = np.sort(np.asarray(values, dtype=float))
-    uniq, idx = np.unique(v, return_index=True)
-    counts = np.diff(np.concatenate([idx, [v.size]]))
-    levels = np.cumsum(counts)[:-1] / v.size  # F at each unique value
-    gaps = np.diff(uniq)
+    starts = np.flatnonzero(np.diff(v, prepend=-np.inf))  # first of each run
+    levels = starts[1:] / v.size  # F at each distinct value but the last
+    gaps = np.diff(v[starts])
     head = (1.0 - levels) if direction == "down" else levels
     return gaps, head
 

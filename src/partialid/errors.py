@@ -38,9 +38,10 @@ class InternalConsistencyError(PartialIdError):
 @contextlib.contextmanager
 def open_utf8(path):
     """Open ``path`` as UTF-8 text, with the ``newline=""`` that ``csv``
-    needs.  A byte that is not UTF-8 raises :class:`DataError` wherever in
-    the file the reader meets it."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    needs.  A leading byte-order mark, as in Excel's "CSV UTF-8", is
+    dropped.  A byte that is not UTF-8 raises :class:`DataError` wherever
+    in the file the reader meets it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -13,9 +13,11 @@ monotone operators act on hypotheses (structure subsets):
 * weakly confirmable core: structures with at least one outcome unreachable
   from outside the hypothesis.
 
-The two hulls and two cores are linked by complementation dualities, and a
-hypothesis admits a consistent binary accept/reject rule exactly when its
-strongly confirmable core already equals its weakly nonrefutable hull.
+Each core is the complement of a hull of the complement: the strong core
+of H is S minus the weak hull of S - H, and the weak core of H is S minus
+the strong hull of S - H.  A hypothesis admits a consistent binary
+accept/reject rule exactly when its strongly confirmable core already
+equals its weakly nonrefutable hull.
 """
 
 from __future__ import annotations
@@ -69,11 +71,8 @@ class FiniteStructureSpace:
 
     def reachable(self, hypothesis):
         """Union of outcomes generated by the hypothesis's structures."""
-        hypothesis = self._check(hypothesis)
-        out = set()
-        for s in hypothesis:
-            out |= self.obs_map[s]
-        return frozenset(out)
+        return frozenset().union(
+            *(self.obs_map[s] for s in self._check(hypothesis)))
 
     def _check(self, hypothesis):
         hypothesis = frozenset(hypothesis)
@@ -94,26 +93,22 @@ class FiniteStructureSpace:
     # hulls and cores
     # ------------------------------------------------------------------
     def strongly_nonrefutable(self, hypothesis):
-        hypothesis = self._check(hypothesis)
         reach = self.reachable(hypothesis)
         return frozenset(s for s in self.structures if self.obs_map[s] <= reach)
 
     def weakly_nonrefutable(self, hypothesis):
-        hypothesis = self._check(hypothesis)
         reach = self.reachable(hypothesis)
         return frozenset(s for s in self.structures if self.obs_map[s] & reach)
 
     def strongly_confirmable(self, hypothesis):
         hypothesis = self._check(hypothesis)
-        outside = self.reachable(self.structures - hypothesis)
-        return frozenset(s for s in self.structures
-                         if not (self.obs_map[s] & outside))
+        return self.structures - self.weakly_nonrefutable(
+            self.structures - hypothesis)
 
     def weakly_confirmable(self, hypothesis):
         hypothesis = self._check(hypothesis)
-        outside = self.reachable(self.structures - hypothesis)
-        return frozenset(s for s in self.structures
-                         if not (self.obs_map[s] <= outside))
+        return self.structures - self.strongly_nonrefutable(
+            self.structures - hypothesis)
 
 
 def nonrefutable_sets(space: FiniteStructureSpace, hypothesis):
@@ -189,21 +184,12 @@ def check_extension(space: FiniteStructureSpace,
 
     well_defined = extension.reachable(extension.structures) == space.outcomes
 
-    strong = False
-    if well_defined:
-        strong = extension.weakly_nonrefutable(base) & extension.structures == base
-
+    strong = well_defined and extension.weakly_nonrefutable(base) == base
     theta_consistent = None
-    if space.theta is not None and extension.theta is not None and well_defined:
-        theta_consistent = True
-        for outcome in space.outcomes:
-            original = frozenset(space.theta[s] for s in base
-                                 if outcome in space.obs_map[s])
-            if not original:
-                continue  # the original space is silent on this outcome
-            if extension.identified_set(outcome) != original:
-                theta_consistent = False
-                break
+    if space.theta is not None and well_defined:
+        theta_consistent = all(
+            extension.identified_set(o) == space.identified_set(o)
+            for o in space.reachable(base))
 
     if not well_defined:
         classification = "not well-defined"
@@ -226,16 +212,13 @@ def complete_space(space: FiniteStructureSpace) -> FiniteStructureSpace:
 
     Each child ``(s, outcome)`` generates exactly that single outcome and
     inherits the parent's parameter, so identified sets on every outcome
-    are preserved while all observation sets become singletons.
+    are preserved while all observation sets become singletons.  A
+    hypothesis of the completed space is decidable exactly when, for each
+    outcome, it holds all of the children generating it or none.
     """
-    obs_map = {}
-    theta = {} if space.theta is not None else None
-    for s, v in space.obs_map.items():
-        for outcome in v:
-            child = (s, outcome)
-            obs_map[child] = frozenset({outcome})
-            if theta is not None:
-                theta[child] = space.theta[s]
+    obs_map = {(s, o): {o} for s, v in space.obs_map.items() for o in v}
+    theta = (None if space.theta is None
+             else {child: space.theta[child[0]] for child in obs_map})
     return FiniteStructureSpace(space.outcomes, obs_map, theta)
 
 

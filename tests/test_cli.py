@@ -518,6 +518,74 @@ class TestStructures:
                              "/nonexistent.json")
         assert code == 2
 
+    @staticmethod
+    def _space(tmp_path, *names):
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps({
+            "outcomes": ["a", "b"],
+            "structures": [{"name": name, "predicts": predicts}
+                           for name, predicts in zip(names,
+                                                     (["a"], ["a", "b"]))],
+        }))
+        return str(path)
+
+    def test_numeric_names_are_written_as_printed(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "structures", "analyze", "--space",
+                                 self._space(tmp_path, 1, 2),
+                                 "--hypothesis", "1")
+        assert (code, err) == (0, "")
+        res = json.loads(out)["results"]
+        assert res["hypothesis"] == ["1"]
+        assert res["weakly_nonrefutable"] == ["1", "2"]
+
+    def test_name_printed_by_two_structures_is_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "structures", "analyze", "--space",
+                                 self._space(tmp_path, 1, "1"),
+                                 "--hypothesis", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: hypothesis name '1' matches 2 structures\n"
+
+    def test_table_prints_outcomes_in_order(self, capsys, tmp_path):
+        # a set of strings iterates in a per-process hash order
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({
+            "outcomes": list("hgfedcba"),
+            "structures": [{"name": "x", "predicts": list("abcdefgh"),
+                            "theta": 0}],
+        }))
+        code, out, _ = run_cli(capsys, "structures", "analyze", "--space",
+                               str(path), "--format", "table")
+        assert code == 0
+        keys = [line.split()[0] for line in out.splitlines()
+                if line.startswith("results.identified_sets.")]
+        assert keys == [f"results.identified_sets.{o}" for o in "abcdefgh"]
+
+    def test_unknown_name_is_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "structures", "analyze", "--space",
+                               self._space(tmp_path, 1, 2),
+                               "--hypothesis", "1,3")
+        assert code == 2
+        assert err == "error: hypothesis contains unknown structures\n"
+
+
+@pytest.mark.parametrize("fixture,argv", [
+    ("sample_csv", ["late", "test", "--input"]),
+    ("intervals_csv", ["dilate", "region", "--a", "0", "--b", "1",
+                       "--boot", "200", "--input"]),
+    ("space_json", ["structures", "analyze", "--space"]),
+])
+def test_byte_order_mark_is_dropped(capsys, request, fixture, argv):
+    """Excel's "CSV UTF-8" starts the file with a byte-order mark; the file
+    reads as it does without one."""
+    path = request.getfixturevalue(fixture)
+    code, plain, _ = run_cli(capsys, *argv, path)
+    assert code == 0
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(b"\xef\xbb\xbf" + data)
+    assert run_cli(capsys, *argv, path) == (0, plain, "")
+
 
 class TestDilate:
     def test_region(self, capsys, intervals_csv):

@@ -180,6 +180,35 @@ class TestCompletion:
             assert binary_decidability(comp, frozenset(block))["decidable"]
 
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_decidable_iff_union_of_outcome_fibres(self, data):
+        """In a completed space a hypothesis is decidable exactly when, for
+        each outcome, it holds all of the children generating it or none;
+        identified sets are unchanged on every outcome the space reaches.
+        Not every hypothesis is decidable: on {s1: {a}, s2: {a, b}} the
+        hypothesis {(s1, a)} is not."""
+        space = data.draw(spaces())
+        comp = complete_space(space)
+        hyp = frozenset(data.draw(st.sets(st.sampled_from(
+            sorted(comp.structures, key=repr)))))
+        fibres = {}
+        for child, v in comp.obs_map.items():
+            fibres.setdefault(next(iter(v)), set()).add(child)
+        whole = all(f <= hyp or not f & hyp for f in fibres.values())
+        assert binary_decidability(comp, hyp)["decidable"] is whole
+        for outcome in space.reachable(space.structures):
+            assert comp.identified_set(outcome) \
+                == space.identified_set(outcome)
+
+    def test_a_completed_space_keeps_undecidable_hypotheses(self):
+        space = FiniteStructureSpace(frozenset("ab"),
+                                     {"s1": {"a"}, "s2": {"a", "b"}})
+        comp = complete_space(space)
+        assert not binary_decidability(
+            comp, frozenset({("s1", "a")}))["decidable"]
+
+
 class TestExtensions:
     def base(self):
         return FiniteStructureSpace(
