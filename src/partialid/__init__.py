@@ -40,7 +40,7 @@ _EXPORTS = {
                   "estimate_trimmed_sets", "known_tail_estimate",
                   "late_variance", "wald_estimate"),
     "latebounds": ("BoundEstimate", "DeltaEstimate", "bound_variance",
-                   "estimate_bounds", "estimate_delta", "estimate_threshold"),
+                   "estimate_bounds", "estimate_delta"),
     "simplex": ("InfeasibleError", "UnboundedError", "solve_lp"),
     "roy": ("RoyDistribution", "build_polyhedron", "check_roy_refutable",
             "min_efficiency_loss", "optimize_functional",

@@ -162,7 +162,6 @@ def _add_seed(parser):
 
 
 def _add_tuning(parser):
-    _add_seed(parser)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--b", type=float, default=None,
                         help="trimming level override")
@@ -215,7 +214,7 @@ def _override(cfg, args, **updates) -> RunConfig:
 def _late_fit(args):
     """Load, tune and fit: the prologue of the three `late` commands."""
     sample = load_sample_csv(args.input)
-    cfg = default_empirical_config(sample, alpha=args.alpha, seed=args.seed)
+    cfg = default_empirical_config(sample, alpha=args.alpha)
     updates = {}
     if args.band is not None:
         updates["band"] = _parse_band(args.band)
@@ -232,7 +231,8 @@ def _late_fit(args):
 # ----------------------------------------------------------------------
 def _cmd_late_point(args):
     sample, cfg, est = _late_fit(args)
-    diagnostic = check_iam_implication(est, b_n=cfg.b)
+    diagnostic = check_iam_implication(est, b_n=cfg.b,
+                                       threshold_scale=cfg.threshold_scale)
     wald = wald_estimate(sample)
     results = {
         "n": sample.n,
@@ -291,7 +291,8 @@ def _cmd_late_bounds(args):
 
 def _cmd_late_test(args):
     sample, cfg, est = _late_fit(args)
-    diagnostic = check_iam_implication(est, b_n=cfg.b)
+    diagnostic = check_iam_implication(est, b_n=cfg.b,
+                                       threshold_scale=cfg.threshold_scale)
     return {
         "config": cfg.to_jsonable(),
         "results": {"n": sample.n, **diagnostic},

@@ -190,7 +190,7 @@ def default_simulation_config(n, band, alpha=0.05, seed=0, tails=None):
     )
 
 
-def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
+def default_empirical_config(sample: Sample, alpha=0.05) -> RunConfig:
     """Data-driven configuration for empirical (CSV) runs.
 
     Rules: h = sd(Y) log(n) / (2 n^{1/5}); b = n^{-1/4} times the average
@@ -234,7 +234,6 @@ def default_empirical_config(sample: Sample, alpha=0.05, seed=0) -> RunConfig:
         b=b,
         kappa=default_threshold(n),
         alpha=alpha,
-        seed=seed,
         tails=_tail_spec(sample),
         notes=tuple(notes),
     )

@@ -133,29 +133,24 @@ def _invert_mean_shift(values, target, direction):
     each target of an array (a scalar gives a float): the exact inverse of
     a piecewise-linear shift.
 
-    shift(eps) = sum_k gap_k * min(head_k, eps) is linear between
-    consecutive heads.  With the heads ascending, at the i-th head it equals
-    the gap-weighted sum of the lower heads, A_i, plus head_i times G_i, the
-    total gap at or above head i; so one cumulative sum of each, built once,
-    and one search per target find the segment holding it, and eps solves
-    A_i + eps * G_i = target on it.  A target no band of height 1 reaches
-    (beyond a 1e-12 rounding allowance) gives inf; one within that allowance
-    gives the largest head (0 without one), where the shift stops growing.
+    shift(eps) = sum_k gap_k * min(head_k, eps) increases and is linear
+    between consecutive heads, so its inverse interpolates the swapped
+    knots (shift at each head, head) linearly from (0, 0).  With the heads
+    ascending, the shift at the i-th head is A_i, the gap-weighted sum of
+    the lower heads, plus head_i times G_i, the total gap at or above head
+    i.  A target no band of height 1 reaches (beyond a 1e-12 rounding
+    allowance) gives inf; one within that allowance gives the largest head
+    (0 without one), where the shift stops growing.
     """
     target = np.asarray(target, dtype=float)
     gaps, head = _shift_knots(values, direction)
     top = float(np.sum(gaps * np.minimum(head, 1.0)))
-    eps = np.zeros(target.shape)
-    if head.size:  # with one distinct value the shift is 0 at every height
-        if direction == "down":  # heads 1 - F decrease along the values
-            gaps, head = gaps[::-1], head[::-1]
-        below = np.concatenate([[0.0], np.cumsum(gaps * head)[:-1]])  # A_i
-        above = np.cumsum(gaps[::-1])[::-1]  # G_i
-        i = np.minimum(np.searchsorted(below + head * above, target),
-                       head.size - 1)
-        floor = np.where(i > 0, head[i - 1], 0.0)
-        eps = np.minimum(np.maximum((target - below[i]) / above[i], floor),
-                         head[i])
+    if direction == "down":  # heads 1 - F decrease along the values
+        gaps, head = gaps[::-1], head[::-1]
+    below = np.cumsum(gaps * head) - gaps * head  # A_i
+    above = np.cumsum(gaps[::-1])[::-1]  # G_i
+    eps = np.interp(target, np.append(0.0, below + head * above),
+                    np.append(0.0, head))
     eps = np.where(target <= 0, 0.0,
                    np.where(top < target - 1e-12, math.inf, eps))
     return eps if eps.ndim else float(eps)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, WeakIdentificationError
-from .datamodel import Sample, theorem_bandwidth
+from .datamodel import Sample
 from .density import cell_sum
 from .latepoint import MIN_MASS, _Moments, _one_spec
 from .sets import IntervalUnion
@@ -147,29 +147,6 @@ def _minimiser(masses, cands, target):
     return t, multiple, saturated
 
 
-def estimate_threshold(sample: Sample, set1: IntervalUnion,
-                       set0: IntervalUnion, delta: DeltaEstimate, side):
-    """Minimal-distance threshold estimate for the requested side.
-
-    ``side='lower'`` accumulates correction mass from below the threshold
-    (smallest outcomes first); ``side='upper'`` accumulates from above.
-    Ties resolve to the smallest minimiser; non-unique minima beyond ties
-    are flagged.
-    """
-    if delta.regime == "point":
-        raise ConfigError("thresholds are undefined in the point regime")
-    if side not in ("lower", "upper"):
-        raise ConfigError("side must be 'lower' or 'upper'")
-    scans = _thresholds(_Moments(sample, set1, set0), delta)
-    return scans["low" if side == "lower" else "high"]
-
-
-def _thresholds(tab, delta):
-    side_d = 1 if delta.regime == "below" else 0
-    contrib = tab.column(tab.min_pair_parts(side_d))[tab.code] / tab.n
-    return _scan_threshold(tab.sample.y, contrib, abs(delta.delta))
-
-
 def _arm_slope(tab, parts, sums):
     """Derivative in Pr(Z=1), with Pr(Z=0) = 1 - Pr(Z=1), of the mean of
     ``column(parts)`` times y (``sums`` is ``sum_y``) or 1 (``count``)."""
@@ -179,15 +156,16 @@ def _arm_slope(tab, parts, sums):
 
 def estimate_bounds(sample: Sample, set1: IntervalUnion,
                     set0: IntervalUnion, delta: DeltaEstimate,
-                    h=None) -> BoundEstimate:
+                    h) -> BoundEstimate:
     """Bound point estimates and their plug-in standard deviations for the
     resolved regime.
 
     In the point regime both bounds equal the point estimator.  Otherwise
     the corrected side's complier mean is evaluated with the gap mass
-    collected at the low or high end, and both ratios share the larger
-    complier mass as denominator.  ``h`` is the bandwidth of the density
-    level at each threshold (default ``theorem_bandwidth``, n^{-1/5}).
+    collected at the low or high end, up to the smallest order statistic
+    whose collected mass is nearest the gap (a tie is flagged), and both
+    ratios share the larger complier mass as denominator.  ``h`` is the
+    fit's bandwidth, which the density level at each threshold reuses.
     """
     flags = []
     if delta.near_boundary:
@@ -205,7 +183,9 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
         raise WeakIdentificationError(
             f"larger complier mass {denom:.3g} below floor", mass=denom)
 
-    scans = _thresholds(tab, delta)
+    side_d = 1 if delta.regime == "below" else 0
+    contrib = tab.column(tab.min_pair_parts(side_d))[tab.code] / tab.n
+    scans = _scan_threshold(sample.y, contrib, abs(delta.delta))
     t_lower, mult_lo, sat_lo = scans["low"]
     t_upper, mult_hi, sat_hi = scans["high"]
     if mult_lo or mult_hi:
@@ -229,14 +209,14 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
 
 
 def bound_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
-                   delta: DeltaEstimate, t, which, h=None):
+                   delta: DeltaEstimate, t, which, h):
     """Plug-in standard deviation of sqrt(n) times one bound estimate.
 
-    ``which`` is 'lower' or 'upper'.  The variance composes a fixed-threshold
-    Jacobian (M1), a threshold-estimation correction (M2, scaled by the
-    reciprocal of the minimum sub-density at the threshold), and the final
-    ratio gradient (Gamma) around the covariance (Sigma) of the per
-    observation influence basis:
+    ``which`` is 'lower' or 'upper', and ``h`` the fit's bandwidth.  The
+    variance composes a fixed-threshold Jacobian (M1), a threshold-estimation
+    correction (M2, scaled by the reciprocal of the minimum sub-density at
+    the threshold), and the final ratio gradient (Gamma) around the
+    covariance (Sigma) of the per observation influence basis:
 
         sigma^2 = Gamma (M1 + M2) Sigma (M1 + M2)' Gamma'
 
@@ -256,9 +236,6 @@ def bound_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
 def _bound(tab, set1, set0, delta, t, which, h):
     """One bound with its standard deviation and variance components, all
     read from the table split by the bound's threshold cut."""
-    if h is None:
-        h = theorem_bandwidth(tab.n)
-
     side_d = 1 if delta.regime == "below" else 0
     # low-end correction serves the lower bound on the d=1 side but the
     # upper bound on the d=0 side

@@ -85,16 +85,34 @@ class TailSpec:
                    upper0=flags["u0"], lower0=flags["l0"])
 
 
-def check_iam_implication(est: DensityEstimate, b_n=0.0):
+def _levels(est: DensityEstimate, b_n, threshold_scale):
+    """The levels (d=1, d=0) that ``b_n`` sets for the two signed density
+    differences.  With ``threshold_scale="absolute"`` each is ``b_n``
+    itself.  With ``"relative"`` the level for treatment state d is ``b_n``
+    times the peak of the estimated difference for that state, which makes
+    the trimming fraction comparable across designs whose density scales
+    differ, and leaves it unchanged when the outcome's units change."""
+    if threshold_scale not in ("absolute", "relative"):
+        raise ConfigError(
+            f"threshold_scale must be 'absolute' or 'relative', got {threshold_scale!r}")
+    if threshold_scale == "relative":
+        return b_n * float(np.max(est.f1)), b_n * float(np.max(est.f0))
+    return float(b_n), float(b_n)
+
+
+def check_iam_implication(est: DensityEstimate, b_n=0.0,
+                          threshold_scale="absolute"):
     """Diagnostic for the density form of the testable implication.
 
-    Passes iff both density differences are everywhere >= -b_n on the grid.
-    Violation masses integrate the negative parts over the grid.
+    Passes iff each density difference is everywhere on the grid at least
+    minus its level (see ``_levels``).  Violation masses integrate the
+    negative parts over the grid.
     """
+    lev1, lev0 = _levels(est, b_n, threshold_scale)
     neg1 = np.maximum(-est.f1, 0.0)
     neg0 = np.maximum(-est.f0, 0.0)
     return {
-        "passes": bool(est.f1.min() >= -b_n and est.f0.min() >= -b_n),
+        "passes": bool(est.f1.min() >= -lev1 and est.f0.min() >= -lev0),
         "violation_mass_1": float(np.trapezoid(neg1, est.grid)),
         "violation_mass_0": float(np.trapezoid(neg0, est.grid)),
     }
@@ -102,29 +120,17 @@ def check_iam_implication(est: DensityEstimate, b_n=0.0):
 
 def estimate_trimmed_sets(est: DensityEstimate, tails: TailSpec, b_n, band,
                           threshold_scale="absolute"):
-    """Extract the trimmed outcome regions for d=1 and d=0.
-
-    With ``threshold_scale="absolute"`` the level applied to each signed
-    density difference is ``b_n`` itself.  With ``"relative"`` the level for
-    treatment state d is ``b_n`` times the peak of the estimated difference
-    for that state, which makes the trimming fraction comparable across
-    designs whose density scales differ.
-    """
+    """Extract the trimmed outcome regions for d=1 and d=0: each side's
+    superlevel set at its level (see ``_levels``) inside the band, with its
+    tails."""
     if b_n <= 0:
         raise ConfigError("trimming level b_n must be positive")
-    if threshold_scale not in ("absolute", "relative"):
-        raise ConfigError(
-            f"threshold_scale must be 'absolute' or 'relative', got {threshold_scale!r}")
+    lev1, lev0 = _levels(est, b_n, threshold_scale)
+    if lev1 <= 0 or lev0 <= 0:  # a relative level on a nowhere-positive side
+        raise WeakIdentificationError(
+            "estimated density difference is nowhere positive",
+            mass=float(min(np.max(est.f1), np.max(est.f0))))
     m_l, m_u = band
-    if threshold_scale == "relative":
-        lev1 = b_n * float(np.max(est.f1))
-        lev0 = b_n * float(np.max(est.f0))
-        if lev1 <= 0 or lev0 <= 0:
-            raise WeakIdentificationError(
-                "estimated density difference is nowhere positive",
-                mass=float(min(np.max(est.f1), np.max(est.f0))))
-    else:
-        lev1 = lev0 = float(b_n)
     core1 = superlevel_set(est.grid, est.f1, lev1, m_l, m_u)
     core0 = superlevel_set(est.grid, est.f0, lev0, m_l, m_u)
     return (core1.union(tails.tail_set(1, band)),
@@ -205,10 +211,6 @@ class _Moments:
             self.code, y, _GROUPS)
         m1 = int(self.count[z == 1].sum()) / self.n
         self.m = (1.0 - m1, m1)  # indexed by z
-        # side d's contrast weight on every group, before its region cuts it
-        self.contrast = [self.column({d: self.cell[d, d],
-                                      1 - d: -self.cell[d, 1 - d]})
-                         for d in (0, 1)]
         self.mass = self.region_masses()
 
     def with_tails(self, specs):
@@ -230,16 +232,14 @@ class _Moments:
         out.code = 2 * self.code + cut
         out.count, out.sum_y, out.y_mean, out.ss_y = _group_sums(
             out.code, self.sample.y, 2 * self.count.size)
-        for name in ("pos", "z1", "inside", "cell", "contrast", "mass"):
+        for name in ("pos", "z1", "inside", "cell", "mass"):
             setattr(out, name, np.repeat(getattr(self, name), 2, axis=-1))
         out.cut = np.tile([0.0, 1.0], self.count.size)
         return out
 
     def region_masses(self):
-        """Each side's contrast weight inside its region, ``mass[d]``: the
-        values of ``column(mass_parts(d))``, read off ``contrast``."""
-        return [np.where(self.inside[d], self.contrast[d], 0.0)
-                for d in (0, 1)]
+        """Each side's contrast weight inside its region, ``mass[d]``."""
+        return [self.column(self.mass_parts(d)) for d in (0, 1)]
 
     def mass_parts(self, d):
         """Side d's contrast weight inside its region: the own-arm cell

@@ -79,15 +79,15 @@ class RoyDistribution:
 
     @classmethod
     def from_sample(cls, y, d, z):
-        """Empirical cell frequencies from binary data vectors."""
-        y = np.asarray(y, dtype=int)
-        d = np.asarray(d, dtype=int)
-        z = np.asarray(z, dtype=int)
+        """Empirical cell frequencies from binary data vectors: each value
+        must equal 0 or 1 before it is read as an integer."""
+        y, d, z = cols = [np.asarray(v) for v in (y, d, z)]
         if y.shape != d.shape or y.shape != z.shape or y.ndim != 1 or y.size == 0:
             raise DataError("y, d, z must be equal-length nonempty vectors")
-        for name, v in (("y", y), ("d", d), ("z", z)):
-            if (v & ~1).any():  # a bit other than the lowest is set
+        for name, v in zip("ydz", cols):
+            if ((v != 0) & (v != 1)).any():  # NaN is neither
                 raise DataError(f"{name} must be binary")
+        y, d, z = (v.astype(int) for v in cols)
         counts = np.bincount(4 * y + 2 * d + z, minlength=8)
         return cls(counts.reshape(2, 2, 2) / y.size)
 

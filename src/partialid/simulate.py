@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, PartialIdError, WeakIdentificationError
 from .datamodel import RunConfig, Sample, build_empirical
 from .density import Kernel, default_grid, estimate_density_diff
-from .latepoint import (TailSpec, conservative_union_ci,
+from .latepoint import (MIN_MASS, TailSpec, conservative_union_ci,
                         known_tail_estimate)
 from .sets import IntervalUnion
 
@@ -194,7 +194,8 @@ def _population_set(design: SimDesign, d) -> IntervalUnion:
 
 def true_identified_late(design: SimDesign):
     """Exact identified trimmed-complier-mean contrast: normal masses and
-    first moments summed over each side's population region."""
+    first moments summed over each side's population region.  A complier
+    mass below the estimators' floor ``MIN_MASS`` is weak identification."""
     def piece(d):
         plus, minus = _signed_pair(design, d)
         num = den = 0.0
@@ -207,7 +208,7 @@ def true_identified_late(design: SimDesign):
 
     num1, den1 = piece(1)
     num0, den0 = piece(0)
-    if min(den1, den0) <= 1e-4:
+    if min(den1, den0) < MIN_MASS:
         raise WeakIdentificationError(
             f"population complier masses {den1:.3g}, {den0:.3g} too small",
             mass=min(den1, den0))

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from partialid.cli import run as cli_run
-from partialid.datamodel import RunConfig, Sample
+from partialid.datamodel import RunConfig, Sample, theorem_bandwidth
 from partialid.dilation import (bootstrap_critical_value,
                                 interval_mean_distance)
 from partialid.latebounds import (_scan_threshold, estimate_bounds,
@@ -300,7 +300,8 @@ class TestCriterion5BoundOracle:
         sample, set1, set0 = gap_population()
         delta = estimate_delta(sample, set1, set0, kappa=0.01)
         assert delta.delta == pytest.approx(-0.1, abs=1e-12)
-        bounds = estimate_bounds(sample, set1, set0, delta)
+        bounds = estimate_bounds(sample, set1, set0, delta,
+                                 h=theorem_bandwidth(sample.n))
         # direct evaluation of the identified interval: base contrast
         # (1.2 - 0.15)/0.4 corrected by moving the 0.1 mass gap to the
         # cheapest/dearest admissible outcome values (2 and 7)

@@ -206,6 +206,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["late", "point", "--input", "x.csv", "--threads", "2"],
+        *(["late", command, "--input", "x.csv", "--seed", "1"]
+          for command in ("point", "bounds", "test")),
         ["roy", "bounds", "--cells", "0.125,0.125,0.125,0.125,0.125,0.125,"
          "0.125,0.125", "--seed", "1"],
         ["structures", "analyze", "--space", "x.json", "--seed", "1"]])
@@ -309,11 +311,10 @@ class TestLatePoint:
         assert payload["config"]["threshold_scale"] in ("absolute", "relative")
 
     def test_byte_identical_reruns(self, capsys, sample_csv):
-        _, out1, _ = run_cli(capsys, "late", "point", "--input", sample_csv,
-                             "--seed", "4")
-        _, out2, _ = run_cli(capsys, "late", "point", "--input", sample_csv,
-                             "--seed", "4")
+        _, out1, _ = run_cli(capsys, "late", "point", "--input", sample_csv)
+        _, out2, _ = run_cli(capsys, "late", "point", "--input", sample_csv)
         assert out1 == out2
+        assert json.loads(out1)["config"]["seed"] == 0
 
     def test_estimate_prints_its_jsonable_form(self, capsys, monkeypatch,
                                                sample_csv):
@@ -433,6 +434,30 @@ class TestLateBoundsAndTest:
         assert code == 0
         res = json.loads(out)["results"]
         assert isinstance(res["passes"], bool)
+
+    @pytest.mark.parametrize("a", [0.1, 10.0])
+    def test_relative_diagnostic_ignores_the_outcome_units(self, capsys,
+                                                           tmp_path, a):
+        # on the relative scale b is a share of each side's peak, so y -> a y
+        # changes no verdict; on pool seed 0's sec33.csv the same b as an
+        # absolute tolerance passes the data at a = 10 and fails it at a = 1
+        _gen_inputs().write_cli_inputs(tmp_path, 0)
+        rows = (tmp_path / "sec33.csv").read_text().splitlines()
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text("\n".join([rows[0]] + [
+            f"{a * float(y)!r},{rest}" for y, rest in
+            (row.split(",", 1) for row in rows[1:])]) + "\n")
+        results = []
+        for path in (tmp_path / "sec33.csv", scaled):
+            code, out, _ = run_cli(capsys, "late", "test", "--input",
+                                   str(path), "--threshold-scale", "relative",
+                                   "--b", "0.05")
+            assert code == 0
+            results.append(json.loads(out)["results"])
+        base, got = results
+        assert got["passes"] is base["passes"]
+        for key in ("violation_mass_1", "violation_mass_0"):
+            assert got[key] == pytest.approx(base[key], rel=1e-9)
 
 
 class TestRoy:
@@ -822,8 +847,8 @@ _LATE_MODULES = {"partialid.density", "partialid.latepoint",
                  "partialid.latebounds"}
 
 
-# The names the package root bound when it imported every submodule
-# eagerly: owner -> its re-exported names.  Each owner is itself a name.
+# The names the package root re-exports: owner -> its names.  Each owner is
+# itself a name.
 _ROOT_NAMES = {
     "errors": "ConfigError DataError InternalConsistencyError PartialIdError "
               "WeakIdentificationError",
@@ -838,7 +863,7 @@ _ROOT_NAMES = {
                  "conservative_union_ci estimate_late estimate_trimmed_sets "
                  "known_tail_estimate late_variance wald_estimate",
     "latebounds": "BoundEstimate DeltaEstimate bound_variance estimate_bounds "
-                  "estimate_delta estimate_threshold",
+                  "estimate_delta",
     "simplex": "InfeasibleError UnboundedError solve_lp",
     "roy": "RoyDistribution build_polyhedron check_roy_refutable "
            "min_efficiency_loss optimize_functional potential_outcome_bounds",
@@ -972,7 +997,7 @@ class TestImports:
     def test_root_names_resolve_to_their_owners(self):
         owners = {name: module for module, names in _ROOT_NAMES.items()
                   for name in [module, *names.split()]}
-        assert len(owners) == 78
+        assert len(owners) == 77
         assert partialid.__all__ == sorted(owners)
         assert [n for n in dir(partialid) if not n.startswith("_")] == \
             partialid.__all__

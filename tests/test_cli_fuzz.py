@@ -166,7 +166,6 @@ def commands(draw, tmp_path):
         argv += _flag(draw, "--band", ["0,3", "-1,1", "0.5,2.5", "-3,6"],
                       ["2,1", "1,1", "-inf,inf", "x,1", "1"])
         argv += _flag(draw, "--threshold-scale", ["absolute", "relative"])
-        argv += _flag(draw, "--seed", ["0", "7"])
         if command != "test":
             tails = draw(st.lists(st.sampled_from(_TOKENS), unique=True))
             argv += _flag(draw, "--tails", [",".join(tails) or "none"],

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from partialid.datamodel import Sample
+from partialid.datamodel import Sample, theorem_bandwidth
 from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latebounds import (DENSITY_FLOOR, DeltaEstimate,
                                   estimate_bounds, estimate_delta,
-                                  estimate_threshold, bound_variance,
-                                  _scan_threshold)
+                                  bound_variance, _scan_threshold)
 from partialid.latepoint import (_Moments, _late_variance,
                                  estimate_late)
 from partialid.sets import IntervalUnion
@@ -116,7 +115,7 @@ class TestBoundsOracle:
     def test_hand_computed_bounds(self):
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        be = estimate_bounds(s, set1, set0, de)
+        be = estimate_bounds(s, set1, set0, de, h=theorem_bandwidth(s.n))
         assert be.regime == "below"
         assert be.lower == pytest.approx(3.125, abs=1e-12)
         assert be.upper == pytest.approx(4.375, abs=1e-12)
@@ -127,7 +126,7 @@ class TestBoundsOracle:
         # transportation LP; its optima must reproduce the corrections
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        be = estimate_bounds(s, set1, set0, de)
+        be = estimate_bounds(s, set1, set0, de, h=theorem_bandwidth(s.n))
         # capacities: y=2 carries 0.1, y=7 carries 0.1
         ys = np.array([2.0, 7.0])
         cap = np.array([0.1, 0.1])
@@ -148,14 +147,14 @@ class TestBoundsOracle:
     def test_point_regime_collapses_to_point(self):
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.5)
-        be = estimate_bounds(s, set1, set0, de)
+        be = estimate_bounds(s, set1, set0, de, h=theorem_bandwidth(s.n))
         point = estimate_late(s, set1, set0).point
         assert be.lower == be.upper == pytest.approx(point)
 
     def test_lower_not_above_upper(self):
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        be = estimate_bounds(s, set1, set0, de)
+        be = estimate_bounds(s, set1, set0, de, h=theorem_bandwidth(s.n))
         assert be.lower <= be.upper
 
     def test_above_regime_negates_swapped_bounds(self):
@@ -165,10 +164,11 @@ class TestBoundsOracle:
         # the d=0 side of bound_variance is pinned to the d=1 side: the
         # standard errors swap with the bounds
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        be = estimate_bounds(s, set1, set0, de)
+        be = estimate_bounds(s, set1, set0, de, h=theorem_bandwidth(s.n))
         flipped = Sample(y=s.y, d=1 - s.d, z=1 - s.z)
         de_f = estimate_delta(flipped, set0, set1, kappa=0.01)
-        be_f = estimate_bounds(flipped, set0, set1, de_f)
+        be_f = estimate_bounds(flipped, set0, set1, de_f,
+                               h=theorem_bandwidth(s.n))
         assert be_f.regime == "above"
         assert be_f.lower == pytest.approx(-be.upper, abs=1e-12)
         assert be_f.upper == pytest.approx(-be.lower, abs=1e-12)
@@ -181,7 +181,7 @@ class TestBoundsOracle:
         de = DeltaEstimate(delta=-0.5, kappa=0.01, regime="below",
                            mass1=0.0, mass0=0.0, near_boundary=False)
         with pytest.raises(WeakIdentificationError):
-            estimate_bounds(s, empty, empty, de)
+            estimate_bounds(s, empty, empty, de, h=theorem_bandwidth(s.n))
 
 
 class TestBoundVariance:
@@ -230,7 +230,8 @@ class TestBoundVariance:
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.5)
         with pytest.raises(ConfigError):
-            bound_variance(s, set1, set0, de, t=2.0, which="lower")
+            bound_variance(s, set1, set0, de, t=2.0, which="lower",
+                           h=theorem_bandwidth(s.n))
 
     def test_full_bounds_with_variance_and_ci(self):
         s, set1, set0 = gap_population()
@@ -332,6 +333,31 @@ class TestBoundsAgainstColumnTable:
                 assert g is None
             else:
                 assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+class TestFitBandwidth:
+    def test_bandwidth_is_required(self):
+        s, set1, set0 = gap_population()
+        de = estimate_delta(s, set1, set0, kappa=0.01)
+        with pytest.raises(TypeError, match="'h'"):
+            estimate_bounds(s, set1, set0, de)
+        with pytest.raises(TypeError, match="'h'"):
+            bound_variance(s, set1, set0, de, 2.0, "lower")
+
+    @pytest.mark.parametrize("a", [1.0, 1000.0])
+    def test_sigmas_scale_with_the_outcome(self, a):
+        # y, the regions and the fit's h in new units: the bounds and
+        # their sigmas move by the same factor
+        s, set1, set0, cfg = gap_design_fit(4000, 3)
+        scaled = Sample(y=a * s.y, d=s.d, z=s.z)
+        set1, set0 = (IntervalUnion([(a * lo, a * hi) for lo, hi in
+                                     r.intervals]) for r in (set1, set0))
+        de = estimate_delta(scaled, set1, set0, cfg.kappa / 10)
+        be = estimate_bounds(scaled, set1, set0, de, h=a * cfg.h)
+        want = PARENT_BOUNDS["design"]
+        got = (be.lower / a, be.upper / a, be.sigma_lower / a,
+               be.sigma_upper / a)
+        assert got == pytest.approx(want[2:6], rel=1e-9)
 
 
 class TestBoundCost:

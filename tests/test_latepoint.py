@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from partialid import latepoint
 from partialid.datamodel import Sample, build_empirical
-from partialid.density import Kernel, default_grid, estimate_density_diff
+from partialid.density import (DensityEstimate, Kernel, default_grid,
+                               estimate_density_diff)
 from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latepoint import (MIN_MASS, TailSpec, check_iam_implication,
                                  conservative_union_ci, estimate_late,
@@ -233,6 +234,19 @@ class TestImplicationCheck:
         diag = check_iam_implication(_density(flipped), b_n=0.01)
         assert not diag["passes"]
         assert max(diag["violation_mass_1"], diag["violation_mass_0"]) > 0.05
+
+    @pytest.mark.parametrize("f0_min, passes", [(-0.2, True), (-0.21, False)])
+    def test_relative_level_is_a_share_of_each_peak(self, f0_min, passes):
+        # side d passes iff min f_d >= -b max f_d: here -0.1 * 2 for d=0,
+        # while side 1 (min -0.05, peak 1) clears -0.1 * 1
+        est = DensityEstimate(grid=[0.0, 1.0, 2.0], f1=[-0.05, 1.0, 0.0],
+                              f0=[f0_min, 2.0, 0.0], h=1.0)
+        rel = check_iam_implication(est, 0.1, threshold_scale="relative")
+        assert rel["passes"] is passes
+        assert rel == {**check_iam_implication(est, 0.1), "passes": passes}
+        assert check_iam_implication(est, 0.1)["passes"] is False
+        with pytest.raises(ConfigError, match="threshold_scale"):
+            check_iam_implication(est, 0.1, threshold_scale="log")
 
 
 class TestVariance:

@@ -1,6 +1,7 @@
 """Binary selection model: refutability, minimal inefficiency, sharp bounds."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -671,6 +672,17 @@ class TestFromSample:
         with pytest.raises(DataError) as exc:
             RoyDistribution.from_sample(cols["y"], cols["d"], cols["z"])
         assert str(exc.value) == f"{name} must be binary"
+
+    @pytest.mark.parametrize("bad", [0.5, 1.9, math.nan])
+    @pytest.mark.parametrize("name", ["y", "d", "z"])
+    def test_fraction_or_nan_is_not_truncated(self, name, bad):
+        # the values are checked before the cast to int, which would read
+        # 0.5 as 0 and 1.9 as 1
+        cols = {"y": [0.0, 1.0, 1.0, 0.0], "d": [1.0, 0.0, 1.0, 0.0],
+                "z": [0.0, 1.0, 0.0, 1.0]}
+        cols[name][1] = bad
+        with pytest.raises(DataError, match=f"^{name} must be binary$"):
+            RoyDistribution.from_sample(cols["y"], cols["d"], cols["z"])
 
     def test_first_non_binary_column_is_named(self):
         with pytest.raises(DataError, match="^d must be binary$"):

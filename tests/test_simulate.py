@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, optimize
 
-from partialid.datamodel import RunConfig, Sample
+from partialid.datamodel import (RunConfig, Sample, build_empirical,
+                                 default_empirical_config)
+from partialid.density import Kernel, default_grid, estimate_density_diff
 from partialid.errors import ConfigError, WeakIdentificationError
-from partialid.latepoint import TailSpec
+from partialid.latepoint import (MIN_MASS, TailSpec, check_iam_implication,
+                                 conservative_union_ci, known_tail_estimate)
 from partialid.sets import IntervalUnion
 from partialid.simulate import (HalfDensity, SimDesign, _population_set,
                                 _positive_intervals, _signed_pair,
@@ -179,8 +182,8 @@ def _assert_truth_matches(design):
     (num1, den1), (num0, den0) = (_oracle_piece(design, 1),
                                   _oracle_piece(design, 0))
     # stay clear of the weak-identification cutoff, where rounding decides
-    assume(abs(min(den1, den0) - 1e-4) > 1e-6)
-    if min(den1, den0) <= 1e-4:
+    assume(abs(min(den1, den0) - MIN_MASS) > 1e-6)
+    if min(den1, den0) < MIN_MASS:
         with pytest.raises(WeakIdentificationError):
             true_identified_late(design)
         return
@@ -303,16 +306,97 @@ class TestRelaxedEqualsMonotone:
         assert wald_ratio(design) == pytest.approx(-1.0, rel=1e-12)
 
     def test_example_design(self):
-        # p1 = 0.7 N(3, 1), q1 = 0.4 N(3, 1), p0 = 0.3 N(1, 1),
-        # q0 = 0.6 N(1, 1): the LATE is 3 - 1 = 2
-        treated, untreated = (3.0, 1.0), (1.0, 1.0)
-        design = SimDesign(
-            pr_z1=0.5,
-            p={1: HalfDensity(0.7, *treated), 0: HalfDensity(0.3, *untreated)},
-            q={1: HalfDensity(0.4, *treated), 0: HalfDensity(0.6, *untreated)},
-            band=(-2.5, 7.0), tails=FULL_TAILS)
+        design = example_design()
         assert true_identified_late(design) == pytest.approx(2.0, rel=1e-12)
         assert wald_ratio(design) == pytest.approx(2.0, rel=1e-12)
+
+
+def example_design():
+    """p1 = 0.7 N(3, 1), q1 = 0.4 N(3, 1), p0 = 0.3 N(1, 1),
+    q0 = 0.6 N(1, 1): a monotone design whose LATE is 3 - 1 = 2."""
+    treated, untreated = (3.0, 1.0), (1.0, 1.0)
+    return SimDesign(
+        pr_z1=0.5,
+        p={1: HalfDensity(0.7, *treated), 0: HalfDensity(0.3, *untreated)},
+        q={1: HalfDensity(0.4, *treated), 0: HalfDensity(0.6, *untreated)},
+        band=(-2.5, 7.0), tails=FULL_TAILS)
+
+
+class TestRelaxedEqualsMonotoneInSamples:
+    # the data-driven run of `late point --union`: fit, diagnostic, union
+    @staticmethod
+    def fit(sample):
+        cfg = default_empirical_config(sample)
+        est = estimate_density_diff(build_empirical(sample), sample,
+                                    Kernel(), cfg.h,
+                                    default_grid(cfg.band, cfg.h))
+        return cfg, est
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_implication_passes_and_the_union_covers_the_late(self, seed):
+        # A holds, so the data do not reject it, and the intervals of the
+        # relaxed model, at the data's tails and over all tails, cover the
+        # LATE that A identifies
+        sample = draw_sample(example_design(), 200_000, seed)
+        cfg, est = self.fit(sample)
+        diagnostic = check_iam_implication(
+            est, cfg.b, threshold_scale=cfg.threshold_scale)
+        assert diagnostic["passes"]
+        lo, hi = known_tail_estimate(
+            sample, est, cfg.tails, cfg.b, cfg.band, cfg.alpha,
+            threshold_scale=cfg.threshold_scale).ci
+        assert lo <= 2.0 <= hi
+        lo, hi = conservative_union_ci(
+            sample, est, cfg.b, cfg.band, cfg.alpha,
+            threshold_scale=cfg.threshold_scale)["ci"]
+        assert lo <= 2.0 <= hi
+
+    def test_implication_fails_where_a_fails(self):
+        # sec33 has the same cells in both arms, so f0 = -f1 and one of
+        # them is negative wherever the other is positive
+        sample = draw_sample(SimDesign.sec33(), 200_000, 0)
+        cfg, est = self.fit(sample)
+        assert not check_iam_implication(
+            est, cfg.b, threshold_scale=cfg.threshold_scale)["passes"]
+
+
+def floor_design(mass):
+    """Equal normals for d=1 in both arms with masses 2 * ``mass`` and
+    ``mass``: over the band (-50, 50), where the normal's mass rounds to 1,
+    the d=1 complier mass is ``mass`` to the last bit.  The d=0 cells sit
+    apart, so their complier mass is near 1."""
+    return SimDesign(
+        pr_z1=0.5,
+        p={1: HalfDensity(2 * mass, 0.0, 1.0),
+           0: HalfDensity(1.0 - 2 * mass, -5.0, 1.0)},
+        q={1: HalfDensity(mass, 0.0, 1.0),
+           0: HalfDensity(1.0 - mass, 5.0, 1.0)},
+        band=(-50.0, 50.0), tails=TailSpec())
+
+
+class TestTruthFloor:
+    def test_floor_is_the_estimators_min_mass(self):
+        # the estimators reject a mass below MIN_MASS, not one equal to it
+        assert math.isfinite(true_identified_late(floor_design(MIN_MASS)))
+        below = float(np.nextafter(MIN_MASS, 0.0))
+        with pytest.raises(WeakIdentificationError) as exc:
+            true_identified_late(floor_design(below))
+        assert exc.value.mass == below
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(designs(), designs(zero_cell=True),
+                     designs(narrow_band=True), designs(equal_sds=True),
+                     monotone_designs()))
+    @example(SimDesign(pr_z1=0.5, p=example_design().p,
+                       q=example_design().p, band=(-2.5, 7.0),
+                       tails=TailSpec()))
+    def test_truth_is_finite_or_weak(self, design):
+        try:
+            truth = true_identified_late(design)
+        except WeakIdentificationError as exc:
+            assert exc.mass < MIN_MASS
+        else:
+            assert math.isfinite(truth)
 
 
 class TestHalfDensity:
