@@ -210,10 +210,13 @@ def default_empirical_config(sample: Sample, alpha=0.05) -> RunConfig:
     if not math.isfinite(sd):
         raise DataError("outcomes spread too widely for the bandwidth rule: "
                         "their standard deviation overflows")
+    ys = np.sort(sample.y)
     if sd <= 0:
+        if ys[0] < ys[-1]:
+            raise DataError("outcomes spread too narrowly for the bandwidth "
+                            "rule: their standard deviation underflows")
         raise ConfigError("outcome is constant: bandwidth rule gives h = 0")
     h = sd * math.log(n) / (2.0 * n ** (1.0 / 5.0))
-    ys = np.sort(sample.y)
     m_l, m_u = sorted_quantile(ys, 0.01), sorted_quantile(ys, 0.99)
     if m_l >= m_u:
         raise ConfigError("degenerate 1%/99% quantile band")

@@ -14,7 +14,8 @@ linear functional of the cells over it with the bundled simplex solver.
 The refutability slack, the minimal loss and the four bound ends are scalar
 closed forms on the eight observed cell masses, which
 :class:`RoyDistribution` reads once as Python floats; numpy is used only
-where arrays are the point (the polyhedron, the LP and counting a sample).
+where arrays are the point (the polyhedron, the LP and counting a sample),
+and a distribution's array ``p`` is built only when one of them reads it.
 
 Cell masses are C[d, y, k, z] = Pr(Y(1)=y, Y(0)=k, D=d, Z=z).
 """
@@ -22,7 +23,6 @@ Cell masses are C[d, y, k, z] = Pr(Y(1)=y, Y(0)=k, D=d, Z=z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import DataError
 from .simplex import solve_lp
 
 _ATOL = 1e-9
+_FLOAT = np.dtype(float)
 
 # to_jsonable keys in cell order, position 4y + 2d + z
 _CELL_KEYS = tuple(f"pr_y{y}_d{d}_z{z}"
@@ -41,41 +42,70 @@ def _cell_index(d, y, k, z):
     return int(np.ravel_multi_index((d, y, k, z), (2, 2, 2, 2)))
 
 
-@dataclass(frozen=True)
 class RoyDistribution:
     """Observed joint distribution of (Y, D, Z), all binary.
 
-    ``p[y, d, z]`` is Pr(Y=y, D=d, Z=z); entries are nonnegative and sum to
-    one, and both instrument arms must have positive probability.  ``p`` is
-    kept clipped at zero and read-only; the same eight masses are kept as a
-    tuple of Python floats at position 4y + 2d + z (``p.ravel()`` order),
-    and every per-distribution quantity is scalar arithmetic on them, summed
-    in the order numpy's reductions over ``p`` use.
+    Built from ``p[y, d, z]`` = Pr(Y=y, D=d, Z=z): entries nonnegative
+    (down to -1e-9, clipped to zero) and summing to one within 1e-8, with
+    both instrument arms of positive probability.  The eight clipped masses
+    are kept as a tuple of Python floats at position 4y + 2d + z
+    (``p.ravel()`` order), and every per-distribution quantity is scalar
+    arithmetic on them, summed in the order numpy's reductions over ``p``
+    use.  ``p`` gives the same masses as an array, built on the first
+    read; the polyhedron and the LP read it, the closed forms do not.  Two
+    distributions are equal when their clipped masses are.
     """
 
-    p: np.ndarray
+    __slots__ = ("_cells", "_pz", "_p")
 
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+    def __init__(self, p):
+        # a float64 ndarray is read as it is; anything else is converted
+        if type(p) is not np.ndarray or p.dtype is not _FLOAT:
+            p = np.asarray(p, dtype=float)
         if p.shape != (2, 2, 2):
             raise DataError("p must have shape (2, 2, 2) indexed [y, d, z]")
         f = p.ravel().tolist()
         if not all(map(math.isfinite, f)):
             raise DataError("cell probabilities must be finite")
-        if min(f) < -_ATOL:
+        low = min(f)
+        if low < -_ATOL:
             raise DataError("cell probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-8:
+        # numpy's pairwise order for eight floats, as p.sum() adds them
+        total = (((f[0] + f[1]) + (f[2] + f[3]))
+                 + ((f[4] + f[5]) + (f[6] + f[7])))
+        if abs(total - 1.0) > 1e-8:
             raise DataError("cell probabilities must sum to one")
-        f = tuple([x if x > 0.0 else 0.0 for x in f])
-        p = np.array(f).reshape(2, 2, 2)
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_cells", f)
+        # clipped at zero; with every cell positive there is nothing to clip
+        f = tuple(f if low > 0.0 else [x if x > 0.0 else 0.0 for x in f])
+        self._cells = f
         # the arm masses scale every bound and constraint row
-        object.__setattr__(self, "_pz", (f[0] + f[2] + f[4] + f[6],
-                                         f[1] + f[3] + f[5] + f[7]))
-        if self.pr_z(0) <= 0 or self.pr_z(1) <= 0:
+        self._pz = pz = (f[0] + f[2] + f[4] + f[6], f[1] + f[3] + f[5] + f[7])
+        self._p = None
+        if pz[0] <= 0 or pz[1] <= 0:
             raise DataError("both instrument arms need positive probability")
+
+    @property
+    def p(self):
+        """The clipped masses as a read-only (2, 2, 2) array indexed
+        [y, d, z], a new array built on the first read and kept."""
+        if self._p is None:
+            p = np.array(self._cells).reshape(2, 2, 2)
+            p.flags.writeable = False
+            self._p = p
+        return self._p
+
+    def __eq__(self, other):
+        if not isinstance(other, RoyDistribution):
+            return NotImplemented
+        return self._cells == other._cells
+
+    def __hash__(self):
+        return hash(self._cells)
+
+    def __repr__(self):
+        f = self._cells
+        return (f"RoyDistribution([[{list(f[0:2])}, {list(f[2:4])}], "
+                f"[{list(f[4:6])}, {list(f[6:8])}]])")
 
     @classmethod
     def from_sample(cls, y, d, z):

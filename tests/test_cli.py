@@ -278,6 +278,24 @@ def tied_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["point", "bounds", "test"])
+@pytest.mark.parametrize("scale,message", [
+    (1e-300, "outcomes spread too narrowly for the bandwidth rule: their "
+             "standard deviation underflows"),
+    (0.0, "outcome is constant: bandwidth rule gives h = 0")],
+    ids=["underflowing", "constant"])
+def test_late_bandwidth_rule_names_the_spread(capsys, tmp_path, command,
+                                              scale, message):
+    # 300 rows of N(0, 1) times 1e-300 are not constant, though their
+    # squared deviations underflow to an sd of 0
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal(300) * scale + 1e-300
+    d, z = rng.integers(0, 2, (2, 300))
+    path = write_sample_csv(tmp_path / "narrow.csv", Sample(y=y, d=d, z=z))
+    code, out, err = run_cli(capsys, "late", command, "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestTiedOutcomes:
     # the tuning rules run on every `late` command, overrides or not, and
     # must not build a density grid from the tied outcomes ("grid must be
@@ -500,6 +518,15 @@ class TestRoy:
         assert not res["refuted"]
         assert res["treated_outcome_given_z1"] == pytest.approx(
             [0.637745924726084, 0.8007523223781717], abs=1e-12)
+
+    def test_overflowing_sum_is_2_with_one_line(self):
+        # the sum of the cells overflows; numpy's sum warned on stderr
+        # before the error line
+        child = subprocess.run(
+            _CLI + ["roy", "bounds", "--cells", "1e308,1e308,0,0,0,0,0,0"],
+            env=_child_env(), capture_output=True, text=True)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == "error: cell probabilities must sum to one\n"
 
     @pytest.mark.parametrize("cells", ["nan,0,0,0,0,0,0,1",
                                        "inf,0,0,0,0,0,0,1"])

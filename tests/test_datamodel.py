@@ -246,6 +246,25 @@ class TestEmpiricalConfig:
             with pytest.raises(DataError, match="standard deviation overflows"):
                 default_empirical_config(s)
 
+    def test_underflowing_spread_is_a_data_error(self):
+        # deviations near 1e-300 square to zero, so the sd reads 0 although
+        # the outcomes differ; the rule must not call them constant
+        rng = np.random.default_rng(9)
+        d, z = rng.integers(0, 2, (2, 300)).astype(float)
+        s = Sample(y=rng.standard_normal(300) * 1e-300, d=d, z=z)
+        assert float(np.std(s.y, ddof=1)) == 0.0 and np.ptp(s.y) > 0
+        with pytest.raises(DataError, match="^outcomes spread too narrowly "
+                           "for the bandwidth rule: their standard "
+                           "deviation underflows$"):
+            default_empirical_config(s)
+
+    def test_constant_outcome_keeps_its_message(self):
+        s = make_sample(200, seed=7)
+        s = Sample(y=np.full(200, 1e-300), d=s.d, z=s.z)
+        with pytest.raises(ConfigError, match="^outcome is constant: "
+                           "bandwidth rule gives h = 0$"):
+            default_empirical_config(s)
+
     def test_deterministic(self):
         s = make_sample(200, seed=6)
         a = default_empirical_config(s)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,39 @@ class TestDistribution:
         out = balanced_dist().to_jsonable()
         assert len(out) == 8
         assert out["pr_y1_d1_z1"] == pytest.approx(0.20)
+
+    def test_overflowing_sum_warns_nothing(self):
+        # 1e308 + 1e308 overflows; numpy's p.sum() warned before the error
+        p = np.zeros((2, 2, 2))
+        p[0, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^cell probabilities must "
+                                                "sum to one$"):
+                RoyDistribution(p)
+
+    def test_equality_and_hash_follow_the_clipped_cells(self):
+        a, b = balanced_dist(), balanced_dist()
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # -1e-10 is clipped to the zero it stands for
+        p = np.array(a.p)
+        p[1, 1, 1] += p[0, 1, 1]
+        p[0, 1, 1] = 0.0
+        zero = RoyDistribution(p)
+        assert zero != a
+        p[0, 1, 1] = -1e-10
+        assert RoyDistribution(p) == zero
+        assert hash(RoyDistribution(p)) == hash(zero)
+        assert a != tuple(a.to_jsonable().values())
+
+    def test_repr_rebuilds_the_distribution(self):
+        dist = balanced_dist()
+        text = repr(dist)
+        assert text == ("RoyDistribution([[[0.2, 0.15], [0.05, 0.05]], "
+                        "[[0.1, 0.1], [0.15, 0.2]]])")
+        assert eval(text, {"RoyDistribution": RoyDistribution}) == dist
 
 
 class TestRefutability:
@@ -540,11 +574,12 @@ def assert_identical(got, want):
     assert repr(got) == repr(want)
 
 
-def assert_matches_numpy_oracle(cells):
+def assert_matches_numpy_oracle(cells, oracle_cells=None):
     """Every scalar output of ``RoyDistribution(cells)`` is the numpy
-    oracle's, bit for bit; an error has the oracle's type and text."""
+    oracle's on ``oracle_cells`` (by default ``cells``), bit for bit; an
+    error has the oracle's type and text."""
     try:
-        p = old_cells(cells)
+        p = old_cells(cells if oracle_cells is None else oracle_cells)
     except DataError as exc:
         with pytest.raises(DataError) as got:
             RoyDistribution(cells)
@@ -632,6 +667,26 @@ class TestNumpyOracle:
         p[0, 0, arm] = -1e-10
         assert_matches_numpy_oracle(p)
 
+    @given(cells=dirichlet_cells(),
+           form=st.sampled_from(["list", "fortran", "strided", "float32"]))
+    @settings(max_examples=300, deadline=None)
+    def test_other_array_forms(self, cells, form):
+        # every form reads as its C-ordered float64 array; the numpy formulas
+        # sum a Fortran-ordered array in another order, so the oracle reads
+        # that array
+        if form == "list":
+            cells = cells.tolist()
+        elif form == "fortran":
+            cells = cells.T.copy().T
+        elif form == "strided":
+            wide = np.zeros((2, 2, 2, 2))
+            wide[..., 1] = cells
+            cells = wide[..., 1]
+        else:
+            cells = cells.astype(np.float32)
+        assert_matches_numpy_oracle(
+            cells, np.ascontiguousarray(cells, dtype=float))
+
     def test_p_is_clipped_and_read_only(self):
         cells = np.array(balanced_dist().p)
         cells[1, 1, 1] += cells[0, 1, 1]
@@ -645,6 +700,56 @@ class TestNumpyOracle:
         # the caller's array is neither clipped nor frozen
         assert cells[0, 1, 1] == -1e-10
         assert cells.flags.writeable
+
+
+class TestArrayOnDemand:
+    """The run-time path reads the eight floats; ``p`` is built the first
+    time something reads it."""
+
+    def test_run_time_path_builds_no_array(self, monkeypatch):
+        draws = [np.array(dist.p) for dist in random_dists(5, 60)]
+        want = [(check_roy_refutable(RoyDistribution(p)),
+                 potential_outcome_bounds(RoyDistribution(p)))
+                for p in draws]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ndarray was built")
+
+        for name in ("array", "asarray", "asanyarray", "ascontiguousarray",
+                     "zeros", "empty", "concatenate"):
+            monkeypatch.setattr(roy.np, name, refuse)
+        for p, (refut, bounds) in zip(draws, want):
+            dist = RoyDistribution(p)
+            assert check_roy_refutable(dist) == refut
+            assert min_efficiency_loss(dist) == bounds["min_efficiency_loss"]
+            assert potential_outcome_bounds(dist) == bounds
+            assert potential_outcome_bounds(dist, verify=False) == bounds
+            assert len(dist.to_jsonable()) == 8
+            assert dist.pr_y_given_z(1, 0) >= 0.0
+            assert dist == RoyDistribution(p)
+            repr(dist), hash(dist)
+
+    def test_first_read_builds_p_once(self, monkeypatch):
+        cells = np.array(balanced_dist().p)
+        cells[1, 1, 1] += cells[0, 1, 1]
+        cells[0, 1, 1] = -1e-10
+        dist = RoyDistribution(cells)
+        built = []
+        array = np.array
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return array(*args, **kwargs)
+
+        monkeypatch.setattr(roy.np, "array", counted)
+        p = dist.p
+        assert dist.p is p
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert p is not cells
+        assert p[0, 1, 1] == 0.0 and not p.flags.writeable
+        assert np.array_equal(p, np.clip(cells, 0.0, None))
+        assert cells[0, 1, 1] == -1e-10 and cells.flags.writeable
 
 
 def old_from_sample(y, d, z):
