@@ -3,11 +3,11 @@
 Submodules
 ----------
 sets        closed interval unions and super-level set extraction
-datamodel   samples, instrument-arm frequencies, tuning values per run
+datamodel   samples, CSV loaders, tuning values per run
 density     kernel estimates of signed sub-density differences
 latepoint   trimmed complier-mean contrast: estimate, variance, intervals
 latebounds  complier-mass-gap regimes, thresholds, interval bounds
-simplex     dense two-phase linear-programming solver
+simplex     the tests' LP oracle, importable for the benchmark
 roy         binary self-selection model: refutability, loss, bounds
 structures  refutability/confirmability algebra on finite spaces
 dilation    bootstrap sup-norm dilations and interval-data set inference
@@ -29,11 +29,11 @@ _EXPORTS = {
     "errors": ("ConfigError", "DataError", "InternalConsistencyError",
                "PartialIdError", "WeakIdentificationError"),
     "sets": ("IntervalUnion", "superlevel_set"),
-    "datamodel": ("EmpiricalPQ", "RunConfig", "Sample", "build_empirical",
-                  "default_empirical_config", "default_simulation_config",
-                  "default_threshold", "load_intervals_csv",
-                  "load_sample_csv", "theorem_bandwidth", "theorem_trimming"),
-    "density": ("DensityEstimate", "Kernel", "cell_sum", "default_grid",
+    "datamodel": ("RunConfig", "Sample", "default_empirical_config",
+                  "default_simulation_config", "default_threshold",
+                  "load_intervals_csv", "load_sample_csv",
+                  "theorem_bandwidth", "theorem_trimming"),
+    "density": ("DensityEstimate", "cell_sum", "default_grid",
                 "estimate_density_diff"),
     "latepoint": ("LateEstimate", "TailSpec", "check_iam_implication",
                   "conservative_union_ci", "estimate_late",
@@ -41,10 +41,8 @@ _EXPORTS = {
                   "late_variance", "wald_estimate"),
     "latebounds": ("BoundEstimate", "DeltaEstimate", "bound_variance",
                    "estimate_bounds", "estimate_delta"),
-    "simplex": ("InfeasibleError", "UnboundedError", "solve_lp"),
     "roy": ("RoyDistribution", "build_polyhedron", "check_roy_refutable",
-            "min_efficiency_loss", "optimize_functional",
-            "potential_outcome_bounds"),
+            "min_efficiency_loss", "potential_outcome_bounds"),
     "structures": ("FiniteStructureSpace", "binary_decidability",
                    "check_extension", "complete_space", "confirmable_sets",
                    "load_space_json", "nonrefutable_sets"),

@@ -13,8 +13,8 @@ simulate coverage   Monte Carlo coverage of the built-in design
 JSON is the canonical output (``--format table`` renders the same payload
 as aligned text).  Reports are a pure function of argv and ``--seed``;
 wall-clock timing is only attached under ``--timing``.  Exit codes:
-0 success, 1 usage error, 2 data/configuration error, 3 weak
-identification.
+0 success, 1 usage error, 2 data/configuration error or out of memory,
+3 weak identification.
 
 Importing this module loads no library module besides ``errors``, and no
 numpy.  Once the arguments parse, ``run`` binds the names of the modules
@@ -221,8 +221,8 @@ def _late_fit(args):
     if args.threshold_scale is not None:
         updates["threshold_scale"] = args.threshold_scale
     cfg = _override(cfg, args, **updates)
-    est = estimate_density_diff(build_empirical(sample), sample, Kernel(),
-                                cfg.h, default_grid(cfg.band, cfg.h))
+    est = estimate_density_diff(None, sample, None, cfg.h,
+                                default_grid(cfg.band, cfg.h))
     return sample, cfg, est
 
 
@@ -572,6 +572,10 @@ def run(argv=None):
         return 3
     except (PartialIdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the size asked for
+        print(f"error: out of memory{str(exc) and f': {exc}'}",
+              file=sys.stderr)
         return 2
     report = {"command": " ".join(["partialid"] + argv), **report}
     if args.timing:

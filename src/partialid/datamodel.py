@@ -1,6 +1,6 @@
-"""Core data containers: samples, empirical conditional measures, and the
-run configuration, which holds the tuning values every estimation module
-reads: bandwidth, trimming level and regime threshold at the sample size."""
+"""Core data containers: samples, their CSV loaders, and the run
+configuration, which holds the tuning values every estimation module reads:
+bandwidth, trimming level and regime threshold at the sample size."""
 
 from __future__ import annotations
 
@@ -50,25 +50,6 @@ class Sample:
 
     def pr_z1(self):
         return float(np.mean(self.z == 1))
-
-
-@dataclass(frozen=True)
-class EmpiricalPQ:
-    """Empirical instrument arms: the P side conditions on Z=1, the Q side
-    on Z=0.  Holds each arm's frequency and size."""
-
-    pr_z1: float
-    pr_z0: float
-    n_z1: int
-    n_z0: int
-
-
-def build_empirical(sample: Sample) -> EmpiricalPQ:
-    """Build the empirical instrument arms of a sample."""
-    n_z1 = int(np.count_nonzero(sample.z == 1))
-    n_z0 = sample.n - n_z1
-    return EmpiricalPQ(pr_z1=n_z1 / sample.n, pr_z0=n_z0 / sample.n,
-                       n_z1=n_z1, n_z0=n_z0)
 
 
 def sorted_quantile(ys, q):

@@ -70,6 +70,8 @@ def bootstrap_critical_value(sample, n_boot, alpha, seed):
         raise ConfigError("alpha must lie in (0, 1]")
     if n_boot < 100:
         raise ConfigError("at least 100 bootstrap resamples are required")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     cols = _as_columns(sample)
     n = cols.shape[0]
     rng = np.random.default_rng(seed)

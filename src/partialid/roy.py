@@ -5,16 +5,15 @@ better one; encouragement (Z=1) may distort choices, and the minimal total
 probability of strictly inefficient choices consistent with the data is a
 point-identified efficiency-loss measure.  The joint distribution of
 (potential outcomes, choice, instrument) lives in a polyhedron of 16 cell
-masses; sharp bounds on Pr(Y(1)=1 | Z=z) come out of linear programs over
-that polyhedron and admit closed forms, which
-:func:`potential_outcome_bounds` reports.  :func:`build_polyhedron` gives
-the polyhedron itself, and :func:`optimize_functional` optimises any
-linear functional of the cells over it with the bundled simplex solver.
+masses; sharp bounds on Pr(Y(1)=1 | Z=z) are linear programs over that
+polyhedron and admit closed forms, which :func:`potential_outcome_bounds`
+reports.  :func:`build_polyhedron` gives the polyhedron itself, on which
+the tests solve those programs as the closed forms' oracle.
 
 The refutability slack, the minimal loss and the four bound ends are scalar
 closed forms on the eight observed cell masses, which
 :class:`RoyDistribution` reads once as Python floats; numpy is used only
-where arrays are the point (the polyhedron, the LP and counting a sample),
+where arrays are the point (the polyhedron and counting a sample),
 and a distribution's array ``p`` is built only when one of them reads it.
 
 Cell masses are C[d, y, k, z] = Pr(Y(1)=y, Y(0)=k, D=d, Z=z).
@@ -27,6 +26,7 @@ import math
 import numpy as np
 
 from .errors import DataError
+# unused: the benchmark's tracer patches the boundary ("roy", "solve_lp")
 from .simplex import solve_lp
 
 _ATOL = 1e-9
@@ -52,7 +52,7 @@ class RoyDistribution:
     (``p.ravel()`` order), and every per-distribution quantity is scalar
     arithmetic on them, summed in the order numpy's reductions over ``p``
     use.  ``p`` gives the same masses as an array, built on the first
-    read; the polyhedron and the LP read it, the closed forms do not.  Two
+    read; the polyhedron reads it, the closed forms do not.  Two
     distributions are equal when their clipped masses are.
     """
 
@@ -202,30 +202,6 @@ def build_polyhedron(dist: RoyDistribution):
                            [0.0, 0.0, min_efficiency_loss(dist)]])
     a_ub = _A_UB_SIGNS * inv_pz[_CELL_ARM]
     return _A_EQ.copy(), b_eq, a_ub, np.zeros(2)
-
-
-def optimize_functional(dist: RoyDistribution, c, sense="min"):
-    """Optimise a linear functional ``c @ C`` of the 16 cell masses over the
-    model polyhedron.  Returns ``(value, C)`` with C shaped (2, 2, 2, 2)."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (16,) and c.shape != (2, 2, 2, 2):
-        raise DataError("c must have 16 entries")
-    c = c.reshape(16)
-    if sense not in ("min", "max"):
-        raise DataError("sense must be 'min' or 'max'")
-    A_eq, b_eq, A_ub, b_ub = build_polyhedron(dist)
-    sgn = 1.0 if sense == "min" else -1.0
-    value, x = solve_lp(sgn * c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
-    return sgn * value, x.reshape(2, 2, 2, 2)
-
-
-def _objective_vector(z):
-    """Coefficients of Pr(Y(1)=1, Z=z) as a functional of the cell masses."""
-    c = np.zeros(16)
-    for d in (0, 1):
-        for k in (0, 1):
-            c[_cell_index(d, 1, k, z)] = 1.0
-    return c
 
 
 def potential_outcome_bounds(dist: RoyDistribution, verify=True):

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, PartialIdError, WeakIdentificationError
-from .datamodel import RunConfig, Sample, build_empirical
-from .density import Kernel, default_grid, estimate_density_diff
+from .datamodel import RunConfig, Sample
+from .density import default_grid, estimate_density_diff
 from .latepoint import (MIN_MASS, TailSpec, conservative_union_ci,
                         known_tail_estimate)
 from .sets import IntervalUnion
@@ -220,9 +220,8 @@ def _one_replication(design, n, cfg: RunConfig, estimator, truth, seed):
               "ci": None, "covered": None}
     try:
         sample = draw_sample(design, n, seed)
-        emp = build_empirical(sample)
         grid = default_grid(cfg.band, cfg.h)
-        est = estimate_density_diff(emp, sample, Kernel(), cfg.h, grid)
+        est = estimate_density_diff(None, sample, None, cfg.h, grid)
         if estimator == "known":
             late = known_tail_estimate(sample, est, cfg.tails, cfg.b,
                                        cfg.band, cfg.alpha,
@@ -276,6 +275,8 @@ def run_coverage(design: SimDesign, estimator, n, m, cfg: RunConfig,
         raise ConfigError("estimator must be 'known' or 'union'")
     if m < 2:
         raise ConfigError("at least 2 replications are required")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     truth = true_identified_late(design)
     child_seeds = np.random.SeedSequence(seed).spawn(m)
 

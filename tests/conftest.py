@@ -1,9 +1,12 @@
-"""Shared fixtures: deterministic synthetic samples and CSV writers."""
+"""Shared fixtures: deterministic synthetic samples, CSV writers, and the
+Roy bounds' LP oracle."""
 
 import numpy as np
 import pytest
 
 from partialid.datamodel import Sample
+from partialid.roy import _cell_index, build_polyhedron
+from partialid.simplex import solve_lp
 
 
 def make_sample(n=400, seed=0, effect=1.0):
@@ -18,6 +21,30 @@ def make_sample(n=400, seed=0, effect=1.0):
     d = np.where(comply, z, 1 - z)
     y = rng.normal(2.0, 1.0, n) + effect * d
     return Sample(y=y, d=d.astype(int), z=z)
+
+
+def objective_vector(z):
+    """Coefficients of Pr(Y(1)=1, Z=z) as a functional of the 16 Roy cell
+    masses C[d, y, k, z]."""
+    c = np.zeros(16)
+    for d in (0, 1):
+        for k in (0, 1):
+            c[_cell_index(d, 1, k, z)] = 1.0
+    return c
+
+
+def simplex_bounds(dist):
+    """The LP oracle for ``potential_outcome_bounds``: the ends of
+    Pr(Y(1)=1 | Z=z), z = 0 and 1, from the bundled simplex on
+    ``build_polyhedron``, as ``{"z0": (lo, hi), "z1": (lo, hi)}``."""
+    a_eq, b_eq, a_ub, b_ub = build_polyhedron(dist)
+    out = {}
+    for z in (0, 1):
+        c = objective_vector(z)
+        lo = solve_lp(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub)[0]
+        hi = -solve_lp(-c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub)[0]
+        out[f"z{z}"] = (lo / dist.pr_z(z), hi / dist.pr_z(z))
+    return out
 
 
 def write_sample_csv(path, sample):

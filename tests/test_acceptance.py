@@ -32,14 +32,14 @@ from partialid.latebounds import (_scan_threshold, estimate_bounds,
 from partialid.latepoint import TailSpec
 from partialid.roy import (RoyDistribution, build_polyhedron,
                            check_roy_refutable, min_efficiency_loss,
-                           optimize_functional, potential_outcome_bounds,
-                           _cell_index, _objective_vector)
+                           potential_outcome_bounds, _cell_index)
 from partialid.simplex import solve_lp
 from partialid.simulate import (HalfDensity, SimDesign, run_coverage,
                                 true_identified_late)
 from partialid.structures import (FiniteStructureSpace, binary_decidability,
                                   check_extension, complete_space)
 
+from conftest import simplex_bounds
 from test_latebounds import gap_population
 
 RUN_FULL = os.environ.get("RUN_FULL_COVERAGE") == "1"
@@ -185,13 +185,10 @@ class TestCriterion3RoyExactness:
 
             # (b) analytic treated-outcome bounds equal the LP optima
             bounds = potential_outcome_bounds(dist)
-            for z, key in ((0, "z0"), (1, "z1")):
-                cz = _objective_vector(z)
-                pz = dist.pr_z(z)
-                lo_lp = optimize_functional(dist, cz, "min")[0] / pz
-                hi_lp = optimize_functional(dist, cz, "max")[0] / pz
-                assert abs(lo_lp - bounds[key][0]) < 1e-9
-                assert abs(hi_lp - bounds[key][1]) < 1e-9
+            lp = simplex_bounds(dist)
+            for key in ("z0", "z1"):
+                assert abs(lp[key][0] - bounds[key][0]) < 1e-9
+                assert abs(lp[key][1] - bounds[key][1]) < 1e-9
         assert time.perf_counter() - start < 10.0
 
 

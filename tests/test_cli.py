@@ -181,6 +181,15 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: --band values must be finite: -inf,inf\n"
 
+    def test_overflowing_band_is_2(self, capsys, sample_csv):
+        # each end is finite, but the grid's span, band +- h, is not
+        code, out, err = run_cli(capsys, "late", "point", "--input",
+                                 sample_csv, "--band=-1e308,1e308")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: band [-1e+308, 1e+308] padded by h = ")
+        assert err.endswith(" on each side spans more than a float holds\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("band", ["-1,4", "-.5,4", "-3,-1"])
     def test_negative_band_after_a_space(self, capsys, sample_csv, band):
         # argparse takes "-1,4" for an option; both spellings give the same
@@ -674,6 +683,7 @@ class TestDilate:
         (("--alpha", "0"), "alpha must lie in (0, 1]"),
         (("--alpha", "1.5"), "alpha must lie in (0, 1]"),
         (("--boot", "50", "--alpha", "0"), "alpha must lie in (0, 1]"),
+        (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
     ])
     def test_bad_boot_or_alpha_is_2(self, capsys, intervals_csv, flags,
                                     message):
@@ -722,6 +732,26 @@ class TestDilate:
         assert err == f"error: {message}\n"
         # only the bootstrap's own --alpha/--boot check may be reached
         assert calls == ([] if "alpha" not in message else [(50, 0.0)])
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 745. GiB for an array with shape "
+         "(100000000000,) and data type float64",
+         "error: out of memory: Unable to allocate 745. GiB for an array "
+         "with shape (100000000000,) and data type float64\n"),
+        ("", "error: out of memory\n")])
+    def test_out_of_memory_is_2_with_one_line(self, capsys, monkeypatch,
+                                              intervals_csv, message, line):
+        # what `--grid-points 100000000000` raises, without the allocation
+        from partialid import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "confidence_region", exhausted,
+                            raising=False)
+        code, out, err = run_cli(capsys, "dilate", "region", "--input",
+                                 intervals_csv, "--a", "0", "--b", "1")
+        assert (code, out, err) == (2, "", line)
 
     @pytest.mark.parametrize("bounds", [("--a=nan", "--b=1"),
                                         ("--a=0", "--b=nan")])
@@ -816,6 +846,12 @@ class TestSimulate:
         assert code == 2
         assert err == f"error: {flag} must be positive and finite, got nan\n"
 
+    def test_negative_seed_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "coverage", "--n", "200",
+                                 "--m", "2", "--threads", "1", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_n_below_two_is_2(self, capsys, n):
         code, _, err = run_cli(capsys, "simulate", "coverage", "--n", n,
@@ -880,20 +916,19 @@ _ROOT_NAMES = {
     "errors": "ConfigError DataError InternalConsistencyError PartialIdError "
               "WeakIdentificationError",
     "sets": "IntervalUnion superlevel_set",
-    "datamodel": "EmpiricalPQ RunConfig Sample build_empirical "
+    "datamodel": "RunConfig Sample "
                  "default_empirical_config default_simulation_config "
                  "default_threshold load_intervals_csv load_sample_csv "
                  "theorem_bandwidth theorem_trimming",
-    "density": "DensityEstimate Kernel cell_sum default_grid "
+    "density": "DensityEstimate cell_sum default_grid "
                "estimate_density_diff",
     "latepoint": "LateEstimate TailSpec check_iam_implication "
                  "conservative_union_ci estimate_late estimate_trimmed_sets "
                  "known_tail_estimate late_variance wald_estimate",
     "latebounds": "BoundEstimate DeltaEstimate bound_variance estimate_bounds "
                   "estimate_delta",
-    "simplex": "InfeasibleError UnboundedError solve_lp",
     "roy": "RoyDistribution build_polyhedron check_roy_refutable "
-           "min_efficiency_loss optimize_functional potential_outcome_bounds",
+           "min_efficiency_loss potential_outcome_bounds",
     "structures": "FiniteStructureSpace binary_decidability check_extension "
                   "complete_space confirmable_sets load_space_json "
                   "nonrefutable_sets",
@@ -925,8 +960,15 @@ print(json.dumps([sorted(ns), wrong]))
 
 class TestImports:
     def test_cli_path_loads_no_scipy(self):
-        assert _modules_after("import partialid.cli, partialid.roy",
-                              "scipy") == []
+        # every root name resolves on numpy and the stdlib alone: no test
+        # dependency is loaded
+        loaded = json.loads(_fresh(
+            "import json, sys, partialid, partialid.cli\n"
+            "[getattr(partialid, name) for name in partialid.__all__]\n"
+            "print(json.dumps(sorted({m.split('.')[0] "
+            "for m in sys.modules})))"))
+        assert {"numpy", "partialid"} <= set(loaded)
+        assert not {"scipy", "pytest", "_pytest", "hypothesis"} & set(loaded)
 
     def test_coverage_run_loads_no_scipy(self):
         # the simulation truth is closed-form, so the package needs no scipy
@@ -1024,7 +1066,7 @@ class TestImports:
     def test_root_names_resolve_to_their_owners(self):
         owners = {name: module for module, names in _ROOT_NAMES.items()
                   for name in [module, *names.split()]}
-        assert len(owners) == 77
+        assert len(owners) == 69
         assert partialid.__all__ == sorted(owners)
         assert [n for n in dir(partialid) if not n.startswith("_")] == \
             partialid.__all__

@@ -210,7 +210,7 @@ def commands(draw, tmp_path):
         argv += _flag(draw, "--boot", ["100", "150"], ["0", "99"])
         argv += _flag(draw, "--alpha", *_ALPHA)
         argv += _flag(draw, "--grid-points", ["1", "2", "25"], ["0", "-1"])
-        argv += _flag(draw, "--seed", ["0", "7"])
+        argv += _flag(draw, "--seed", ["0", "7"], ["-1"])
     else:
         argv = ["simulate", "coverage", "--threads=1"]
         argv += [draw(st.sampled_from(["--n=25", "--n=120"]) if not
@@ -220,6 +220,7 @@ def commands(draw, tmp_path):
         argv += _flag(draw, "--b", ["0.05", "0.3"], ["0", "inf"])
         argv += _flag(draw, "--h", ["0.2", "0.5"], ["-1", "nan"])
         argv += _flag(draw, "--alpha", *_ALPHA)
+        argv += _flag(draw, "--seed", ["0", "7"], ["-1"])
         if draw(st.booleans()):
             argv.append("--union")
     argv += _flag(draw, "--format", ["json"])

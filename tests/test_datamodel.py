@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from partialid.datamodel import (Sample, build_empirical, load_sample_csv,
+from partialid.datamodel import (Sample, load_sample_csv,
                                  load_intervals_csv, open_utf8, RunConfig,
                                  default_empirical_config,
                                  default_simulation_config,
@@ -71,15 +71,6 @@ class TestSample:
     def test_pr_z1(self):
         s = Sample(y=np.zeros(4), d=np.zeros(4), z=np.array([1, 1, 0, 0]))
         assert s.pr_z1() == 0.5
-
-
-class TestEmpirical:
-    def test_arm_frequencies_and_sizes(self):
-        s = Sample(y=np.array([1.0, 2.0, 3.0, 9.0]),
-                   d=np.array([1, 1, 1, 0]), z=np.array([1, 1, 1, 0]))
-        emp = build_empirical(s)
-        assert (emp.n_z1, emp.n_z0) == (3, 1)
-        assert (emp.pr_z1, emp.pr_z0) == (0.75, 0.25)
 
 
 class TestCsvLoaders:

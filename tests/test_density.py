@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from partialid.datamodel import Sample, build_empirical
-from partialid.density import (Kernel, default_grid, cell_sum,
-                               estimate_density_diff)
+from partialid.datamodel import Sample
+from partialid.density import default_grid, cell_sum, estimate_density_diff
 from partialid.errors import ConfigError
 from partialid.simulate import SimDesign, draw_sample
+
+
+def epanechnikov(u):
+    """The kernel 0.75 (1 - u^2) on its support [-1, 1]."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
 def direct_cell_sum(sample, h, points, d, z):
@@ -18,7 +23,7 @@ def direct_cell_sum(sample, h, points, d, z):
     points = np.atleast_1d(np.asarray(points, dtype=float))
     ys = sample.y[(sample.d == d) & (sample.z == z)]
     n_arm = int(np.count_nonzero(sample.z == z))
-    vals = Kernel()((ys[None, :] - points[:, None]) / h)
+    vals = epanechnikov((ys[None, :] - points[:, None]) / h)
     return vals.sum(axis=1) / (h * n_arm)
 
 
@@ -33,22 +38,19 @@ observations = st.lists(st.tuples(outcomes, st.integers(0, 1),
 
 class TestKernel:
     def test_integrates_to_one(self):
-        val, _ = integrate.quad(Kernel(), -1.0, 1.0)
+        val, _ = integrate.quad(epanechnikov, -1.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_compact_support(self):
-        k = Kernel()
-        assert np.all(k(np.array([-1.01, 1.01, 5.0])) == 0.0)
+        assert np.all(epanechnikov(np.array([-1.01, 1.01, 5.0])) == 0.0)
 
     def test_symmetric(self):
-        k = Kernel()
         u = np.linspace(0, 1, 11)
-        assert np.allclose(k(u), k(-u))
+        assert np.allclose(epanechnikov(u), epanechnikov(-u))
 
     def test_max_value_at_zero(self):
-        k = Kernel()
-        assert float(k(0.0)) == 0.75
-        assert np.all(k(np.linspace(-1.0, 1.0, 41)) <= 0.75)
+        assert float(epanechnikov(0.0)) == 0.75
+        assert np.all(epanechnikov(np.linspace(-1.0, 1.0, 41)) <= 0.75)
 
 
 class TestCellSum:
@@ -57,7 +59,6 @@ class TestCellSum:
         n = 200
         s = Sample(y=rng.normal(size=n),
                    d=rng.integers(0, 2, n), z=rng.integers(0, 2, n))
-        k = Kernel()
         h = 0.3
         pts = np.linspace(-2, 2, 7)
         got = cell_sum(s, h, pts, d=1, z=1)
@@ -66,7 +67,7 @@ class TestCellSum:
             acc = 0.0
             for yi, di, zi in zip(s.y, s.d, s.z):
                 if di == 1 and zi == 1:
-                    acc += float(k(np.array([(yi - p) / h]))[0])
+                    acc += float(epanechnikov(np.array([(yi - p) / h]))[0])
             assert got[j] == pytest.approx(acc / (h * n_arm), rel=1e-12)
 
     def test_arm_normalisation(self):
@@ -143,12 +144,12 @@ class TestDensityDiff:
         y = np.where(z == 1, rng.normal(2.0, 0.3, n), rng.normal(-2.0, 0.3, n))
         s = Sample(y=y, d=d, z=z)
         grid = np.linspace(-4, 4, 201)
-        est = estimate_density_diff(build_empirical(s), s, Kernel(), 0.4, grid)
+        est = estimate_density_diff(None, s, None, 0.4, grid)
         # f1 = (treated share in z=1 arm) - (in z=0 arm): positive near 2
-        assert est.value(2.0, 1) > 0.1
-        assert est.value(-2.0, 0) > 0.1
-        assert abs(est.value(-2.0, 1)) < 1e-9   # no d=1 mass near -2
-        assert abs(est.value(2.0, 0)) < 1e-9
+        assert np.interp(2.0, grid, est.f1) > 0.1
+        assert np.interp(-2.0, grid, est.f0) > 0.1
+        assert abs(np.interp(-2.0, grid, est.f1)) < 1e-9  # no d=1 mass near -2
+        assert abs(np.interp(2.0, grid, est.f0)) < 1e-9
 
     def test_integrates_to_complier_shares(self):
         rng = np.random.default_rng(7)
@@ -159,7 +160,7 @@ class TestDensityDiff:
         y = rng.normal(0, 1, n)
         s = Sample(y=y, d=d, z=z)
         grid = np.linspace(-6, 6, 801)
-        est = estimate_density_diff(build_empirical(s), s, Kernel(), 0.3, grid)
+        est = estimate_density_diff(None, s, None, 0.3, grid)
         area1 = np.trapezoid(est.f1, grid)
         want = (np.mean(d[z == 1]) - np.mean(d[z == 0]))
         assert area1 == pytest.approx(want, abs=0.02)
@@ -170,3 +171,9 @@ class TestDensityDiff:
         assert grid[0] == pytest.approx(-1.0 - h)
         assert grid[-1] == pytest.approx(2.0 + h)
         assert grid.size == 512
+
+    @pytest.mark.parametrize("band,h", [((-1e308, 1e308), 0.5),
+                                        ((0.0, 1.7e308), 1e307)])
+    def test_default_grid_names_an_overflowing_span(self, band, h):
+        with pytest.raises(ConfigError, match=r"^band \[.*\] padded by h = "):
+            default_grid(band, h)

@@ -111,6 +111,9 @@ class TestBootstrap:
             bootstrap_critical_value(x, 10, 0.05, seed=0)
         with pytest.raises(ConfigError):
             bootstrap_critical_value(x, 200, 1.5, seed=0)
+        with pytest.raises(ConfigError, match=r"^seed must be a non-negative "
+                                              r"integer, got -1$"):
+            bootstrap_critical_value(x, 200, 0.05, seed=-1)
         with pytest.raises(DataError):
             bootstrap_critical_value(np.array([1.0]), 200, 0.05, seed=0)
         bad = x.copy()
@@ -353,6 +356,89 @@ class TestSetAndRegion:
     def test_model_without_distance_is_rejected(self):
         with pytest.raises(TypeError, match="distance"):
             CharacterizingFunction(theta_grid=np.array([0.0]))
+
+
+# Inference on a design with a known identified set: Y* ~ N(0, 1), seen as
+# [Y* - E_l, Y* + E_u] with E_l, E_u ~ Exp(mean 0.5), so the identified set
+# of E[Y*] is [-0.5, 0.5].
+ALPHA = 0.05
+REPS = 40
+
+
+def widened_normal(n, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(0.0, 1.0, n)
+    return np.column_stack([y - rng.exponential(0.5, n),
+                            y + rng.exponential(0.5, n)])
+
+
+def upper_cdf(x):
+    """CDF of Y* + E_u: the exponentially modified normal of rate 2."""
+    from scipy.stats import norm
+    return norm.cdf(x) - np.exp(2.0 - 2.0 * x) * norm.cdf(x - 2.0)
+
+
+def sup_distance(values, cdf):
+    """sqrt(n) sup |F_n - F| between a sample and a continuous CDF."""
+    v = np.sort(values)
+    n, f = v.size, cdf(v)
+    i = np.arange(1, n + 1)
+    return math.sqrt(n) * max((i / n - f).max(), (f - (i - 1) / n).max())
+
+
+def binomial_floor(level, m):
+    """``level`` less three binomial standard errors of a share of m."""
+    return level - 3.0 * math.sqrt(level * (1.0 - level) / m)
+
+
+@pytest.fixture(scope="module")
+def replications():
+    """Per n, the shares of replications whose region covers the set and
+    whose dilation of radius c*/sqrt(n) holds both true CDFs, and the mean
+    Hausdorff distance from the estimated set to the set."""
+    grid = np.linspace(-3.0, 3.0, 601)
+    model = interval_mean_model(grid)
+    in_set = grid[np.abs(grid) <= 0.5 + 1e-9]
+    out = {}
+    for n in (200, 1000):
+        reps = []
+        for k in range(REPS):
+            x = widened_normal(n, [n, k])
+            region, cstar = confidence_region(model, x, ALPHA, 200, seed=k)
+            est = estimated_identified_set(model, x)
+            truth = max(sup_distance(x[:, 0], lambda v: 1.0 - upper_cdf(-v)),
+                        sup_distance(x[:, 1], upper_cdf))
+            # both sets are intervals: Hausdorff is the larger end gap
+            reps.append((np.isin(in_set, region).all(), truth <= cstar,
+                         max(abs(est.min() + 0.5), abs(est.max() - 0.5))))
+        out[n] = np.mean(reps, axis=0)
+    return out
+
+
+class TestInference:
+    """What `dilate region` claims, measured over 40 replications at each
+    of n = 200 and 1000 (about 1 s)."""
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_region_covers_the_identified_set(self, replications, n):
+        assert replications[n][0] >= binomial_floor(1.0 - ALPHA, REPS)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_dilation_holds_the_true_distribution(self, replications, n):
+        # the region covers the set whenever the true CDFs lie within
+        # c*/sqrt(n) of the empirical ones.  That event has probability
+        # 1 - alpha, while the region's own coverage is near 1 here, so
+        # this is the check that sees the bootstrap quantile's level
+        assert replications[n][1] >= binomial_floor(1.0 - ALPHA, REPS)
+
+    def test_hausdorff_falls_no_faster_than_the_radius(self, replications):
+        # the estimate overshoots the set by the mean shift that a CDF band
+        # of height log n / sqrt(n) buys.  That shift is concave in the
+        # height and zero at zero, so it falls with n by a factor no
+        # smaller than the radius's own
+        ratio = replications[1000][2] / replications[200][2]
+        radius = [math.log(n) / math.sqrt(n) for n in (200, 1000)]
+        assert radius[1] / radius[0] <= ratio < 1.0
 
 
 class TestIntervalDataStats:

@@ -245,8 +245,8 @@ class TestBoundVariance:
 def gap_design_fit(n, seed, decimals=None):
     """A draw of the complier-mass-gap design (masses 0.7 and 0.3 across
     the arms), its tuned configuration and its estimated trimmed sets."""
-    from partialid.datamodel import build_empirical, default_empirical_config
-    from partialid.density import Kernel, default_grid, estimate_density_diff
+    from partialid.datamodel import default_empirical_config
+    from partialid.density import default_grid, estimate_density_diff
     from partialid.latepoint import estimate_trimmed_sets
 
     rng = np.random.default_rng(seed)
@@ -259,7 +259,7 @@ def gap_design_fit(n, seed, decimals=None):
     s = Sample(y=y, d=d, z=z)
     cfg = default_empirical_config(s)
     grid = default_grid(cfg.band, cfg.h)
-    est = estimate_density_diff(build_empirical(s), s, Kernel(), cfg.h, grid)
+    est = estimate_density_diff(None, s, None, cfg.h, grid)
     set1, set0 = estimate_trimmed_sets(est, cfg.tails, cfg.b, cfg.band,
                                        threshold_scale=cfg.threshold_scale)
     return s, set1, set0, cfg

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from partialid import latepoint
-from partialid.datamodel import Sample, build_empirical
-from partialid.density import (DensityEstimate, Kernel, default_grid,
+from partialid.datamodel import Sample
+from partialid.density import (DensityEstimate, default_grid,
                                estimate_density_diff)
 from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latepoint import (MIN_MASS, TailSpec, check_iam_implication,
@@ -174,8 +174,7 @@ class TestTailSpec:
 
 def _density(sample, h=0.4, band=(-3.0, 8.0)):
     grid = default_grid(band, h)
-    return estimate_density_diff(build_empirical(sample), sample, Kernel(),
-                                 h, grid)
+    return estimate_density_diff(None, sample, None, h, grid)
 
 
 class TestTrimmedSets:

@@ -10,11 +10,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import partialid.roy as roy
 from partialid.errors import DataError
-from partialid.roy import (RoyDistribution, _cell_index, _objective_vector,
-                           build_polyhedron, check_roy_refutable,
-                           min_efficiency_loss, optimize_functional,
+from partialid.roy import (RoyDistribution, _cell_index, build_polyhedron,
+                           check_roy_refutable, min_efficiency_loss,
                            potential_outcome_bounds)
 from partialid.simplex import solve_lp
+
+from conftest import objective_vector, simplex_bounds
 
 
 def dist_from_cells(cells):
@@ -311,12 +312,6 @@ class TestBounds:
         assert lo == pytest.approx(0.6)
         assert hi == pytest.approx(0.6)
 
-    def test_optimize_functional_validates(self):
-        with pytest.raises(DataError):
-            optimize_functional(balanced_dist(), np.zeros(5))
-        with pytest.raises(DataError):
-            optimize_functional(balanced_dist(), np.zeros(16), sense="best")
-
 
 def _shares(size):
     """Nonnegative weights summing to one, zeros included."""
@@ -351,13 +346,9 @@ class TestClosedFormOracle:
     def assert_matches_lp(p):
         dist = RoyDistribution(p / p.sum())
         bounds = potential_outcome_bounds(dist)
-        for z in (0, 1):
-            c = _objective_vector(z)
-            pz = dist.pr_z(z)
-            lo = optimize_functional(dist, c, "min")[0] / pz
-            hi = optimize_functional(dist, c, "max")[0] / pz
-            assert abs(lo - bounds[f"z{z}"][0]) <= 1e-9
-            assert abs(hi - bounds[f"z{z}"][1]) <= 1e-9
+        lp = simplex_bounds(dist)
+        for z in ("z0", "z1"):
+            assert np.abs(np.subtract(lp[z], bounds[z])).max() <= 1e-9
         # the minimal loss is the LP minimum without its own equality row
         a_eq, b_eq, a_ub, b_ub = build_polyhedron(dist)
         c = np.zeros(16)
@@ -405,7 +396,7 @@ def conditional_highs_bounds(dist):
     a_ub = a_ub * cell_pz
     out = {}
     for z in (0, 1):
-        c = _objective_vector(z) * cell_pz / pz[z]
+        c = objective_vector(z) * cell_pz / pz[z]
         ends = []
         for sign in (1.0, -1.0):
             sol = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
@@ -453,14 +444,8 @@ class TestTinyArms:
     def test_conditional_restatement_is_exact(self):
         # on balanced arms it gives the same bounds as the joint scale
         for dist in random_dists(13, 20):
-            want = conditional_highs_bounds(dist)
-            for z in (0, 1):
-                c = _objective_vector(z)
-                pz = dist.pr_z(z)
-                lo = optimize_functional(dist, c, "min")[0] / pz
-                hi = optimize_functional(dist, c, "max")[0] / pz
-                assert abs(lo - want[f"z{z}"][0]) <= 1e-9
-                assert abs(hi - want[f"z{z}"][1]) <= 1e-9
+            assert_agrees_with_highs(simplex_bounds(dist),
+                                     conditional_highs_bounds(dist))
 
 
 @st.composite

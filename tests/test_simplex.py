@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from partialid.roy import RoyDistribution, _objective_vector, build_polyhedron
+from partialid.roy import RoyDistribution, build_polyhedron
 from partialid.simplex import InfeasibleError, UnboundedError, solve_lp
+
+from conftest import objective_vector
 
 
 class TestKnownProblems:
@@ -110,7 +112,7 @@ class TestManyObjectives:
 
     def test_roy_polyhedra(self):
         rng = np.random.default_rng(5)
-        bound_ends = [sign * _objective_vector(z)
+        bound_ends = [sign * objective_vector(z)
                       for z in (0, 1) for sign in (1.0, -1.0)]
         for _ in range(50):
             dist = RoyDistribution(rng.dirichlet(np.ones(8)).reshape(2, 2, 2))

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, optimize
 
-from partialid.datamodel import (RunConfig, Sample, build_empirical,
-                                 default_empirical_config)
-from partialid.density import Kernel, default_grid, estimate_density_diff
+from partialid.datamodel import RunConfig, Sample, default_empirical_config
+from partialid.density import default_grid, estimate_density_diff
 from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latepoint import (MIN_MASS, TailSpec, check_iam_implication,
                                  conservative_union_ci, known_tail_estimate)
@@ -327,8 +326,7 @@ class TestRelaxedEqualsMonotoneInSamples:
     @staticmethod
     def fit(sample):
         cfg = default_empirical_config(sample)
-        est = estimate_density_diff(build_empirical(sample), sample,
-                                    Kernel(), cfg.h,
+        est = estimate_density_diff(None, sample, None, cfg.h,
                                     default_grid(cfg.band, cfg.h))
         return cfg, est
 
@@ -503,6 +501,9 @@ class TestRunCoverage:
             run_coverage(design, "bogus", 200, 10, cfg, seed=0)
         with pytest.raises(ConfigError):
             run_coverage(design, "known", 200, 1, cfg, seed=0)
+        with pytest.raises(ConfigError, match=r"^seed must be a non-negative "
+                                              r"integer, got -1$"):
+            run_coverage(design, "known", 200, 2, cfg, seed=-1)
 
     def test_deterministic_and_record_schema(self):
         design = SimDesign.sec33()
