@@ -17,12 +17,12 @@ wall-clock timing is only attached under ``--timing``.  Exit codes:
 3 weak identification.
 
 Importing this module loads no library module besides ``errors``, and no
-numpy.  Once the arguments parse, ``run`` binds the names of the modules
-the command's group runs (``_GROUP_MODULES``) in this module's globals,
-so ``--help``, ``--version``, usage errors and ``structures analyze``
-start without numpy.  Any other library name resolves from its owner on
-first attribute access (PEP 562).  A name already bound is kept, so a
-wrapper or a patch set on this module is what the command calls.
+numpy.  Commands read library names as attributes of this module
+(``_lib.load_sample_csv``), resolved from their owners on first use (PEP
+562), so a wrapper set here is what a command calls, and a command loads
+only what it touches: ``late point|test`` the data model, density and
+point estimators, ``late bounds`` also the bound estimators, ``roy bounds
+--cells`` the Roy model alone, ``structures analyze`` no numpy.
 
 No command loads ``numpy.ma``: the quantiles of the tuning band, the tail
 cuts and the bootstrap critical value come from ``sorted_quantile`` in
@@ -48,18 +48,9 @@ from importlib import import_module
 # set before any command loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import _EXPORTS, _OWNER, __version__
+from . import _OWNER, __version__
 from .errors import (ConfigError, DataError, PartialIdError,
                      WeakIdentificationError)
-
-# command group -> the library modules its commands run
-_GROUP_MODULES = {
-    "late": ("datamodel", "density", "latepoint", "latebounds"),
-    "roy": ("datamodel", "roy"),
-    "dilate": ("datamodel", "dilation"),
-    "structures": ("structures",),
-    "simulate": ("datamodel", "simulate"),
-}
 
 
 def __getattr__(name):
@@ -70,14 +61,9 @@ def __getattr__(name):
     return value
 
 
-def _bind(group):
-    """Bind the names of ``group``'s modules here, keeping any name that is
-    already bound."""
-    scope = globals()
-    for module_name in _GROUP_MODULES[group]:
-        module = import_module(f"partialid.{module_name}")
-        for name in _EXPORTS[module_name]:
-            scope.setdefault(name, getattr(module, name))
+# this module: commands read library names as its attributes, since a
+# bare global lookup never reaches ``__getattr__``
+_lib = sys.modules[__name__]
 
 
 class _ParseEnd(Exception):
@@ -212,28 +198,31 @@ def _override(cfg, args, **updates) -> RunConfig:
 
 
 def _late_fit(args):
-    """Load, tune and fit: the prologue of the three `late` commands."""
-    sample = load_sample_csv(args.input)
-    cfg = default_empirical_config(sample, alpha=args.alpha)
+    """Load, tune and fit: the prologue of the three `late` commands; the
+    tail spec is ``--tails`` ('' meaning none) when given, else the data's."""
+    sample = _lib.load_sample_csv(args.input)
+    cfg = _lib.default_empirical_config(sample, alpha=args.alpha)
     updates = {}
     if args.band is not None:
         updates["band"] = _parse_band(args.band)
     if args.threshold_scale is not None:
         updates["threshold_scale"] = args.threshold_scale
     cfg = _override(cfg, args, **updates)
-    est = estimate_density_diff(None, sample, None, cfg.h,
-                                default_grid(cfg.band, cfg.h))
-    return sample, cfg, est
+    est = _lib.estimate_density_diff(None, sample, None, cfg.h,
+                                     _lib.default_grid(cfg.band, cfg.h))
+    tails = vars(args).get("tails")
+    tails = cfg.tails if tails is None else _lib.TailSpec.from_string(tails)
+    return sample, cfg, est, tails
 
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 def _cmd_late_point(args):
-    sample, cfg, est = _late_fit(args)
-    diagnostic = check_iam_implication(est, b_n=cfg.b,
-                                       threshold_scale=cfg.threshold_scale)
-    wald = wald_estimate(sample)
+    sample, cfg, est, tails = _late_fit(args)
+    diagnostic = _lib.check_iam_implication(
+        est, b_n=cfg.b, threshold_scale=cfg.threshold_scale)
+    wald = _lib.wald_estimate(sample)
     results = {
         "n": sample.n,
         "implication_diagnostic": diagnostic,
@@ -241,19 +230,18 @@ def _cmd_late_point(args):
     }
     warnings = list(cfg.notes)
     if args.union:
-        union = conservative_union_ci(sample, est, cfg.b, cfg.band, cfg.alpha,
-                                      threshold_scale=cfg.threshold_scale)
+        union = _lib.conservative_union_ci(
+            sample, est, cfg.b, cfg.band, cfg.alpha,
+            threshold_scale=cfg.threshold_scale)
         results["union"] = {
             "ci": list(union["ci"]),
             "feasible_tail_specs": union["feasible"],
             "skipped_tail_specs": union["skipped"],
         }
     else:
-        tails = (TailSpec.from_string(args.tails) if args.tails
-                 else cfg.tails)
-        late = known_tail_estimate(sample, est, tails, cfg.b, cfg.band,
-                                   cfg.alpha,
-                                   threshold_scale=cfg.threshold_scale)
+        late = _lib.known_tail_estimate(
+            sample, est, tails, cfg.b, cfg.band, cfg.alpha,
+            threshold_scale=cfg.threshold_scale)
         results.update(late.to_jsonable())
     if not diagnostic["passes"]:
         warnings.append("testable implication violated at the chosen "
@@ -264,12 +252,11 @@ def _cmd_late_point(args):
 
 def _cmd_late_bounds(args):
     kappa_scale = _positive_finite("--kappa-scale", args.kappa_scale)
-    sample, cfg, est = _late_fit(args)
-    tails = TailSpec.from_string(args.tails) if args.tails else cfg.tails
-    set1, set0 = estimate_trimmed_sets(est, tails, cfg.b, cfg.band,
-                                       threshold_scale=cfg.threshold_scale)
-    delta = estimate_delta(sample, set1, set0, cfg.kappa * kappa_scale)
-    bounds = estimate_bounds(sample, set1, set0, delta, h=cfg.h)
+    sample, cfg, est, tails = _late_fit(args)
+    set1, set0 = _lib.estimate_trimmed_sets(
+        est, tails, cfg.b, cfg.band, threshold_scale=cfg.threshold_scale)
+    delta = _lib.estimate_delta(sample, set1, set0, cfg.kappa * kappa_scale)
+    bounds = _lib.estimate_bounds(sample, set1, set0, delta, h=cfg.h)
     results = {
         "delta": delta.to_jsonable(),
         "bounds": bounds.to_jsonable(),
@@ -282,17 +269,17 @@ def _cmd_late_bounds(args):
         warnings.append(
             "the complier-mass gap sits near the regime threshold; the "
             "alternative regime's output is reported alongside")
-        alt = estimate_bounds(sample, set1, set0, delta.alternative(),
-                              h=cfg.h)
+        alt = _lib.estimate_bounds(sample, set1, set0, delta.alternative(),
+                                   h=cfg.h)
         results["alternative_regime"] = alt.to_jsonable()
     return {"config": cfg.to_jsonable(), "results": results,
             "warnings": warnings}
 
 
 def _cmd_late_test(args):
-    sample, cfg, est = _late_fit(args)
-    diagnostic = check_iam_implication(est, b_n=cfg.b,
-                                       threshold_scale=cfg.threshold_scale)
+    sample, cfg, est, _ = _late_fit(args)
+    diagnostic = _lib.check_iam_implication(
+        est, b_n=cfg.b, threshold_scale=cfg.threshold_scale)
     return {
         "config": cfg.to_jsonable(),
         "results": {"n": sample.n, **diagnostic},
@@ -306,11 +293,12 @@ def _cmd_roy_bounds(args):
     if (args.input is None) == (args.cells is None):
         raise ConfigError("provide exactly one of --input or --cells")
     if args.input is not None:
-        sample = load_sample_csv(args.input)
+        sample = _lib.load_sample_csv(args.input)
         y = sample.y
         if not np.isin(y, (0.0, 1.0)).all():
             raise DataError("this command requires a binary outcome column")
-        dist = RoyDistribution.from_sample(y.astype(int), sample.d, sample.z)
+        dist = _lib.RoyDistribution.from_sample(y.astype(int), sample.d,
+                                                sample.z)
         n = sample.n
     else:
         parts = args.cells.split(",")
@@ -322,10 +310,10 @@ def _cmd_roy_bounds(args):
             vals = [float(v) for v in parts]
         except ValueError as exc:
             raise ConfigError(f"--cells values must be numeric: {exc}") from exc
-        dist = RoyDistribution(np.array(vals).reshape(2, 2, 2))
+        dist = _lib.RoyDistribution(np.array(vals).reshape(2, 2, 2))
         n = None
-    refut = check_roy_refutable(dist)
-    bounds = potential_outcome_bounds(dist)
+    refut = _lib.check_roy_refutable(dist)
+    bounds = _lib.potential_outcome_bounds(dist)
     results = {
         "cells": dist.to_jsonable(),
         "refuted": refut["refuted"],
@@ -340,7 +328,7 @@ def _cmd_roy_bounds(args):
 
 
 def _cmd_structures_analyze(args):
-    space, assumption = load_space_json(args.space)
+    space, assumption = _lib.load_space_json(args.space)
     if args.hypothesis:
         # a token names the structure the report prints as it (the JSON
         # number 1 is written 1); an unknown one stays text for the space
@@ -356,9 +344,9 @@ def _cmd_structures_analyze(args):
         hypothesis = assumption
     else:
         hypothesis = space.structures
-    nf = nonrefutable_sets(space, hypothesis)
-    con = confirmable_sets(space, hypothesis)
-    dec = binary_decidability(space, hypothesis)
+    nf = _lib.nonrefutable_sets(space, hypothesis)
+    con = _lib.confirmable_sets(space, hypothesis)
+    dec = _lib.binary_decidability(space, hypothesis)
     results = {
         "structures": sorted(map(str, space.structures)),
         "hypothesis": sorted(map(str, hypothesis)),
@@ -378,8 +366,8 @@ def _cmd_structures_analyze(args):
             for outcome in sorted(space.outcomes, key=str)
         }
     if args.extension:
-        ext_space, _ = load_space_json(args.extension)
-        results["extension"] = check_extension(space, ext_space)
+        ext_space, _ = _lib.load_space_json(args.extension)
+        results["extension"] = _lib.check_extension(space, ext_space)
     return {"config": {"space": args.space}, "results": results,
             "warnings": []}
 
@@ -390,18 +378,18 @@ def _cmd_dilate_region(args):
     if args.grid_points < 1:
         raise ConfigError("--grid-points must be at least 1, got "
                           f"{args.grid_points}")
-    rows = np.column_stack(load_intervals_csv(args.input))
+    rows = np.column_stack(_lib.load_intervals_csv(args.input))
     # every flag is checked before the bootstrap: --a <= --b and then the
     # data's scale by the statistics, --alpha and --boot by the bootstrap
-    t_nf, t_con = interval_data_stats(rows, args.a, args.b)
+    t_nf, t_con = _lib.interval_data_stats(rows, args.a, args.b)
     mean_l = float(rows[:, 0].mean())
     mean_u = float(rows[:, 1].mean())
     lo, hi = float(rows[:, 0].min()), float(rows[:, 1].max())
     grid = np.linspace(lo, hi, args.grid_points)
-    model = interval_mean_model(grid)
-    region, cstar = confidence_region(model, rows, args.alpha, args.boot,
-                                      args.seed)
-    est_set = estimated_identified_set(model, rows)
+    model = _lib.interval_mean_model(grid)
+    region, cstar = _lib.confidence_region(model, rows, args.alpha,
+                                           args.boot, args.seed)
+    est_set = _lib.estimated_identified_set(model, rows)
     results = {
         "n": rows.shape[0],
         "mean_lower": mean_l,
@@ -424,14 +412,14 @@ def _cmd_dilate_region(args):
 def _cmd_simulate_coverage(args):
     if args.n < 2:
         raise ConfigError("n must be at least 2")
-    design = SimDesign.sec33()
-    cfg = _override(default_simulation_config(
+    design = _lib.SimDesign.sec33()
+    cfg = _override(_lib.default_simulation_config(
         args.n, design.band, alpha=args.alpha, seed=args.seed,
         tails=design.tails), args)
     estimator = "union" if args.union else "known"
-    result = run_coverage(design, estimator, args.n, args.m, cfg,
-                          seed=args.seed,
-                          threads=_clamp_threads(args.threads))
+    result = _lib.run_coverage(design, estimator, args.n, args.m, cfg,
+                               seed=args.seed,
+                               threads=_clamp_threads(args.threads))
     if args.records_out:
         with open(args.records_out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -464,7 +452,8 @@ def build_parser() -> _Parser:
     _add_tuning(p)
     tails = p.add_mutually_exclusive_group()
     tails.add_argument("--tails", default=None,
-                       help="tail spec tokens among u1,l1,u0,l0 or 'none'")
+                       help="tails among u1,l1,u0,l0, or none (also ''); "
+                            "default: the data's")
     tails.add_argument("--union", action="store_true",
                        help="conservative interval over all tail specs")
     _add_common(p)
@@ -474,7 +463,9 @@ def build_parser() -> _Parser:
                             help="interval bounds under unequal complier masses")
     p.add_argument("--input", required=True, help="CSV with columns y,d,z")
     _add_tuning(p)
-    p.add_argument("--tails", default=None)
+    p.add_argument("--tails", default=None,
+                   help="tails among u1,l1,u0,l0, or none (also ''); "
+                        "default: the data's")
     p.add_argument("--kappa-scale", type=float, default=1.0,
                    help="multiplier on the log(n)/sqrt(n) regime threshold")
     _add_common(p)
@@ -563,7 +554,6 @@ def run(argv=None):
     except _ParseEnd as exc:
         sys.stderr.write(exc.args[1])
         return exc.args[0]
-    _bind(args.group)
     start = time.perf_counter()
     try:
         report = args.func(args)

@@ -78,6 +78,13 @@ def sorted_quantile(ys, q):
     return a + (b - a) * g
 
 
+def check_seed(seed):
+    """Raise a ConfigError, in place of numpy's own error, unless ``seed``
+    is a non-negative integer (a numpy integer included)."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def theorem_bandwidth(n):
     """Rate-based bandwidth h_n = n^{-1/5} (default for simulations)."""
     return float(n) ** (-1.0 / 5.0)

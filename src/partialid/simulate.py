@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, PartialIdError, WeakIdentificationError
-from .datamodel import RunConfig, Sample
+from .datamodel import RunConfig, Sample, check_seed
 from .density import default_grid, estimate_density_diff
 from .latepoint import (MIN_MASS, TailSpec, conservative_union_ci,
                         known_tail_estimate)
@@ -128,9 +128,12 @@ class SimDesign:
 
 
 def draw_sample(design: SimDesign, n, seed) -> Sample:
-    """Draw n observations of (Y, D, Z) from the design."""
+    """Draw n observations of (Y, D, Z) from the design; ``seed`` is a
+    non-negative integer or a ``numpy.random.SeedSequence``."""
     if n < 2:
         raise ConfigError("n must be at least 2")
+    if not isinstance(seed, np.random.SeedSequence):
+        check_seed(seed)
     rng = np.random.default_rng(seed)
     z = (rng.random(n) < design.pr_z1).astype(np.int8)
     d = np.empty(n, dtype=np.int8)
@@ -275,8 +278,7 @@ def run_coverage(design: SimDesign, estimator, n, m, cfg: RunConfig,
         raise ConfigError("estimator must be 'known' or 'union'")
     if m < 2:
         raise ConfigError("at least 2 replications are required")
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)
     truth = true_identified_late(design)
     child_seeds = np.random.SeedSequence(seed).spawn(m)
 

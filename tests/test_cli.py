@@ -378,6 +378,22 @@ class TestLatePoint:
         assert payload["config"]["threshold_scale"] == "relative"
         assert payload["config"]["b"] == 0.1
 
+    @pytest.mark.parametrize("command", ["point", "bounds"])
+    def test_empty_tails_mean_none(self, capsys, sample_csv, command):
+        # the data's spec includes tails here, so an empty --tails that fell
+        # back to it would change the estimate
+        reports = []
+        for tails in ("", "none", None):
+            argv = ["late", command, "--input", sample_csv]
+            if tails is not None:
+                argv += ["--tails", tails]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            reports.append(json.loads(out))
+        empty, none, default = (
+            {k: v for k, v in r.items() if k != "command"} for r in reports)
+        assert empty == none != default
+
     def test_table_format(self, capsys, sample_csv):
         code, out, _ = run_cli(capsys, "late", "point", "--input", sample_csv,
                                "--format", "table")
@@ -455,6 +471,46 @@ class TestLateBoundsAndTest:
         values = [bounds["sigma_lower"], bounds["sigma_upper"],
                   *json.loads(out)["results"]["interval"]]
         assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+
+    def test_gap_near_the_regime_threshold_reports_both_regimes(
+            self, capsys, tmp_path):
+        # the benchmark's gap.csv of pool seed 0: a gap of 0.123 against a
+        # threshold kappa of 0.120, so the bound regime holds and the point
+        # regime is reported beside it
+        _gen_inputs().write_cli_inputs(tmp_path, 0)
+        path = str(tmp_path / "gap.csv")
+        code, out, _ = run_cli(capsys, "late", "bounds", "--input", path)
+        assert code == 0
+        payload = json.loads(out)
+        res = payload["results"]
+        delta = res["delta"]
+        assert delta["near_boundary"] is True and delta["regime"] == "above"
+        assert delta["kappa"] < delta["delta"] <= 2.0 * delta["kappa"]
+        assert res["bounds"]["regime"] == "above"
+        assert res["bounds"]["flags"][0] == "delta_near_regime_boundary"
+        alt = res["alternative_regime"]
+        assert alt["regime"] == "point"
+        assert alt["flags"] == ["delta_near_regime_boundary"]
+        assert payload["warnings"] == [
+            "the complier-mass gap sits near the regime threshold; the "
+            "alternative regime's output is reported alongside"]
+        # the point regime is the point estimate
+        code, out, _ = run_cli(capsys, "late", "point", "--input", path)
+        assert code == 0
+        point = json.loads(out)["results"]
+        for got in (alt["lower"], alt["upper"]):
+            assert got == pytest.approx(point["estimate"], rel=1e-12, abs=0.0)
+        # a threshold under half the gap leaves the boundary
+        code, out, _ = run_cli(capsys, "late", "bounds", "--input", path,
+                               "--kappa-scale", "0.5")
+        assert code == 0
+        payload = json.loads(out)
+        res = payload["results"]
+        assert res["delta"]["near_boundary"] is False
+        assert "alternative_regime" not in res
+        assert "delta_near_regime_boundary" not in \
+            res["bounds"].get("flags", [])
+        assert payload["warnings"] == []
 
     def test_test_payload(self, capsys, sample_csv):
         code, out, _ = run_cli(capsys, "late", "test", "--input", sample_csv)
@@ -1006,23 +1062,25 @@ class TestImports:
             ["partialid", "partialid.cli", "partialid.errors",
              "partialid.structures"]
 
-    @pytest.mark.parametrize("command", ["point", "bounds", "test"])
-    def test_late_loads_only_late_code(self, sample_csv, command):
+    # only `late bounds` runs the bound estimators
+    @pytest.mark.parametrize("command,bounds", [
+        ("point", []), ("bounds", ["partialid.latebounds"]), ("test", [])],
+        ids=["point", "bounds", "test"])
+    def test_late_loads_only_late_code(self, sample_csv, command, bounds):
         loaded = _modules_after_run(
             ["late", command, "--input", sample_csv], "partialid")
-        assert _LATE_MODULES <= set(loaded)
-        assert not {"partialid.roy", "partialid.simplex",
-                    "partialid.simulate", "partialid.dilation",
-                    "partialid.structures"} & set(loaded)
+        assert loaded == sorted(
+            ["partialid", "partialid.cli", "partialid.errors",
+             "partialid.datamodel", "partialid.density",
+             "partialid.latepoint", "partialid.sets", *bounds])
 
     def test_roy_loads_only_roy_code(self):
+        # the cells are no sample, so the data model stays unloaded
         loaded = _modules_after_run(
             ["roy", "bounds", "--cells", ",".join(["0.125"] * 8)],
             "partialid")
-        assert "partialid.roy" in loaded
-        assert not (_LATE_MODULES | {"partialid.simulate",
-                                     "partialid.dilation",
-                                     "partialid.structures"}) & set(loaded)
+        assert loaded == ["partialid", "partialid.cli", "partialid.errors",
+                          "partialid.roy", "partialid.simplex"]
 
     def test_dilate_loads_only_dilation_code(self, intervals_csv):
         loaded = _modules_after_run(
@@ -1141,8 +1199,8 @@ class TestMain:
 
 
 class TestLazyNames:
-    """Library names on the CLI module: resolved on first use, bound per
-    command group, and never rebound over a name already set."""
+    """Library names on the CLI module: resolved on first use, and read
+    there by every command, so a name already set is what it calls."""
 
     @pytest.mark.parametrize("argv,group,name", [
         (["late", "point", "--input"], "late", "load_sample_csv"),
@@ -1153,12 +1211,11 @@ class TestLazyNames:
          "dilate", "confidence_region")])
     def test_patch_before_the_first_command_is_called(
             self, capsys, monkeypatch, request, argv, group, name):
-        from partialid import _EXPORTS, cli
+        from partialid import _OWNER, cli
 
-        # unbind the group's names, as in a process that ran no command yet
-        for module in cli._GROUP_MODULES[group]:
-            for bound in _EXPORTS[module]:
-                monkeypatch.delitem(vars(cli), bound, raising=False)
+        # unbind every library name, as in a process that ran no command yet
+        for bound in _OWNER:
+            monkeypatch.delitem(vars(cli), bound, raising=False)
         original = getattr(cli, name)
         calls = []
 

@@ -111,9 +111,11 @@ class TestBootstrap:
             bootstrap_critical_value(x, 10, 0.05, seed=0)
         with pytest.raises(ConfigError):
             bootstrap_critical_value(x, 200, 1.5, seed=0)
-        with pytest.raises(ConfigError, match=r"^seed must be a non-negative "
-                                              r"integer, got -1$"):
-            bootstrap_critical_value(x, 200, 0.05, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(ConfigError,
+                               match=r"^seed must be a non-negative "
+                                     rf"integer, got {seed}$"):
+                bootstrap_critical_value(x, 200, 0.05, seed=seed)
         with pytest.raises(DataError):
             bootstrap_critical_value(np.array([1.0]), 200, 0.05, seed=0)
         bad = x.copy()

@@ -489,6 +489,20 @@ class TestDrawSample:
         with pytest.raises(ConfigError):
             draw_sample(SimDesign.sec33(), 1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be a non-negative "
+                                              rf"integer, got {seed}$"):
+            draw_sample(SimDesign.sec33(), 100, seed)
+
+    def test_seed_sequence_and_numpy_integer_seeds(self):
+        # run_coverage passes each replication a SeedSequence child
+        child = np.random.SeedSequence(3).spawn(2)[1]
+        assert draw_sample(SimDesign.sec33(), 100, child).n == 100
+        assert np.array_equal(draw_sample(SimDesign.sec33(), 100, 7).y,
+                              draw_sample(SimDesign.sec33(), 100,
+                                          np.int64(7)).y)
+
 
 class TestRunCoverage:
     def small_cfg(self):
@@ -501,9 +515,11 @@ class TestRunCoverage:
             run_coverage(design, "bogus", 200, 10, cfg, seed=0)
         with pytest.raises(ConfigError):
             run_coverage(design, "known", 200, 1, cfg, seed=0)
-        with pytest.raises(ConfigError, match=r"^seed must be a non-negative "
-                                              r"integer, got -1$"):
-            run_coverage(design, "known", 200, 2, cfg, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(ConfigError,
+                               match=r"^seed must be a non-negative "
+                                     rf"integer, got {seed}$"):
+                run_coverage(design, "known", 200, 2, cfg, seed=seed)
 
     def test_deterministic_and_record_schema(self):
         design = SimDesign.sec33()
