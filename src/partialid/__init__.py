@@ -33,8 +33,8 @@ _EXPORTS = {
                   "default_simulation_config", "default_threshold",
                   "load_intervals_csv", "load_sample_csv",
                   "theorem_bandwidth", "theorem_trimming"),
-    "density": ("DensityEstimate", "cell_sum", "default_grid",
-                "estimate_density_diff"),
+    "density": ("DensityEstimate", "default_grid", "estimate_density_diff",
+                "kernel_sum"),
     "latepoint": ("LateEstimate", "TailSpec", "check_iam_implication",
                   "conservative_union_ci", "estimate_late",
                   "estimate_trimmed_sets", "known_tail_estimate",

@@ -48,9 +48,6 @@ class Sample:
     def n(self):
         return self.y.size
 
-    def pr_z1(self):
-        return float(np.mean(self.z == 1))
-
 
 def sorted_quantile(ys, q):
     """``numpy.quantile(ys, q)`` of an ascending nonempty array, bit for
@@ -181,14 +178,15 @@ def default_simulation_config(n, band, alpha=0.05, seed=0, tails=None):
 def default_empirical_config(sample: Sample, alpha=0.05) -> RunConfig:
     """Data-driven configuration for empirical (CSV) runs.
 
-    Rules: h = sd(Y) log(n) / (2 n^{1/5}); b = n^{-1/4} times the average
-    estimated density-difference level at the observations; the trimming
-    band is the empirical 1%/99% quantile range of Y; tail signs are chosen
-    by comparing weighted conditional tail variances across instrument arms.
+    Rules: h = sd(Y) log(n) / (2 n^{1/5}); b = n^{-1/4} times the mean of
+    f1 + f0 at the observations, one signed kernel sweep; the trimming band
+    is the empirical 1%/99% quantile range of Y; tail signs are chosen by
+    comparing weighted conditional tail variances across instrument arms.
 
     Requires n >= 20; the rules are unreliable below that.
     """
-    from .density import _signed_differences  # local: avoid cycle
+    # local: `dilate region` loads this module, and it needs no density
+    from .density import _signed_weights, kernel_sum
 
     n = sample.n
     if n < 20:
@@ -209,11 +207,9 @@ def default_empirical_config(sample: Sample, alpha=0.05) -> RunConfig:
     if m_l >= m_u:
         raise ConfigError("degenerate 1%/99% quantile band")
 
-    # the density differences at the sorted observations, from the cell
-    # sums: tied outcomes would make them an invalid DensityEstimate grid
-    f1, f0 = _signed_differences(sample, h, ys)
-    density_level = float(np.mean(f1 + f0))
-    b = n ** (-1.0 / 4.0) * density_level
+    w, scale = _signed_weights(sample)
+    b = n ** (-1.0 / 4.0) * float(np.mean(kernel_sum(sample.y, w, h, ys)
+                                          / scale))
     notes = []
     if not b > 0:
         b = theorem_trimming(n)

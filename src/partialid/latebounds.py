@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, WeakIdentificationError
 from .datamodel import Sample
-from .density import cell_sum
+from .density import kernel_sum
 from .latepoint import MIN_MASS, _Moments, _one_spec
 from .sets import IntervalUnion
 
@@ -288,12 +288,12 @@ def _bound(tab, set1, set0, delta, t, which, h):
     # floor in the variance, nothing is unstable
     min_dens, unstable = 0.0, False
     if np.isfinite(t):
-        # sub-density levels at the threshold (own arm Z=d and opposite arm)
-        own_dens = float(cell_sum(tab.sample, h, [t], d=side_d, z=side_d)[0])
-        opp_dens = float(cell_sum(tab.sample, h, [t], d=side_d,
-                                  z=1 - side_d)[0])
-        t_in = bool((set0, set1)[side_d].contains(t))
-        min_dens = opp_dens if t_in else own_dens
+        # the smaller sub-density at the threshold: the opposite arm's inside
+        # side d's region, the own arm's (Z=d) outside
+        arm = 1 - side_d if (set0, set1)[side_d].contains(t) else side_d
+        s, in_arm = tab.sample, tab.sample.z == arm
+        min_dens = float(kernel_sum(s.y[in_arm & (s.d == side_d)], 1.0, h,
+                                    t)[0]) / np.count_nonzero(in_arm)
         g_slope = max(min_dens, DENSITY_FLOOR)
         if direction == "high":
             g_slope = -g_slope

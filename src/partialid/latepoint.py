@@ -74,12 +74,12 @@ class TailSpec:
     def from_string(cls, text):
         """Parse e.g. ``u1,l0`` (flags present = tail included)."""
         flags = {"u1": False, "l1": False, "u0": False, "l0": False}
-        text = text.strip()
+        text = text.strip().lower()
         if text and text != "none":
             for token in text.split(","):
-                token = token.strip().lower()
+                token = token.strip()
                 if token not in flags:
-                    raise ConfigError(f"unknown tail token {token!r}; use u1,l1,u0,l0 or 'none'")
+                    raise ConfigError(f"unknown tail token {token!r}; use u1,l1,u0,l0 or 'none' alone")
                 flags[token] = True
         return cls(upper1=flags["u1"], lower1=flags["l1"],
                    upper0=flags["u0"], lower0=flags["l0"])

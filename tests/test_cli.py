@@ -378,6 +378,16 @@ class TestLatePoint:
         assert payload["config"]["threshold_scale"] == "relative"
         assert payload["config"]["b"] == 0.1
 
+    def test_tails_none_in_capitals(self, capsys, sample_csv):
+        reports = []
+        for tails in ("none", "NONE"):
+            code, out, _ = run_cli(capsys, "late", "point", "--input",
+                                   sample_csv, "--tails", tails)
+            assert code == 0
+            reports.append({k: v for k, v in json.loads(out).items()
+                            if k != "command"})
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("command", ["point", "bounds"])
     def test_empty_tails_mean_none(self, capsys, sample_csv, command):
         # the data's spec includes tails here, so an empty --tails that fell
@@ -976,8 +986,8 @@ _ROOT_NAMES = {
                  "default_empirical_config default_simulation_config "
                  "default_threshold load_intervals_csv load_sample_csv "
                  "theorem_bandwidth theorem_trimming",
-    "density": "DensityEstimate cell_sum default_grid "
-               "estimate_density_diff",
+    "density": "DensityEstimate default_grid estimate_density_diff "
+               "kernel_sum",
     "latepoint": "LateEstimate TailSpec check_iam_implication "
                  "conservative_union_ci estimate_late estimate_trimmed_sets "
                  "known_tail_estimate late_variance wald_estimate",

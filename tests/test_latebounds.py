@@ -359,6 +359,16 @@ class TestFitBandwidth:
                be.sigma_upper / a)
         assert got == pytest.approx(want[2:6], rel=1e-9)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_non_finite_bandwidth_rejected(self, h):
+        s, set1, set0 = gap_population()
+        de = estimate_delta(s, set1, set0, kappa=0.01)
+        message = f"^bandwidth must be positive and finite, got {h}$"
+        with pytest.raises(ConfigError, match=message):
+            estimate_bounds(s, set1, set0, de, h)
+        with pytest.raises(ConfigError, match=message):
+            bound_variance(s, set1, set0, de, 2.0, "lower", h)
+
 
 class TestBoundCost:
     def test_bounds_read_the_table_and_one_cut_split_each(self, monkeypatch):
@@ -384,6 +394,39 @@ class TestBoundCost:
         passes.clear()
         bound_variance(s, set1, set0, de, be.t_lower, "lower", h=cfg.h)
         assert passes == table + split
+
+
+class TestSweepCount:
+    def test_one_sweep_per_side_and_one_per_threshold(self, monkeypatch):
+        from partialid import density, latebounds
+        from partialid.datamodel import default_empirical_config
+        from partialid.density import default_grid, estimate_density_diff
+
+        s, set1, set0, cfg = gap_design_fit(4000, 3)
+        sweeps = []
+        real = density.kernel_sum
+
+        def recorder(y, w, h, points):
+            sweeps.append(np.size(points))
+            return real(y, w, h, points)
+
+        monkeypatch.setattr(density, "kernel_sum", recorder)
+        monkeypatch.setattr(latebounds, "kernel_sum", recorder)
+        estimate_density_diff(None, s, None, cfg.h,
+                              default_grid(cfg.band, cfg.h))
+        assert sweeps == [512, 512]
+        sweeps.clear()
+        default_empirical_config(s)
+        assert sweeps == [s.n]
+        sweeps.clear()
+        de = estimate_delta(s, set1, set0, cfg.kappa / 10)
+        assert de.regime == "above"
+        be = estimate_bounds(s, set1, set0, de, h=cfg.h)
+        assert np.isfinite([be.t_lower, be.t_upper]).all()
+        assert sweeps == [1, 1]
+        sweeps.clear()
+        bound_variance(s, set1, set0, de, be.t_lower, "lower", h=cfg.h)
+        assert sweeps == [1]
 
 
 class TestGroupSums:

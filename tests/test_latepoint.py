@@ -163,6 +163,18 @@ class TestTailSpec:
         assert not spec.lower1 and not spec.upper0
         assert TailSpec.from_string("none") == TailSpec(False, False, False, False)
 
+    @pytest.mark.parametrize("text", ["NONE", "None", " none ", ""])
+    def test_none_in_any_case(self, text):
+        assert TailSpec.from_string(text) == TailSpec(False, False, False,
+                                                      False)
+
+    def test_tokens_in_any_case(self):
+        assert TailSpec.from_string("U1, l0") == TailSpec.from_string("u1,l0")
+
+    def test_none_stands_alone(self):
+        with pytest.raises(ConfigError, match="'none' alone$"):
+            TailSpec.from_string("u1, none")
+
     def test_tail_set_geometry(self):
         spec = TailSpec(upper1=True, lower1=False, upper0=False, lower0=True)
         band = (-1.0, 2.0)
@@ -239,7 +251,7 @@ class TestImplicationCheck:
         # side d passes iff min f_d >= -b max f_d: here -0.1 * 2 for d=0,
         # while side 1 (min -0.05, peak 1) clears -0.1 * 1
         est = DensityEstimate(grid=[0.0, 1.0, 2.0], f1=[-0.05, 1.0, 0.0],
-                              f0=[f0_min, 2.0, 0.0], h=1.0)
+                              f0=[f0_min, 2.0, 0.0])
         rel = check_iam_implication(est, 0.1, threshold_scale="relative")
         assert rel["passes"] is passes
         assert rel == {**check_iam_implication(est, 0.1), "passes": passes}

@@ -259,6 +259,44 @@ class TestExtensions:
             check_extension(self.base(), ext)
 
 
+def restricted(space, keep):
+    """The space of the structures ``keep``, on the same alphabet."""
+    return FiniteStructureSpace(space.outcomes,
+                                {s: space.obs_map[s] for s in keep},
+                                {s: space.theta[s] for s in keep})
+
+
+class TestGeneralConstruction:
+    """The abstract's general construction (PAPER.md): an assumption A
+    relaxes to an assumption Ã that no distribution of outcomes rejects, with
+    A's identified set wherever A is not rejected.  Ã is the completion's
+    children of A's structures, plus each child (s, o) of any structure
+    whose outcome o lies outside reachable(A)."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_relaxed_assumption_is_strong_and_keeps_the_set(self, data):
+        drawn = data.draw(spaces())
+        # the alphabet is what the structures cover
+        space = FiniteStructureSpace(drawn.reachable(drawn.structures),
+                                     drawn.obs_map, drawn.theta)
+        a = frozenset(data.draw(st.sets(
+            st.sampled_from(sorted(space.structures)), min_size=1)))
+        reach = space.reachable(a)
+        comp = complete_space(space)
+        children = {c for c in comp.structures if c[0] in a}
+        outside = {c for c in comp.structures if c[1] not in reach}
+        relaxed = restricted(comp, children | outside)
+
+        assert relaxed.reachable(relaxed.structures) == space.outcomes
+        under_a = restricted(space, a)
+        for outcome in reach:
+            assert relaxed.identified_set(outcome) \
+                == under_a.identified_set(outcome)
+        verdict = check_extension(restricted(comp, children), relaxed)
+        assert verdict["classification"] == "strong"
+
+
 class TestJsonLoader:
     def test_roundtrip(self, tmp_path):
         payload = {
