@@ -39,8 +39,8 @@ _EXPORTS = {
                   "conservative_union_ci", "estimate_late",
                   "estimate_trimmed_sets", "known_tail_estimate",
                   "late_variance", "wald_estimate"),
-    "latebounds": ("BoundEstimate", "DeltaEstimate", "bound_variance",
-                   "estimate_bounds", "estimate_delta"),
+    "latebounds": ("BoundEstimate", "DeltaEstimate", "estimate_bounds",
+                   "estimate_delta"),
     "roy": ("RoyDistribution", "build_polyhedron", "check_roy_refutable",
             "min_efficiency_loss", "potential_outcome_bounds"),
     "structures": ("FiniteStructureSpace", "binary_decidability",

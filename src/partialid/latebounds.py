@@ -208,34 +208,14 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
     )
 
 
-def bound_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
-                   delta: DeltaEstimate, t, which, h):
-    """Plug-in standard deviation of sqrt(n) times one bound estimate.
-
-    ``which`` is 'lower' or 'upper', and ``h`` the fit's bandwidth.  The
-    variance composes a fixed-threshold Jacobian (M1), a threshold-estimation
-    correction (M2, scaled by the reciprocal of the minimum sub-density at
-    the threshold), and the final ratio gradient (Gamma) around the
-    covariance (Sigma) of the per observation influence basis:
-
-        sigma^2 = Gamma (M1 + M2) Sigma (M1 + M2)' Gamma'
-
-    Returns ``(sigma, components)`` where components include the matrices
-    and an ``unstable`` flag set when the sub-density at the threshold falls
-    below 1e-6 and that floor scales a nonzero M2 row.  An infinite ``t`` has
-    no threshold term: M2 is zero and ``min_density_at_t`` is 0.
-    """
-    if delta.regime == "point":
-        raise ConfigError("bound variance is only defined in a bound regime")
-    if which not in ("lower", "upper"):
-        raise ConfigError("which must be 'lower' or 'upper'")
-    return _bound(_Moments(sample, set1, set0), set1, set0, delta, t, which,
-                  h)[1:]
-
-
 def _bound(tab, set1, set0, delta, t, which, h):
-    """One bound with its standard deviation and variance components, all
-    read from the table split by the bound's threshold cut."""
+    """One bound at the threshold ``t`` ('lower' or 'upper' by ``which``)
+    and the plug-in sd of sqrt(n) times it, read from the table split by the
+    cut: sigma^2 = Gamma (M1 + M2) Sigma (M1 + M2)' Gamma', with M1 the
+    fixed-threshold Jacobian, M2 the threshold-estimation term and Gamma the
+    ratio gradient.  Returns ``(L, sigma, components)``: the matrices,
+    ``min_density_at_t`` and ``unstable``, set when that density is under
+    ``DENSITY_FLOOR`` and the floor scales a nonzero M2 row."""
     side_d = 1 if delta.regime == "below" else 0
     # low-end correction serves the lower bound on the d=1 side but the
     # upper bound on the d=0 side

@@ -145,10 +145,8 @@ class LateEstimate:
     point: float
     mass1: float  # P(Y_1, 1) - Q(Y_1, 1)
     mass0: float  # Q(Y_0, 0) - P(Y_0, 0)
-    n: int
     sigma: Optional[float] = None
     ci: Optional[tuple] = None
-    alpha: Optional[float] = None
     tails: Optional[TailSpec] = None
 
     def to_jsonable(self):
@@ -350,7 +348,9 @@ def late_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
     probability 0.8, Y ~ N(2 + D, 1); seeds 1000-1119) the Monte Carlo sd
     of sqrt(n) times the estimate was 3.42, the mean ``"outcome"`` sigma
     5.23 (1.53x: conservative) and the mean ``"gradient"`` sigma 3.36
-    (0.98x); seeds 0-119 gave 1.60x and 1.02x.
+    (0.98x); seeds 0-119 gave 1.60x and 1.02x.  That holds at this origin
+    only: ``"outcome"`` moves when y shifts (on seed 1000 it is 3.34 at
+    y - 2 and 34.7 at y + 10), while ``"gradient"`` and the estimate do not.
 
     Returns ``(sigma, components)`` with components a dict of Pi, Gamma, D,
     Sigma and the pi vector.
@@ -444,8 +444,7 @@ def _known_tails(tab, specs, alpha=None):
         half = zq * sigma / np.sqrt(tab.n)
         cis = [(p - h, p + h) for p, h in zip(point.tolist(), half.tolist())]
     members = [
-        LateEstimate(point=p, mass1=m1, mass0=m0, n=tab.n, sigma=s, ci=ci,
-                     alpha=alpha, tails=tails)
+        LateEstimate(point=p, mass1=m1, mass0=m0, sigma=s, ci=ci, tails=tails)
         for p, m1, m0, s, ci, tails in zip(point.tolist(), p3.tolist(),
                                            p4.tolist(), sigma.tolist(), cis,
                                            kept)]

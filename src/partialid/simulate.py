@@ -49,10 +49,6 @@ class HalfDensity:
         if not (0.0 < self.sd < math.inf):
             raise ConfigError("normal sd must be positive and finite")
 
-    def pdf(self, y):
-        t = (np.asarray(y, dtype=float) - self.mean) / self.sd
-        return self.mass * np.exp(-0.5 * t * t) / (self.sd * math.sqrt(2 * math.pi))
-
     def draw(self, rng, size):
         # the old mixture's component choice spent these: keep the stream
         rng.random(size)

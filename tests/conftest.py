@@ -1,5 +1,8 @@
-"""Shared fixtures: deterministic synthetic samples, CSV writers, and the
-Roy bounds' LP oracle."""
+"""Shared fixtures: deterministic synthetic samples, CSV writers, the
+benchmark's input generator, and the Roy bounds' LP oracle."""
+
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +24,17 @@ def make_sample(n=400, seed=0, effect=1.0):
     d = np.where(comply, z, 1 - z)
     y = rng.normal(2.0, 1.0, n) + effect * d
     return Sample(y=y, d=d.astype(int), z=z)
+
+
+def gen_inputs():
+    """``perfbench/gen_inputs.py``, which writes the benchmark's inputs."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "gen_inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen_inputs",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def objective_vector(z):

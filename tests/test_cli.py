@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import csv
-import importlib.util
 import json
 import math
 import os
@@ -17,7 +16,7 @@ import partialid.simulate
 from partialid.cli import _clamp_threads, _render, build_parser, run
 from partialid.datamodel import Sample
 
-from conftest import make_sample, write_sample_csv
+from conftest import gen_inputs, make_sample, write_sample_csv
 
 
 @pytest.fixture()
@@ -420,24 +419,13 @@ class TestLatePoint:
         assert json.loads(out2)["timing_seconds"] > 0
 
 
-def _gen_inputs():
-    """``perfbench/gen_inputs.py``, which writes the benchmark's inputs."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "gen_inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen_inputs",
-                                                  path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestOneEvaluationPath:
     # the benchmark's CLI mix reads sec33.csv of these pool seeds, on which
     # `late bounds` resolves to the point regime
     @pytest.mark.parametrize("seed", range(4))
     def test_point_regime_bounds_equal_the_point_estimate(self, capsys,
                                                           tmp_path, seed):
-        _gen_inputs().write_cli_inputs(tmp_path, seed)
+        gen_inputs().write_cli_inputs(tmp_path, seed)
         path = str(tmp_path / "sec33.csv")
         code, out, _ = run_cli(capsys, "late", "point", "--input", path)
         assert code == 0
@@ -487,7 +475,7 @@ class TestLateBoundsAndTest:
         # the benchmark's gap.csv of pool seed 0: a gap of 0.123 against a
         # threshold kappa of 0.120, so the bound regime holds and the point
         # regime is reported beside it
-        _gen_inputs().write_cli_inputs(tmp_path, 0)
+        gen_inputs().write_cli_inputs(tmp_path, 0)
         path = str(tmp_path / "gap.csv")
         code, out, _ = run_cli(capsys, "late", "bounds", "--input", path)
         assert code == 0
@@ -534,7 +522,7 @@ class TestLateBoundsAndTest:
         # on the relative scale b is a share of each side's peak, so y -> a y
         # changes no verdict; on pool seed 0's sec33.csv the same b as an
         # absolute tolerance passes the data at a = 10 and fails it at a = 1
-        _gen_inputs().write_cli_inputs(tmp_path, 0)
+        gen_inputs().write_cli_inputs(tmp_path, 0)
         rows = (tmp_path / "sec33.csv").read_text().splitlines()
         scaled = tmp_path / "scaled.csv"
         scaled.write_text("\n".join([rows[0]] + [
@@ -991,8 +979,7 @@ _ROOT_NAMES = {
     "latepoint": "LateEstimate TailSpec check_iam_implication "
                  "conservative_union_ci estimate_late estimate_trimmed_sets "
                  "known_tail_estimate late_variance wald_estimate",
-    "latebounds": "BoundEstimate DeltaEstimate bound_variance estimate_bounds "
-                  "estimate_delta",
+    "latebounds": "BoundEstimate DeltaEstimate estimate_bounds estimate_delta",
     "roy": "RoyDistribution build_polyhedron check_roy_refutable "
            "min_efficiency_loss potential_outcome_bounds",
     "structures": "FiniteStructureSpace binary_decidability check_extension "
@@ -1134,7 +1121,7 @@ class TestImports:
     def test_root_names_resolve_to_their_owners(self):
         owners = {name: module for module, names in _ROOT_NAMES.items()
                   for name in [module, *names.split()]}
-        assert len(owners) == 69
+        assert len(owners) == 68
         assert partialid.__all__ == sorted(owners)
         assert [n for n in dir(partialid) if not n.startswith("_")] == \
             partialid.__all__

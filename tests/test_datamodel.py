@@ -2,9 +2,7 @@
 
 import csv
 import dataclasses
-import importlib.util
 import math
-import os
 import time
 
 import numpy as np
@@ -23,9 +21,7 @@ from partialid.errors import ConfigError, DataError
 from partialid.latepoint import TailSpec
 from partialid.simulate import SimDesign, draw_sample
 
-from conftest import make_sample, write_sample_csv
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import gen_inputs, make_sample, write_sample_csv
 
 
 class TestSample:
@@ -576,12 +572,7 @@ class TestTuningDifferential:
     # the benchmark's CLI mix draws its inputs from this pool of seeds
     @pytest.mark.parametrize("seed", range(16))
     def test_cli_mix_pool_inputs(self, tmp_path, seed):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_gen_inputs",
-            os.path.join(ROOT, "perfbench", "gen_inputs.py"))
-        gen_inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen_inputs)
-        gen_inputs.write_cli_inputs(tmp_path, seed)
+        gen_inputs().write_cli_inputs(tmp_path, seed)
         for name in ("sec33", "gap", "rounded", "small"):
             path = tmp_path / f"{name}.csv"
             sample = load_sample_csv(path)

@@ -7,9 +7,9 @@ import pytest
 
 from partialid.datamodel import Sample, theorem_bandwidth
 from partialid.errors import ConfigError, WeakIdentificationError
-from partialid.latebounds import (DENSITY_FLOOR, DeltaEstimate,
-                                  estimate_bounds, estimate_delta,
-                                  bound_variance, _scan_threshold)
+from partialid.latebounds import (DENSITY_FLOOR, DeltaEstimate, _bound,
+                                  _scan_threshold, estimate_bounds,
+                                  estimate_delta)
 from partialid.latepoint import (_Moments, _late_variance,
                                  estimate_late)
 from partialid.sets import IntervalUnion
@@ -161,8 +161,8 @@ class TestBoundsOracle:
         # flipping both treatment and instrument negates the estimand, so
         # the bounds swap and change sign
         s, set1, set0 = gap_population()
-        # the d=0 side of bound_variance is pinned to the d=1 side: the
-        # standard errors swap with the bounds
+        # the d=0 side of a bound is pinned to the d=1 side: the standard
+        # errors swap with the bounds
         de = estimate_delta(s, set1, set0, kappa=0.01)
         be = estimate_bounds(s, set1, set0, de, h=theorem_bandwidth(s.n))
         flipped = Sample(y=s.y, d=1 - s.d, z=1 - s.z)
@@ -184,12 +184,17 @@ class TestBoundsOracle:
             estimate_bounds(s, empty, empty, de, h=theorem_bandwidth(s.n))
 
 
+def bound_at(s, set1, set0, delta, t, which, h):
+    """The sigma and components of one bound at a threshold of the test's
+    choosing, which ``estimate_bounds`` never takes."""
+    return _bound(_Moments(s, set1, set0), set1, set0, delta, t, which, h)[1:]
+
+
 class TestBoundVariance:
     def test_runs_and_reports_components(self):
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        sig, comp = bound_variance(s, set1, set0, de, t=2.0, which="lower",
-                                   h=0.5)
+        sig, comp = bound_at(s, set1, set0, de, t=2.0, which="lower", h=0.5)
         assert sig > 0
         assert comp["M1"].shape == (4, 7)
         assert comp["Sigma"].shape == (7, 7)
@@ -204,9 +209,8 @@ class TestBoundVariance:
         # same sigma, with a zero M2 row and no density floor
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        sig, comp = bound_variance(s, set1, set0, de, t, which, h=0.5)
-        far, far_comp = bound_variance(s, set1, set0, de, beyond, which,
-                                       h=0.5)
+        sig, comp = bound_at(s, set1, set0, de, t, which, h=0.5)
+        far, far_comp = bound_at(s, set1, set0, de, beyond, which, h=0.5)
         assert math.isfinite(sig) and sig == far
         assert not comp["M2"].any() and not far_comp["M2"].any()
         assert comp["min_density_at_t"] == 0.0
@@ -221,17 +225,10 @@ class TestBoundVariance:
         # below the floor, and the floor scales the nonzero M2 row
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        _, comp = bound_variance(s, set1, set0, de, 7.5 - 1e-7, which, h=0.5)
+        _, comp = bound_at(s, set1, set0, de, 7.5 - 1e-7, which, h=0.5)
         assert 0.0 < comp["min_density_at_t"] < DENSITY_FLOOR
         assert comp["M2"].any()
         assert comp["unstable"] is True
-
-    def test_point_regime_rejected(self):
-        s, set1, set0 = gap_population()
-        de = estimate_delta(s, set1, set0, kappa=0.5)
-        with pytest.raises(ConfigError):
-            bound_variance(s, set1, set0, de, t=2.0, which="lower",
-                           h=theorem_bandwidth(s.n))
 
     def test_full_bounds_with_variance_and_ci(self):
         s, set1, set0 = gap_population()
@@ -280,10 +277,12 @@ def bound_cases():
     return cases
 
 
-# estimate_bounds and bound_variance on bound_cases() as computed by the
-# per-observation column table that preceded the grouped moment table:
-# (regime, delta, lower, upper, sigma_lower, sigma_upper, t_lower, t_upper),
-# then bound_variance's sigma at t_lower ('lower') and t_upper ('upper')
+# estimate_bounds on bound_cases() as computed by the per-observation
+# column table that preceded the grouped moment table: (regime, delta,
+# lower, upper, sigma_lower, sigma_upper, t_lower, t_upper), then in a bound
+# regime the sigma of the lower bound at t_lower and of the upper at t_upper.
+# In the 'above' regime the lower bound reads t_upper, so these two are not
+# the estimate's sigmas there: they pin ``_bound`` at the other threshold.
 PARENT_BOUNDS = {
     'gap-below': (
         'below', -0.10000000000000003, 3.125, 4.375, 4.2540192392019165,
@@ -323,10 +322,8 @@ class TestBoundsAgainstColumnTable:
         got = [de.delta, be.lower, be.upper, be.sigma_lower, be.sigma_upper,
                be.t_lower, be.t_upper]
         if de.regime != "point":
-            got += [bound_variance(s, set1, set0, de, be.t_lower, "lower",
-                                   h=h)[0],
-                    bound_variance(s, set1, set0, de, be.t_upper, "upper",
-                                   h=h)[0]]
+            got += [bound_at(s, set1, set0, de, be.t_lower, "lower", h)[0],
+                    bound_at(s, set1, set0, de, be.t_upper, "upper", h)[0]]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             if w is None:
@@ -341,8 +338,6 @@ class TestFitBandwidth:
         de = estimate_delta(s, set1, set0, kappa=0.01)
         with pytest.raises(TypeError, match="'h'"):
             estimate_bounds(s, set1, set0, de)
-        with pytest.raises(TypeError, match="'h'"):
-            bound_variance(s, set1, set0, de, 2.0, "lower")
 
     @pytest.mark.parametrize("a", [1.0, 1000.0])
     def test_sigmas_scale_with_the_outcome(self, a):
@@ -367,7 +362,7 @@ class TestFitBandwidth:
         with pytest.raises(ConfigError, match=message):
             estimate_bounds(s, set1, set0, de, h)
         with pytest.raises(ConfigError, match=message):
-            bound_variance(s, set1, set0, de, 2.0, "lower", h)
+            bound_at(s, set1, set0, de, 2.0, "lower", h)
 
 
 class TestBoundCost:
@@ -392,7 +387,7 @@ class TestBoundCost:
         be = estimate_bounds(s, set1, set0, de, h=cfg.h)
         assert passes == table + split + split
         passes.clear()
-        bound_variance(s, set1, set0, de, be.t_lower, "lower", h=cfg.h)
+        bound_at(s, set1, set0, de, be.t_lower, "lower", h=cfg.h)
         assert passes == table + split
 
 
@@ -425,7 +420,7 @@ class TestSweepCount:
         assert np.isfinite([be.t_lower, be.t_upper]).all()
         assert sweeps == [1, 1]
         sweeps.clear()
-        bound_variance(s, set1, set0, de, be.t_lower, "lower", h=cfg.h)
+        bound_at(s, set1, set0, de, be.t_lower, "lower", h=cfg.h)
         assert sweeps == [1]
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 
 from partialid.datamodel import RunConfig, Sample, default_empirical_config
 from partialid.density import default_grid, estimate_density_diff
@@ -39,9 +39,15 @@ SEC33_TRUTH = 1.7438122814589743
 # ----------------------------------------------------------------------
 # quadrature oracle: the earlier scan + brentq + quad path
 # ----------------------------------------------------------------------
+def _half_pdf(half):
+    """scipy's normal density times the cell mass: an oracle for the
+    half-density that the design draws from."""
+    return lambda y: half.mass * stats.norm.pdf(y, half.mean, half.sd)
+
+
 def _oracle_signed(design, d):
-    plus, minus = _signed_pair(design, d)
-    return lambda y: plus.pdf(y) - minus.pdf(y)
+    plus, minus = map(_half_pdf, _signed_pair(design, d))
+    return lambda y: plus(y) - minus(y)
 
 
 def _oracle_population_set(design, d):
@@ -398,13 +404,16 @@ class TestTruthFloor:
 
 
 class TestHalfDensity:
-    def test_pdf_integrates_to_mass(self):
+    def test_mass_moment_matches_quadrature(self):
         hd = HalfDensity(0.3, 2.0, 0.5)
-        val, _ = integrate.quad(lambda y: float(hd.pdf(y)), -np.inf, np.inf)
-        assert val == pytest.approx(0.3, abs=1e-9)
+        pdf = _half_pdf(hd)
         mass, moment = hd.mass_moment(-np.inf, np.inf)
         assert mass == pytest.approx(0.3, abs=1e-15)
         assert moment == pytest.approx(0.6, abs=1e-15)
+        for a, b in ((-np.inf, 1.7), (1.7, 2.9), (2.9, np.inf)):
+            want = [integrate.quad(lambda y: y ** k * float(pdf(y)), a, b,
+                                   epsabs=1e-13)[0] for k in (0, 1)]
+            assert hd.mass_moment(a, b) == pytest.approx(want, abs=1e-11)
 
     def test_draw_moments(self):
         hd = HalfDensity(1.0, 2.0, 1.5)
