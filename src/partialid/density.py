@@ -77,6 +77,12 @@ def kernel_sum(y, w, h, points):
         ys, ws = ys[first], np.add.reduceat(ws, first)
     if ys.size == 0:
         return np.zeros(points.size)
+    # rel and x below divide offsets by h; Python floats raise no warning
+    lo = float(min(ys[0], points.min()))
+    hi = float(max(ys[-1], points.max()))
+    if not math.isfinite((hi - lo) / h):
+        raise ConfigError(f"bandwidth h = {h} is too small: the span of the "
+                          "outcomes and points in units of h overflows")
     # outcomes in units of h from the smallest, cut into blocks of width 4;
     # v is the offset from the block's centre, within [-2, 2]
     rel = (ys - ys[0]) / h

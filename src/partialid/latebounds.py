@@ -147,13 +147,6 @@ def _minimiser(masses, cands, target):
     return t, multiple, saturated
 
 
-def _arm_slope(tab, parts, sums):
-    """Derivative in Pr(Z=1), with Pr(Z=0) = 1 - Pr(Z=1), of the mean of
-    ``column(parts)`` times y (``sums`` is ``sum_y``) or 1 (``count``)."""
-    raw = tab.arm_means(parts, sums)
-    return -raw[1] / tab.m[1] ** 2 + raw[0] / tab.m[0] ** 2
-
-
 def estimate_bounds(sample: Sample, set1: IntervalUnion,
                     set0: IntervalUnion, delta: DeltaEstimate,
                     h) -> BoundEstimate:
@@ -211,11 +204,13 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
 def _bound(tab, set1, set0, delta, t, which, h):
     """One bound at the threshold ``t`` ('lower' or 'upper' by ``which``)
     and the plug-in sd of sqrt(n) times it, read from the table split by the
-    cut: sigma^2 = Gamma (M1 + M2) Sigma (M1 + M2)' Gamma', with M1 the
-    fixed-threshold Jacobian, M2 the threshold-estimation term and Gamma the
-    ratio gradient.  Returns ``(L, sigma, components)``: the matrices,
-    ``min_density_at_t`` and ``unstable``, set when that density is under
-    ``DENSITY_FLOOR`` and the floor scales a nonzero M2 row."""
+    cut.  The bound is a function of six means (see ``_Moments.delta_sd``):
+    its gradient holds the fixed-threshold ratio terms plus the threshold
+    term, the estimated threshold's effect through the collected mass.
+    Returns ``(L, sigma, components)``: ``grad``, its ``threshold`` part,
+    ``Sigma``, ``min_density_at_t`` and ``unstable``, set when that density
+    is under ``DENSITY_FLOOR`` and the floor scales a nonzero threshold
+    term."""
     side_d = 1 if delta.regime == "below" else 0
     # low-end correction serves the lower bound on the d=1 side but the
     # upper bound on the d=0 side
@@ -225,47 +220,31 @@ def _bound(tab, set1, set0, delta, t, which, h):
     tab = tab.split((y <= t) if direction == "low" else (y >= t))
     corr_parts = {z: w * tab.cut
                   for z, w in tab.min_pair_parts(side_d).items()}
-    base_w, corr_w, other_w = (tab.mass[side_d], tab.column(corr_parts),
-                               tab.mass[1 - side_d])
-
-    # influence basis: T-cores, denominators, criterion core, arm indicator
-    Sigma = tab.cov([
-        base_w,       # 0: corrected-side contrast mean (with Y)
-        corr_w,       # 1: correction mass (with Y)
-        other_w,      # 2: uncorrected-side contrast mean (with Y)
-        tab.mass[1],  # 3: complier mass d=1
-        tab.mass[0],  # 4: complier mass d=0
-        corr_w,       # 5: criterion mass at the threshold
-        tab.z1,       # 6: arm frequency
-    ], [True, True, True, False, False, False, False])
-
-    # each coordinate plus its arm-frequency slope on the arm coordinate
-    e = np.eye(7)
-    sy, cnt = tab.sum_y, tab.count
-    w_base = e[0] + _arm_slope(tab, tab.mass_parts(side_d), sy) * e[6]
-    w_corr_fixed_t = e[1] + _arm_slope(tab, corr_parts, sy) * e[6]
-    w_other = e[2] + _arm_slope(tab, tab.mass_parts(1 - side_d), sy) * e[6]
-    w_den1 = e[3] + _arm_slope(tab, tab.mass_parts(1), cnt) * e[6]
-    w_den0 = e[4] + _arm_slope(tab, tab.mass_parts(0), cnt) * e[6]
-    w_g = e[5] + _arm_slope(tab, corr_parts, cnt) * e[6]
+    # corrected-side contrast, correction and uncorrected-side contrast
+    # (with Y), complier masses d=1 and d=0, and the criterion mass at the
+    # threshold
+    parts = [tab.mass_parts(side_d), corr_parts, tab.mass_parts(1 - side_d),
+             tab.mass_parts(1), tab.mass_parts(0), corr_parts]
+    with_y = [True, True, True, False, False, False]
+    weights = [tab.column(p) for p in parts]
+    slopes = np.array([tab.arm_slope(p, tab.sum_y if wy else tab.count)
+                       for p, wy in zip(parts, with_y)])
 
     denom = max(delta.mass1, delta.mass0)
-    w_denom = w_den1 if delta.mass1 >= delta.mass0 else w_den0
-
-    base_val, corr_val, other_val = (float(tab.mean(w, sy))
-                                     for w in (base_w, corr_w, other_w))
+    base_val, corr_val, other_val = (float(tab.mean(w, tab.sum_y))
+                                     for w in weights[:3])
     # the corrected side is subtracted for d=0: L = (other - base - corr)/denom
     numerator = (base_val + corr_val - other_val if side_d == 1
                  else other_val - base_val - corr_val)
     L = numerator / denom
+    sign = 1.0 if side_d == 1 else -1.0
+    grad = np.array([sign, sign, -sign, 0.0, 0.0, 0.0])
+    grad[3 if delta.mass1 >= delta.mass0 else 4] = -L
 
-    sign_corr = 1.0 if side_d == 1 else -1.0
-    M1 = np.vstack([sign_corr * w_base, sign_corr * w_corr_fixed_t,
-                    -sign_corr * w_other, w_denom])
-    M2 = np.zeros_like(M1)
     # an infinite threshold cuts nothing or the whole side, so the collected
-    # mass does not move with it: the M2 row stays zero and, with no density
-    # floor in the variance, nothing is unstable
+    # mass does not move with it: the threshold term stays zero and, with no
+    # density floor in the variance, nothing is unstable
+    threshold = np.zeros(6)
     min_dens, unstable = 0.0, False
     if np.isfinite(t):
         # the smaller sub-density at the threshold: the opposite arm's inside
@@ -277,21 +256,19 @@ def _bound(tab, set1, set0, delta, t, which, h):
         g_slope = max(min_dens, DENSITY_FLOOR)
         if direction == "high":
             g_slope = -g_slope
-
-        # threshold influence: criterion solves g(t) = |delta|
+        # the threshold solves g(t) = |delta|, which gives its gradient in
+        # the means, and the Y-weighted correction moves with t at bt, t
+        # times the density there
         sgn = -1.0 if delta.regime == "below" else 1.0
-        w_t = (sgn * (w_den1 - w_den0) - w_g) / g_slope
-        # correction term's threshold sensitivity: d/dt of the collected mass
         bt = t * min_dens if direction == "low" else -t * min_dens
-        M2[1] = sign_corr * bt * w_t
-        # at t * min_dens = 0 the M2 row is 0 whatever the floor
-        unstable = min_dens < DENSITY_FLOOR and bool(M2[1].any())
-    Gamma = np.array([1.0 / denom, 1.0 / denom, 1.0 / denom, -L / denom])
+        threshold[3:] = np.array([sgn, -sgn, -1.0]) * sign * bt / g_slope
+        # at t * min_dens = 0 the term is 0 whatever the floor
+        unstable = min_dens < DENSITY_FLOOR and bool(threshold.any())
+    grad, threshold = (grad + threshold) / denom, threshold / denom
 
-    var = float(Gamma @ (M1 + M2) @ Sigma @ (M1 + M2).T @ Gamma)
-    sigma = float(np.sqrt(max(var, 0.0)))
+    sigma, Sigma = tab.delta_sd(weights, with_y, slopes, grad)
     components = {
-        "Gamma": Gamma, "M1": M1, "M2": M2, "Sigma": Sigma,
+        "grad": grad, "threshold": threshold, "Sigma": Sigma,
         "unstable": unstable, "min_density_at_t": min_dens,
     }
-    return L, sigma, components
+    return L, float(sigma), components

@@ -10,9 +10,10 @@ means and covariances are sums over at most 48 groups (96 for a bound,
 which splits each group by its threshold cut).  The tails do not move the
 cores, so a table stacked over tail specs carries one row of region
 memberships per spec, and the union evaluates all sixteen specs in one
-pass: their masses, point estimates, 6x6 covariances and delta-method
+pass: their masses, point estimates, 5x5 covariances and delta-method
 variances are arrays with a leading spec axis; every other estimate is
-that pass over one spec (``_one_spec``)."""
+that pass over one spec (``_one_spec``).  Every sigma, a bound's too, is
+one call of the table's delta-method engine (``_Moments.delta_sd``)."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, WeakIdentificationError
+from .errors import ConfigError, DataError, WeakIdentificationError
 from .datamodel import Sample
 from .density import DensityEstimate
 from .sets import IntervalUnion, superlevel_set
@@ -268,9 +269,11 @@ class _Moments:
         """The estimated complier masses (d=1, d=0), one per spec row."""
         return tuple(self.mean(self.mass[d], self.count) for d in (1, 0))
 
-    def arm_means(self, parts, sums):
-        """Means of y or 1 times each raw part: {z: mean}."""
-        return {z: self.mean(parts[z], sums) for z in (0, 1)}
+    def arm_slope(self, parts, sums):
+        """Derivative in Pr(Z=1), with Pr(Z=0) = 1 - Pr(Z=1), of the mean of
+        ``column(parts)`` times y (``sums`` is ``sum_y``) or 1 (``count``)."""
+        return (-self.mean(parts[1], sums) / self.m[1] ** 2
+                + self.mean(parts[0], sums) / self.m[0] ** 2)
 
     def cov(self, weights, with_y):
         """Covariance (ddof 0) of the vector with entries ``weights[j][code]``
@@ -287,6 +290,27 @@ class _Moments:
         dev = level - (self.count @ level / self.n)[..., None, :]
         return ((dev.mT * self.count) @ dev
                 + (slope.mT * self.ss_y) @ slope) / self.n
+
+    def delta_sd(self, weights, with_y, slopes, grad):
+        """Plug-in delta-method sd of sqrt(n) g(means), for the means of
+        the columns ``weights[j]`` times y if ``with_y[j]``, else times 1,
+        and the covariance of those columns and the Z=1 indicator.
+
+        Each mean moves with the arm frequency Pr(Z=1) at the rate
+        ``slopes[j]`` (see ``arm_slope``), so the gradient ``grad`` of g
+        gains ``grad . slopes`` on the Z=1 coordinate.  On a stacked table
+        ``slopes``, ``grad`` and the outputs carry the leading spec axis.
+        Returns ``(sd, Sigma)``; a variance that overflows raises
+        ``DataError``."""
+        Sigma = self.cov([*weights, self.z1], [*with_y, False])
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.concatenate(
+                [grad, np.sum(grad * slopes, axis=-1, keepdims=True)], axis=-1)
+            var = (full[..., None, :] @ Sigma @ full[..., None])[..., 0, 0]
+        if not np.isfinite(var).all():
+            raise DataError("outcomes too large for the plug-in variance: "
+                            "it overflows")
+        return np.sqrt(np.maximum(var, 0.0)), Sigma
 
 
 def _group_sums(code, y, groups):
@@ -333,27 +357,27 @@ def late_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
     estimator, with its component matrices.
 
     The estimator is pi1/pi3 - pi2/pi4 where each pi is a ratio-weighted
-    sample mean depending on the two arm frequencies.  Sigma is the sample
-    covariance of the six-dimensional influence vector (the two arm
-    indicators and the four core means); D rescales the arm coordinates;
-    Gamma stacks the 2x4 block of arm derivatives over a 4x4 identity;
-    Pi is the gradient of the two-ratio map.
+    sample mean depending on the arm frequency Pr(Z=1).  Pi is the gradient
+    of the two-ratio map, ``slopes`` the derivative of each pi in Pr(Z=1),
+    and Sigma the sample covariance of the four core columns and the Z=1
+    indicator (see ``_Moments.delta_sd``).
 
-    ``method`` selects the arm-derivative block.  ``"outcome"`` (default)
-    fills all four columns with outcome-weighted cross moments.
-    ``"gradient"`` uses the exact analytic derivative of each coordinate
-    with respect to the instrument-arm frequency, whose indicator-only
-    moments enter the mass columns.  Over full regions on 120 samples of
-    the tests' ``make_sample(2000, seed)`` (Z a fair coin, D = Z with
-    probability 0.8, Y ~ N(2 + D, 1); seeds 1000-1119) the Monte Carlo sd
-    of sqrt(n) times the estimate was 3.42, the mean ``"outcome"`` sigma
+    ``method`` selects the slopes.  ``"gradient"`` uses the exact derivative
+    of each pi in the arm frequency, whose indicator-only moments enter the
+    mass slopes.  ``"outcome"`` (default) reads only outcome-weighted
+    moments, the same two for the contrast and the mass of a side: side d's
+    own-arm moment as its Z=1 part and the opposite-arm cell inside the
+    other side's region as its Z=0 part.  Over full regions on 120 samples
+    of the tests' ``make_sample(2000, seed)`` (Z a fair coin, D equal to Z
+    with probability 0.8, Y ~ N(2 + D, 1); seeds 1000-1119) the Monte Carlo
+    sd of sqrt(n) times the estimate was 3.42, the mean ``"outcome"`` sigma
     5.23 (1.53x: conservative) and the mean ``"gradient"`` sigma 3.36
     (0.98x); seeds 0-119 gave 1.60x and 1.02x.  That holds at this origin
     only: ``"outcome"`` moves when y shifts (on seed 1000 it is 3.34 at
     y - 2 and 34.7 at y + 10), while ``"gradient"`` and the estimate do not.
 
-    Returns ``(sigma, components)`` with components a dict of Pi, Gamma, D,
-    Sigma and the pi vector.
+    Returns ``(sigma, components)`` with components a dict of Pi, the
+    slopes, Sigma and the pi vector.
     """
     if method not in ("outcome", "gradient"):
         raise ConfigError(
@@ -368,46 +392,30 @@ def late_variance(sample: Sample, set1: IntervalUnion, set0: IntervalUnion,
 
 def _late_variance(tab, method):
     """``late_variance`` on a table whose masses clear the floor.  On a
-    table stacked over tail specs, sigma and every component but D gain
-    the leading spec axis, and the delta-method form is one batched product."""
+    table stacked over tail specs, sigma and every component gain the
+    leading spec axis."""
     w0, w1 = tab.mass
     # core means: Y-weighted contrast d=1, d=0, complier mass d=1, d=0;
     # each list below has its spec axis last, and ``.T`` puts it first
     pi = np.array([tab.mean(w1, tab.sum_y), tab.mean(w0, tab.sum_y),
                    *tab.complier_masses()]).T
-    # influence vector: Z=1, Z=0, the four cores
-    Sigma = tab.cov([tab.z1, 1.0 - tab.z1, w1, w0, w1, w0],
-                    [False, False, True, True, False, False])
-
-    D = np.diag([-1.0 / tab.m[1] ** 2, -1.0 / tab.m[0] ** 2,
-                 1.0, 1.0, 1.0, 1.0])
-
     if method == "outcome":
-        # outcome-weighted cross moments in every column: the own-arm
-        # moment in the Z=1 row, the opposite-arm cell inside the other
-        # side's region in the Z=0 row
+        # outcome-weighted for every mean: side d's own-arm moment is the
+        # Z=1 part, the opposite-arm cell inside the other side's region
+        # the Z=0 part
         cell, inside = tab.cell, tab.inside
-        own1, own0, cross1, cross0 = tab.mean(np.array([
-            cell[1, 1] * inside[1], cell[0, 0] * inside[0],
-            cell[1, 0] * inside[0], cell[0, 1] * inside[1]]), tab.sum_y)
-        rows = [[own1, own0, own1, own0], [cross1, cross0, cross1, cross0]]
+        slopes = [tab.arm_slope({1: cell[d, d] * inside[d],
+                                 0: cell[d, 1 - d] * inside[1 - d]},
+                                tab.sum_y) for d in (1, 0)] * 2
     else:
-        # arm-derivative block: column j gives the moments whose rescaled
-        # arm deviations reproduce d pi_j / d (arm frequency)
-        raw = [tab.arm_means(tab.mass_parts(d), sums)
-               for sums in (tab.sum_y, tab.count) for d in (1, 0)]
-        rows = [[r[1] for r in raw], [r[0] for r in raw]]
-    Gamma = np.zeros(pi.shape[:-1] + (6, 4))
-    Gamma[..., :2, :] = np.array(rows).T.mT  # rows x columns, spec first
-    Gamma[..., 2:, :] = np.eye(4)
-
+        slopes = [tab.arm_slope(tab.mass_parts(d), sums)
+                  for sums in (tab.sum_y, tab.count) for d in (1, 0)]
+    slopes = np.array(slopes).T
     p1, p2, p3, p4 = pi.T
     Pi = np.array([1.0 / p3, -1.0 / p4, -p1 / p3 ** 2, p2 / p4 ** 2]).T
-
-    var = (Pi[..., None, :] @ Gamma.mT @ D.T @ Sigma @ D @ Gamma
-           @ Pi[..., None])[..., 0, 0]
-    sigma = np.sqrt(np.maximum(var, 0.0))
-    components = {"Pi": Pi, "Gamma": Gamma, "D": D, "Sigma": Sigma, "pi": pi}
+    sigma, Sigma = tab.delta_sd([w1, w0, w1, w0], [True, True, False, False],
+                                slopes, Pi)
+    components = {"Pi": Pi, "slopes": slopes, "Sigma": Sigma, "pi": pi}
     return sigma, components
 
 

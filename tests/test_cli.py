@@ -174,6 +174,26 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: alpha must be in (2**-53, 1), got 1e-300\n"
 
+    @pytest.mark.parametrize("argv,scale,message", [
+        *((argv, 1e80, "outcomes too large for the plug-in variance: it "
+                       "overflows")
+          for argv in (["point"], ["bounds"], ["point", "--union"])),
+        (["point", "--h", "1e-310"], 1.0, "bandwidth h = 1e-310 is too "
+         "small: the span of the outcomes and points in units of h "
+         "overflows")],
+        ids=["point-variance", "bounds-variance", "union-variance",
+             "subnormal-h"])
+    def test_overflow_is_2_with_one_line(self, capsys, tmp_path, argv, scale,
+                                         message):
+        # at y * 1e80 the estimate is finite, but the delta method's
+        # quadratic form is not; at h = 1e-310 the outcomes' span over h
+        # overflows before the density fit
+        s = make_sample(400, seed=0)
+        path = write_sample_csv(tmp_path / "scaled.csv",
+                                Sample(y=s.y * scale, d=s.d, z=s.z))
+        code, out, err = run_cli(capsys, "late", *argv, "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_infinite_band_is_2(self, capsys, sample_csv):
         code, _, err = run_cli(capsys, "late", "point", "--input", sample_csv,
                                "--band=-inf,inf")

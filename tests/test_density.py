@@ -169,6 +169,15 @@ class TestCellSumOracle:
         with pytest.raises(ConfigError, match="bandwidth"):
             kernel_sum([0.0, 1.0], 1.0, 0.0, [0.0])
 
+    @pytest.mark.parametrize("y,points", [([0.0, 1e10], [0.0]),
+                                          ([0.0, 1.0], [-1e10, 1e10])],
+                             ids=["outcomes", "points"])
+    def test_rejects_a_bandwidth_too_small_for_the_span(self, y, points):
+        # 1e10 / 1e-300 overflows, in the outcomes' span or the points'
+        with pytest.raises(ConfigError,
+                           match="^bandwidth h = 1e-300 is too small"):
+            kernel_sum(y, 1.0, 1e-300, points)
+
     @pytest.mark.parametrize("h", [np.nan, np.inf])
     def test_rejects_a_non_finite_bandwidth(self, h):
         s = Sample(y=np.array([0.0, 1.0]), d=np.array([1, 0]),

@@ -196,7 +196,8 @@ class TestBoundVariance:
         de = estimate_delta(s, set1, set0, kappa=0.01)
         sig, comp = bound_at(s, set1, set0, de, t=2.0, which="lower", h=0.5)
         assert sig > 0
-        assert comp["M1"].shape == (4, 7)
+        # six means and the Z=1 indicator
+        assert comp["grad"].shape == (6,)
         assert comp["Sigma"].shape == (7, 7)
 
     @pytest.mark.filterwarnings("error")
@@ -206,28 +207,30 @@ class TestBoundVariance:
                                                              beyond):
         # past the data by more than h the kernel density is 0, so the cut
         # and the variance no longer move with t: the infinite t gives the
-        # same sigma, with a zero M2 row and no density floor
+        # same sigma, with a zero threshold term and no density floor
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
         sig, comp = bound_at(s, set1, set0, de, t, which, h=0.5)
         far, far_comp = bound_at(s, set1, set0, de, beyond, which, h=0.5)
         assert math.isfinite(sig) and sig == far
-        assert not comp["M2"].any() and not far_comp["M2"].any()
+        assert not comp["threshold"].any()
+        assert not far_comp["threshold"].any()
         assert comp["min_density_at_t"] == 0.0
         assert comp["unstable"] is False
-        # the finite t's density is 0 too, but its M2 row is t * 0 * w_t = 0,
-        # so the density floor never enters its variance
+        # the finite t's density is 0 too, so its threshold term, t * 0
+        # times the criterion's coefficients, is 0 and the density floor
+        # never enters its variance
         assert far_comp["unstable"] is False
 
     @pytest.mark.parametrize("which", ["lower", "upper"])
     def test_density_below_the_floor_flags(self, which):
         # inside h of the cell's top value 7 the density is positive but
-        # below the floor, and the floor scales the nonzero M2 row
+        # below the floor, and the floor scales the nonzero threshold term
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
         _, comp = bound_at(s, set1, set0, de, 7.5 - 1e-7, which, h=0.5)
         assert 0.0 < comp["min_density_at_t"] < DENSITY_FLOOR
-        assert comp["M2"].any()
+        assert comp["threshold"].any()
         assert comp["unstable"] is True
 
     def test_full_bounds_with_variance_and_ci(self):

@@ -267,8 +267,9 @@ class TestVariance:
         sig_grad, comp_grad = late_variance(s, FULL, FULL, method="gradient")
         assert sig_out > 0 and sig_grad > 0
         assert sig_out != pytest.approx(sig_grad, rel=1e-6)
-        assert comp_out["Sigma"].shape == (6, 6)
-        assert comp_out["Gamma"].shape == (6, 4)
+        # the four core means and the Z=1 indicator, and one slope each
+        assert comp_out["Sigma"].shape == (5, 5)
+        assert comp_out["slopes"].shape == (4,)
 
     def test_floor_error_names_the_side(self):
         # the d=0 region holds no outcome: its mass is 0, d=1's is 0.6
@@ -568,8 +569,16 @@ class TestMomentTableOracle:
             want, want_comp = oracle_variance(cols, method)
             assert_sigma_close(sigma, want, want_comp["terms"])
             assert_close(late.point, point, max(abs(point), sigma))
-            for key in ("Sigma", "Gamma", "pi"):
-                got, ref = comp[key], want_comp[key]
+            # the oracle's Sigma re-indexed to (four core means, Z=1), and
+            # each column's Z=1 and Z=0 arm derivatives, D-rescaled, folded
+            # into one slope since Z=0 = 1 - Z=1
+            core_z1 = np.ix_([2, 3, 4, 5, 0], [2, 3, 4, 5, 0])
+            gamma, m = want_comp["Gamma"], cols.m
+            refs = {"Sigma": want_comp["Sigma"][core_z1],
+                    "slopes": -gamma[0] / m[1] ** 2 + gamma[1] / m[0] ** 2,
+                    "pi": want_comp["pi"]}
+            for key, ref in refs.items():
+                got = comp[key]
                 assert np.all(np.abs(got - ref)
                               <= 1e-12 * np.abs(ref).max()), key
 
@@ -632,7 +641,7 @@ class TestUnionCost:
         res = conservative_union_ci(s, est, 0.3, (-3.0, 8.0),
                                     threshold_scale="relative")
         assert res["feasible"] == 16
-        assert shapes == [(16, 6, 6)]
+        assert shapes == [(16, 5, 5)]
 
     def test_union_at_a_million_observations(self):
         # per-spec sets and n x 6 covariances took about 4.3 s here; the
