@@ -201,15 +201,16 @@ def interval_data_stats(sample, a, b):
     """Scaled squared shortfalls testing the hypothesis that the latent
     mean interval meets [a, b] (nonrefutable statistic) and is contained in
     it (confirmable statistic).  Both vanish exactly when no constraint
-    binds."""
+    binds.  A shortfall past about 1e154 squares to inf, which rejects
+    the hypothesis as any large value would."""
     if not (a <= b):  # NaN fails too
         raise DataError("the hypothesis interval must satisfy a <= b")
     arr, mean_l, mean_u = _check_intervals(sample)
     n = arr.shape[0]
 
-    def neg(x):
-        return min(x, 0.0)
+    def neg_sq(x):  # a product overflows to inf, where ** 2 raises
+        return min(x, 0.0) * min(x, 0.0)
 
-    t_nf = math.sqrt(n) * (neg(mean_u - a) ** 2 + neg(b - mean_l) ** 2)
-    t_con = math.sqrt(n) * (neg(b - mean_u) ** 2 + neg(mean_l - a) ** 2)
+    t_nf = math.sqrt(n) * (neg_sq(mean_u - a) + neg_sq(b - mean_l))
+    t_con = math.sqrt(n) * (neg_sq(b - mean_u) + neg_sq(mean_l - a))
     return t_nf, t_con

@@ -7,11 +7,11 @@ When the estimated complier masses differ beyond kappa_n, mass equal to the
 gap is reallocated on the smaller side: the bound numerator keeps the
 trimmed-set contrast away from the threshold and tops it up with the
 pointwise-minimum sub-density below (lower) or above (upper) the threshold.
-The Delta > kappa_n regime is generated from the Delta < -kappa_n code path
-by swapping the roles of (D, Z, trimmed set) and flipping which side of the
-difference carries the correction.  Each bound and its variance read the
-grouped moment table split by the bound's threshold cut; only the threshold
-scan over the order statistics runs per observation.
+The Delta > kappa_n regime is the Delta < -kappa_n one on the label-swapped
+sample (1 - D, 1 - Z, trimmed sets swapped), whose LATE is the negative, so
+only the d=1 side ever carries the correction.  Each bound and its variance
+read the grouped moment table split by the bound's threshold cut; only the
+threshold scan over the order statistics runs per observation.
 """
 
 from __future__ import annotations
@@ -153,13 +153,19 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
     """Bound point estimates and their plug-in standard deviations for the
     resolved regime.
 
-    In the point regime both bounds equal the point estimator.  Otherwise
-    the corrected side's complier mean is evaluated with the gap mass
-    collected at the low or high end, up to the smallest order statistic
-    whose collected mass is nearest the gap (a tie is flagged), and both
-    ratios share the larger complier mass as denominator.  ``h`` is the
-    fit's bandwidth, which the density level at each threshold reuses.
+    In the point regime both bounds equal the point estimator.  In the
+    'below' regime the d=1 complier mean is evaluated with the gap mass
+    collected at the low (lower bound) or high end (upper), up to the
+    smallest order statistic whose collected mass is nearest the gap (a
+    tie is flagged), over the larger complier mass.  'above' is 'below' on
+    the label swap, whose LATE is the negative: the bounds and sigmas come
+    back negated and exchanged, the thresholds and flags as they are.
+    ``h`` is the fit's bandwidth, which each threshold's density reuses.
     """
+    if delta.regime == "above":
+        be = estimate_bounds(*_label_swap(sample, set1, set0, delta), h)
+        return replace(be, lower=-be.upper, upper=-be.lower, regime="above",
+                       sigma_lower=be.sigma_upper, sigma_upper=be.sigma_lower)
     flags = []
     if delta.near_boundary:
         flags.append("delta_near_regime_boundary")
@@ -176,8 +182,7 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
         raise WeakIdentificationError(
             f"larger complier mass {denom:.3g} below floor", mass=denom)
 
-    side_d = 1 if delta.regime == "below" else 0
-    contrib = tab.column(tab.min_pair_parts(side_d))[tab.code] / tab.n
+    contrib = tab.column(tab.min_pair_parts())[tab.code] / tab.n
     scans = _scan_threshold(sample.y, contrib, abs(delta.delta))
     t_lower, mult_lo, sat_lo = scans["low"]
     t_upper, mult_hi, sat_hi = scans["high"]
@@ -186,11 +191,8 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
     if sat_lo or sat_hi:
         flags.append("threshold_saturated")
 
-    # the d=1 complier mean is added, so its low correction gives the lower
-    # bound; the d=0 mean is subtracted, so its high correction does
-    ts = (t_lower, t_upper) if delta.regime == "below" else (t_upper, t_lower)
-    lower, sig_lo, comp_lo = _bound(tab, set1, set0, delta, ts[0], "lower", h)
-    upper, sig_hi, comp_hi = _bound(tab, set1, set0, delta, ts[1], "upper", h)
+    lower, sig_lo, comp_lo = _bound(tab, set1, delta, t_lower, "low", h)
+    upper, sig_hi, comp_hi = _bound(tab, set1, delta, t_upper, "high", h)
     if comp_lo["unstable"] or comp_hi["unstable"]:
         flags.append("variance_unstable_low_density_at_threshold")
 
@@ -201,9 +203,18 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
     )
 
 
-def _bound(tab, set1, set0, delta, t, which, h):
-    """One bound at the threshold ``t`` ('lower' or 'upper' by ``which``)
-    and the plug-in sd of sqrt(n) times it, read from the table split by the
+def _label_swap(sample, set1, set0, delta):
+    """The 'below' problem an 'above' one mirrors: 1 - D and 1 - Z, the
+    trimmed sets and complier masses exchanged, and the gap negated."""
+    return (Sample(y=sample.y, d=1 - sample.d, z=1 - sample.z), set0, set1,
+            replace(delta, delta=-delta.delta, regime="below",
+                    mass1=delta.mass0, mass0=delta.mass1))
+
+
+def _bound(tab, set1, delta, t, direction, h):
+    """One 'below'-regime bound at the threshold ``t``, the gap mass cut
+    from the ``direction`` 'low' end (lower bound) or 'high' (upper), and
+    the plug-in sd of sqrt(n) times it, read from the table split by the
     cut.  The bound is a function of six means (see ``_Moments.delta_sd``):
     its gradient holds the fixed-threshold ratio terms plus the threshold
     term, the estimated threshold's effect through the collected mass.
@@ -211,19 +222,12 @@ def _bound(tab, set1, set0, delta, t, which, h):
     ``Sigma``, ``min_density_at_t`` and ``unstable``, set when that density
     is under ``DENSITY_FLOOR`` and the floor scales a nonzero threshold
     term."""
-    side_d = 1 if delta.regime == "below" else 0
-    # low-end correction serves the lower bound on the d=1 side but the
-    # upper bound on the d=0 side
-    direction = "low" if (side_d == 1) == (which == "lower") else "high"
-
     y = tab.sample.y
     tab = tab.split((y <= t) if direction == "low" else (y >= t))
-    corr_parts = {z: w * tab.cut
-                  for z, w in tab.min_pair_parts(side_d).items()}
-    # corrected-side contrast, correction and uncorrected-side contrast
-    # (with Y), complier masses d=1 and d=0, and the criterion mass at the
-    # threshold
-    parts = [tab.mass_parts(side_d), corr_parts, tab.mass_parts(1 - side_d),
+    corr_parts = {z: w * tab.cut for z, w in tab.min_pair_parts().items()}
+    # d=1 contrast, its correction and the d=0 contrast (with Y), complier
+    # masses d=1 and d=0, and the criterion mass at the threshold
+    parts = [tab.mass_parts(1), corr_parts, tab.mass_parts(0),
              tab.mass_parts(1), tab.mass_parts(0), corr_parts]
     with_y = [True, True, True, False, False, False]
     weights = [tab.column(p) for p in parts]
@@ -233,12 +237,8 @@ def _bound(tab, set1, set0, delta, t, which, h):
     denom = max(delta.mass1, delta.mass0)
     base_val, corr_val, other_val = (float(tab.mean(w, tab.sum_y))
                                      for w in weights[:3])
-    # the corrected side is subtracted for d=0: L = (other - base - corr)/denom
-    numerator = (base_val + corr_val - other_val if side_d == 1
-                 else other_val - base_val - corr_val)
-    L = numerator / denom
-    sign = 1.0 if side_d == 1 else -1.0
-    grad = np.array([sign, sign, -sign, 0.0, 0.0, 0.0])
+    L = (base_val + corr_val - other_val) / denom
+    grad = np.array([1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
     grad[3 if delta.mass1 >= delta.mass0 else 4] = -L
 
     # an infinite threshold cuts nothing or the whole side, so the collected
@@ -247,21 +247,18 @@ def _bound(tab, set1, set0, delta, t, which, h):
     threshold = np.zeros(6)
     min_dens, unstable = 0.0, False
     if np.isfinite(t):
-        # the smaller sub-density at the threshold: the opposite arm's inside
-        # side d's region, the own arm's (Z=d) outside
-        arm = 1 - side_d if (set0, set1)[side_d].contains(t) else side_d
+        # the smaller sub-density at the threshold: the Z=0 arm's inside
+        # the d=1 region, the Z=1 arm's outside
+        arm = 0 if set1.contains(t) else 1
         s, in_arm = tab.sample, tab.sample.z == arm
-        min_dens = float(kernel_sum(s.y[in_arm & (s.d == side_d)], 1.0, h,
+        min_dens = float(kernel_sum(s.y[in_arm & (s.d == 1)], 1.0, h,
                                     t)[0]) / np.count_nonzero(in_arm)
+        # the threshold solves g(t) = |delta| = mass0 - mass1, which gives
+        # its gradient in the means, and the Y-weighted correction moves
+        # with t at t times the density there; both rates change sign with
+        # the direction, so their ratio does not
         g_slope = max(min_dens, DENSITY_FLOOR)
-        if direction == "high":
-            g_slope = -g_slope
-        # the threshold solves g(t) = |delta|, which gives its gradient in
-        # the means, and the Y-weighted correction moves with t at bt, t
-        # times the density there
-        sgn = -1.0 if delta.regime == "below" else 1.0
-        bt = t * min_dens if direction == "low" else -t * min_dens
-        threshold[3:] = np.array([sgn, -sgn, -1.0]) * sign * bt / g_slope
+        threshold[3:] = np.array([-1.0, 1.0, -1.0]) * (t * min_dens) / g_slope
         # at t * min_dens = 0 the term is 0 whatever the floor
         unstable = min_dens < DENSITY_FLOOR and bool(threshold.any())
     grad, threshold = (grad + threshold) / denom, threshold / denom

@@ -248,14 +248,13 @@ class _Moments:
         return {d: self.cell[d, d] * inset,
                 1 - d: -(self.cell[d, 1 - d] * inset)}
 
-    def min_pair_parts(self, d):
-        """Side d's min-pair weight, estimating the pointwise minimum of the
-        two sub-densities: inside the region the own arm's is the larger,
-        so the opposite arm gives the minimum there and the own arm
+    def min_pair_parts(self):
+        """The d=1 side's min-pair weight, estimating the pointwise minimum
+        of the two sub-densities: inside the region the own arm's (Z=1) is
+        the larger, so the Z=0 arm gives the minimum there and the own arm
         outside."""
-        inset = self.inside[d]
-        return {d: self.cell[d, d] * ~inset,
-                1 - d: self.cell[d, 1 - d] * inset}
+        inset = self.inside[1]
+        return {1: self.cell[1, 1] * ~inset, 0: self.cell[1, 0] * inset}
 
     def column(self, parts):
         return parts[0] / self.m[0] + parts[1] / self.m[1]

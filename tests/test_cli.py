@@ -855,6 +855,31 @@ class TestDilate:
         assert err == ("error: interval endpoints too large: a column mean "
                        "or the range of the data overflows\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, a, b, want", [
+        (1.0, "1e200", "1e200", ("inf", "inf")),
+        (1e160, "0", "1", (0.0, "inf")),
+    ], ids=["far-hypothesis", "scaled-intervals"])
+    def test_shortfall_past_the_float_range_is_inf(self, capsys, tmp_path,
+                                                   scale, a, b, want):
+        # the benchmark's intervals of pool seed 1: a shortfall of 1e200, or
+        # of 1e160 once the data are scaled, squares past the float range,
+        # so the statistic is inf and the hypothesis rejected
+        gen_inputs().write_cli_inputs(tmp_path, 1)
+        rows = (tmp_path / "intervals.csv").read_text().splitlines()
+        path = tmp_path / "scaled.csv"
+        path.write_text("\n".join([rows[0]] + [
+            ",".join(repr(scale * float(v)) for v in row.split(","))
+            for row in rows[1:]]) + "\n")
+        code, out, err = run_cli(capsys, "dilate", "region", "--input",
+                                 str(path), f"--a={a}", f"--b={b}",
+                                 "--boot", "100")
+        assert (code, err) == (0, "")
+        res = json.loads(out)["results"]
+        assert (res["statistic_nonrefutable"],
+                res["statistic_confirmable"]) == want
+        assert all(map(math.isfinite, res["confidence_region"]))
+
 
 class TestSimulate:
     def test_coverage_smoke_and_records(self, capsys, tmp_path):

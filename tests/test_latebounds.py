@@ -8,8 +8,8 @@ import pytest
 from partialid.datamodel import Sample, theorem_bandwidth
 from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latebounds import (DENSITY_FLOOR, DeltaEstimate, _bound,
-                                  _scan_threshold, estimate_bounds,
-                                  estimate_delta)
+                                  _label_swap, _scan_threshold,
+                                  estimate_bounds, estimate_delta)
 from partialid.latepoint import (_Moments, _late_variance,
                                  estimate_late)
 from partialid.sets import IntervalUnion
@@ -175,6 +175,25 @@ class TestBoundsOracle:
         assert be_f.sigma_lower == pytest.approx(be.sigma_upper, abs=1e-12)
         assert be_f.sigma_upper == pytest.approx(be.sigma_lower, abs=1e-12)
 
+    def test_above_is_the_swapped_below_bit_for_bit(self):
+        # an 'above' delta runs the 'below' path on the label-swapped
+        # sample: the bounds come back negated and exchanged with their
+        # sigmas, and the thresholds and flags as they are
+        s, set1, set0 = gap_population()
+        de = estimate_delta(s, set1, set0, kappa=0.01)
+        be = estimate_bounds(s, set1, set0, de, h=0.5)
+        flipped = Sample(y=s.y, d=1 - s.d, z=1 - s.z)
+        de_f = DeltaEstimate(delta=-de.delta, kappa=de.kappa, regime="above",
+                             mass1=de.mass0, mass0=de.mass1,
+                             near_boundary=de.near_boundary)
+        be_f = estimate_bounds(flipped, set0, set1, de_f, h=0.5)
+        assert (be.regime, be_f.regime) == ("below", "above")
+        assert (be_f.lower, be_f.upper) == (-be.upper, -be.lower)
+        assert (be_f.sigma_lower, be_f.sigma_upper) == (be.sigma_upper,
+                                                        be.sigma_lower)
+        assert (be_f.t_lower, be_f.t_upper) == (be.t_lower, be.t_upper)
+        assert be_f.flags == be.flags and be_f.n == be.n
+
     def test_weak_identification(self):
         s, set1, set0 = gap_population()
         empty = IntervalUnion([(100.0, 101.0)])
@@ -186,8 +205,14 @@ class TestBoundsOracle:
 
 def bound_at(s, set1, set0, delta, t, which, h):
     """The sigma and components of one bound at a threshold of the test's
-    choosing, which ``estimate_bounds`` never takes."""
-    return _bound(_Moments(s, set1, set0), set1, set0, delta, t, which, h)[1:]
+    choosing, which ``estimate_bounds`` never takes.  An 'above' delta goes
+    through the label swap as in ``estimate_bounds``: its lower bound is
+    the swapped sample's upper, cut from the high end."""
+    if delta.regime == "above":
+        s, set1, set0, delta = _label_swap(s, set1, set0, delta)
+        which = "upper" if which == "lower" else "lower"
+    direction = "low" if which == "lower" else "high"
+    return _bound(_Moments(s, set1, set0), set1, delta, t, direction, h)[1:]
 
 
 class TestBoundVariance:
@@ -285,7 +310,8 @@ def bound_cases():
 # lower, upper, sigma_lower, sigma_upper, t_lower, t_upper), then in a bound
 # regime the sigma of the lower bound at t_lower and of the upper at t_upper.
 # In the 'above' regime the lower bound reads t_upper, so these two are not
-# the estimate's sigmas there: they pin ``_bound`` at the other threshold.
+# the estimate's sigmas there: they pin ``_bound`` at the other threshold,
+# through the label swap that ``bound_at`` shares with ``estimate_bounds``.
 PARENT_BOUNDS = {
     'gap-below': (
         'below', -0.10000000000000003, 3.125, 4.375, 4.2540192392019165,
