@@ -162,8 +162,8 @@ def _add_tuning(parser):
 
 
 def _clamp_threads(threads):
-    """``--threads`` clamped to [1, os.cpu_count()]; None keeps the pool's
-    default."""
+    """``--threads`` clamped to [1, os.cpu_count()]; None stays None, which
+    ``run_coverage`` reads as os.cpu_count()."""
     if threads is None:
         return None
     return min(max(threads, 1), os.cpu_count() or 1)
@@ -537,7 +537,9 @@ def build_parser() -> _Parser:
                    help="write per-replication CSV here")
     p.add_argument("--threads", type=int, default=None,
                    help="cap on parallel workers, clamped to "
-                        "[1, number of CPUs]")
+                        "[1, number of CPUs] (default: number of CPUs); "
+                        "below n = 20000 replications run on one thread, "
+                        "where a second one slows them")
     _add_seed(p)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate_coverage)

@@ -912,7 +912,8 @@ class TestSimulate:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _clamp_threads(requested) == want
 
-    @pytest.mark.parametrize("requested,want", [("1000000", 3), ("2", 2)])
+    @pytest.mark.parametrize("requested,want",
+                             [("1000000", 3), ("2", 2), (None, 3)])
     def test_pool_gets_clamped_threads(self, capsys, monkeypatch, requested,
                                        want):
         # a recorder in place of the pool: no thread is started
@@ -933,10 +934,27 @@ class TestSimulate:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-        code, _, _ = run_cli(capsys, "simulate", "coverage", "--n", "300",
-                             "--m", "2", "--threads", requested)
+        flags = [] if requested is None else ["--threads", requested]
+        code, _, _ = run_cli(capsys, "simulate", "coverage", "--n",
+                             str(partialid.simulate._POOL_MIN_N), "--m", "4",
+                             *flags)
         assert code == 0
         assert workers == [want]
+
+    @pytest.mark.parametrize("flags", [["--threads", "2"], []],
+                             ids=["threads-2", "default"])
+    def test_no_pool_below_the_cut(self, capsys, monkeypatch, flags):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("thread pool built below the cut")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+        code, out, err = run_cli(
+            capsys, "simulate", "coverage", "--n",
+            str(partialid.simulate._POOL_MIN_N - 1), "--m", "3", *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["replications"] == 3
 
     @pytest.mark.parametrize("flag", ["--h", "--b"])
     def test_non_finite_tuning_is_2(self, capsys, flag):

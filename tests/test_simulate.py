@@ -1,6 +1,8 @@
 """Monte Carlo designs, the exact truth, and the coverage driver."""
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from partialid.errors import ConfigError, WeakIdentificationError
 from partialid.latepoint import (MIN_MASS, TailSpec, check_iam_implication,
                                  conservative_union_ci, known_tail_estimate)
 from partialid.sets import IntervalUnion
-from partialid.simulate import (HalfDensity, SimDesign, _population_set,
-                                _positive_intervals, _signed_pair,
+from partialid.simulate import (_POOL_MIN_N, HalfDensity, SimDesign,
+                                _population_set, _positive_intervals,
+                                _signed_pair,
                                 draw_sample, run_coverage,
                                 true_identified_late)
 
@@ -546,6 +549,61 @@ class TestRunCoverage:
                 lo, hi = rec["ci"]
                 assert lo <= hi
                 assert rec["covered"] == (lo <= SEC33_TRUTH <= hi)
+
+    @pytest.mark.parametrize("n,threads", [(_POOL_MIN_N - 1, 2),
+                                           (_POOL_MIN_N - 1, None),
+                                           (_POOL_MIN_N, 1)])
+    def test_no_pool_below_the_cut_or_at_one_thread(self, monkeypatch, n,
+                                                    threads):
+        # below the cut a second thread only slows a replication
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("thread pool built")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+        res = run_coverage(SimDesign.sec33(), "known", n, 2, coverage_cfg(n),
+                           seed=0, threads=threads)
+        assert len(res.records) == 2
+
+    @pytest.mark.parametrize("threads,m,want", [
+        (None, 5, 3), (2, 5, 2), (10**6, 5, 3), (None, 2, 2), (0, 5, None)])
+    def test_pool_workers_at_the_cut(self, monkeypatch, threads, m, want):
+        # min(threads, cpu count, m) workers; None means the cpu count
+        workers = []
+
+        class Recorder:
+            def __init__(self, max_workers=None):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        n = _POOL_MIN_N
+        run_coverage(SimDesign.sec33(), "known", n, m, coverage_cfg(n),
+                     seed=0, threads=threads)
+        assert workers == ([] if want is None else [want])
+
+    @pytest.mark.parametrize("estimator", ["known", "union"])
+    def test_records_equal_across_threads_above_the_cut(self, estimator):
+        # each replication has its own child seed, so the pool changes
+        # nothing but the order in which replications run
+        design = SimDesign.sec33()
+        n = _POOL_MIN_N
+        runs = [run_coverage(design, estimator, n, 4, coverage_cfg(n),
+                             seed=7, threads=threads)
+                for threads in (1, 2, None)]
+        assert any(r["error"] is None for r in runs[0].records)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     def test_errors_counted_not_dropped(self):
         design = SimDesign.sec33()
