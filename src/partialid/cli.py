@@ -22,7 +22,10 @@ numpy.  Commands read library names as attributes of this module
 562), so a wrapper set here is what a command calls, and a command loads
 only what it touches: ``late point|test`` the data model, density and
 point estimators, ``late bounds`` also the bound estimators, ``roy bounds
---cells`` the Roy model alone, ``structures analyze`` no numpy.
+--cells`` the Roy model alone and no numpy (``--input`` adds numpy and the
+data model), ``structures analyze`` no numpy.  Nor does importing this
+module load ``dataclasses`` or ``csv``: the tuning overrides and the
+``--records-out`` writer import them where they run.
 
 No command loads ``numpy.ma``: the quantiles of the tuning band, the tail
 cuts and the bootstrap critical value come from ``sorted_quantile`` in
@@ -34,8 +37,6 @@ the exit does not walk numpy's objects; ``run`` leaves the collector alone.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import math
 import os
@@ -191,6 +192,8 @@ def _parse_band(text):
 
 def _override(cfg, args, **updates) -> RunConfig:
     """``cfg`` with ``updates``, then the user's --h and --b."""
+    import dataclasses  # here: it loads ``inspect``, some 8 ms at startup
+
     for flag in ("h", "b"):
         if vars(args)[flag] is not None:
             updates[flag] = _positive_finite(f"--{flag}", vars(args)[flag])
@@ -288,11 +291,11 @@ def _cmd_late_test(args):
 
 
 def _cmd_roy_bounds(args):
-    import numpy as np
-
     if (args.input is None) == (args.cells is None):
         raise ConfigError("provide exactly one of --input or --cells")
     if args.input is not None:
+        import numpy as np
+
         sample = _lib.load_sample_csv(args.input)
         y = sample.y
         if not np.isin(y, (0.0, 1.0)).all():
@@ -310,7 +313,9 @@ def _cmd_roy_bounds(args):
             vals = [float(v) for v in parts]
         except ValueError as exc:
             raise ConfigError(f"--cells values must be numeric: {exc}") from exc
-        dist = _lib.RoyDistribution(np.array(vals).reshape(2, 2, 2))
+        # nested [y][d][z], which the Roy model reads without numpy
+        dist = _lib.RoyDistribution([[vals[0:2], vals[2:4]],
+                                     [vals[4:6], vals[6:8]]])
         n = None
     refut = _lib.check_roy_refutable(dist)
     bounds = _lib.potential_outcome_bounds(dist)
@@ -421,6 +426,8 @@ def _cmd_simulate_coverage(args):
                                seed=args.seed,
                                threads=_clamp_threads(args.threads))
     if args.records_out:
+        import csv
+
         with open(args.records_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["estimate", "sigma", "covered", "error"])

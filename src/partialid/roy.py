@@ -12,61 +12,113 @@ the tests solve those programs as the closed forms' oracle.
 
 The refutability slack, the minimal loss and the four bound ends are scalar
 closed forms on the eight observed cell masses, which
-:class:`RoyDistribution` reads once as Python floats; numpy is used only
-where arrays are the point (the polyhedron and counting a sample),
-and a distribution's array ``p`` is built only when one of them reads it.
+:class:`RoyDistribution` reads once as Python floats.  Importing this
+module loads no numpy.  A nested list or tuple of cells is read without
+it; numpy loads where arrays are the point (the polyhedron, counting a
+sample and a distribution's array ``p``, built on the first read), and
+for an input that is an array or any other array-like.
 
 Cell masses are C[d, y, k, z] = Pr(Y(1)=y, Y(0)=k, D=d, Z=z).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-import numpy as np
-
 from .errors import DataError
-# unused: the benchmark's tracer patches the boundary ("roy", "solve_lp")
-from .simplex import solve_lp
 
 _ATOL = 1e-9
-_FLOAT = np.dtype(float)
+_SHAPE = "p must have shape (2, 2, 2) indexed [y, d, z]"
+_FINITE = "cell probabilities must be finite"
+# numpy's ndarray and float64 dtype, bound when the first input goes through
+# numpy; until then no input takes the constructor's float64 fast path
+_ndarray = _FLOAT = None
 
 # to_jsonable keys in cell order, position 4y + 2d + z
 _CELL_KEYS = tuple(f"pr_y{y}_d{d}_z{z}"
                    for y in (0, 1) for d in (0, 1) for z in (0, 1))
 
 
+def __getattr__(name):
+    # the benchmark's tracer patches the boundary ("roy", "solve_lp"); the
+    # package never calls it, so simplex loads when the name is first read
+    if name != "solve_lp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .simplex import solve_lp
+    globals()[name] = solve_lp
+    return solve_lp
+
+
 def _cell_index(d, y, k, z):
     """Flat position of C[d, y, k, z] in the 16-vector (C-contiguous)."""
-    return int(np.ravel_multi_index((d, y, k, z), (2, 2, 2, 2)))
+    return ((d * 2 + y) * 2 + k) * 2 + z
+
+
+def _nested_cells(p):
+    """The cells of a nested 2x2x2 list or tuple of Python numbers, as
+    floats in ``p.ravel()`` order and without numpy; None for any other
+    input."""
+    seq = (list, tuple)
+    if not (isinstance(p, seq) and len(p) == 2):
+        return None
+    rows = [b for a in p if isinstance(a, seq) and len(a) == 2 for b in a]
+    f = [x for b in rows if isinstance(b, seq) and len(b) == 2 for x in b]
+    if len(rows) != 4 or len(f) != 8 or not all(
+            isinstance(x, (int, float)) for x in f):
+        return None
+    return [float(x) for x in f]
+
+
+def _array_cells(p):
+    """The cells of any other input as ``np.asarray(p, dtype=float)``
+    reads them, in ravel order.  A ragged input has the wrong shape; an
+    entry that is no number is not finite."""
+    global _ndarray, _FLOAT
+    import numpy as np
+
+    _ndarray, _FLOAT = np.ndarray, np.dtype(float)
+    try:
+        p = np.asarray(p, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        try:
+            shape = np.shape(p)
+        except ValueError:  # ragged
+            shape = None
+        raise DataError(_FINITE if shape == (2, 2, 2) else _SHAPE) from None
+    if p.shape != (2, 2, 2):
+        raise DataError(_SHAPE)
+    return p.ravel().tolist()
 
 
 class RoyDistribution:
     """Observed joint distribution of (Y, D, Z), all binary.
 
-    Built from ``p[y, d, z]`` = Pr(Y=y, D=d, Z=z): entries nonnegative
+    Built from ``p[y, d, z]`` = Pr(Y=y, D=d, Z=z), an array or a nested
+    list or tuple, the same cells in either form: entries nonnegative
     (down to -1e-9, clipped to zero) and summing to one within 1e-8, with
     both instrument arms of positive probability.  The eight clipped masses
     are kept as a tuple of Python floats at position 4y + 2d + z
     (``p.ravel()`` order), and every per-distribution quantity is scalar
     arithmetic on them, summed in the order numpy's reductions over ``p``
     use.  ``p`` gives the same masses as an array, built on the first
-    read; the polyhedron reads it, the closed forms do not.  Two
+    read; neither the closed forms nor the polyhedron read it.  Two
     distributions are equal when their clipped masses are.
     """
 
     __slots__ = ("_cells", "_pz", "_p")
 
     def __init__(self, p):
-        # a float64 ndarray is read as it is; anything else is converted
-        if type(p) is not np.ndarray or p.dtype is not _FLOAT:
-            p = np.asarray(p, dtype=float)
-        if p.shape != (2, 2, 2):
-            raise DataError("p must have shape (2, 2, 2) indexed [y, d, z]")
-        f = p.ravel().tolist()
+        # a float64 ndarray is read as it is, a nested list or tuple of
+        # numbers without numpy, and anything else through numpy
+        if type(p) is _ndarray and p.dtype is _FLOAT:
+            if p.shape != (2, 2, 2):
+                raise DataError(_SHAPE)
+            f = p.ravel().tolist()
+        else:
+            f = _nested_cells(p) or _array_cells(p)
         if not all(map(math.isfinite, f)):
-            raise DataError("cell probabilities must be finite")
+            raise DataError(_FINITE)
         low = min(f)
         if low < -_ATOL:
             raise DataError("cell probabilities must be nonnegative")
@@ -89,6 +141,8 @@ class RoyDistribution:
         """The clipped masses as a read-only (2, 2, 2) array indexed
         [y, d, z], a new array built on the first read and kept."""
         if self._p is None:
+            import numpy as np
+
             p = np.array(self._cells).reshape(2, 2, 2)
             p.flags.writeable = False
             self._p = p
@@ -111,6 +165,8 @@ class RoyDistribution:
     def from_sample(cls, y, d, z):
         """Empirical cell frequencies from binary data vectors: each value
         must equal 0 or 1 before it is read as an integer."""
+        import numpy as np
+
         y, d, z = cols = [np.asarray(v) for v in (y, d, z)]
         if y.shape != d.shape or y.shape != z.shape or y.ndim != 1 or y.size == 0:
             raise DataError("y, d, z must be equal-length nonempty vectors")
@@ -154,36 +210,39 @@ def min_efficiency_loss(dist: RoyDistribution):
     return max(0.0, (f[1] + f[3]) - (f[0] + f[2]) * pz1 / pz0)
 
 
-def _pattern(rows):
-    """0/1 matrix with one row per list of (d, y, k, z) cells."""
-    a = np.zeros((len(rows), 16))
-    for i, cells in enumerate(rows):
-        a[i, [_cell_index(*cell) for cell in cells]] = 1.0
-    return a
-
-
 # Observed (y, d, z) cell of each matching row, in row order.
 _MATCHED = [(y, d, z) for z in (0, 1) for y in (0, 1) for d in (1, 0)]
-_MATCHED_INDEX = tuple(np.array(axis) for axis in zip(*_MATCHED))
-# observational matching: the chosen potential outcome equals Y, so each
-# observed cell's mass splits between two cells C[d, y, k, z]
-_MATCHED_CELLS = [[(1, y, k, z) for k in (0, 1)] if d
-                  else [(0, y1, y, z) for y1 in (0, 1)]
-                  for y, d, z in _MATCHED]
-_A_EQ = _pattern(
-    _MATCHED_CELLS
-    # no inefficient choice without encouragement
-    + [[(1, 0, 1, 0)], [(0, 1, 0, 0)]]
-    # encouragement induces exactly the minimal inefficient mass
-    + [[(0, 1, 0, 1), (1, 0, 1, 1)]])
-# instrument arm of each cell (z is the last axis of the cell index)
-_CELL_ARM = np.tile([0, 1], 8)
-# best outcome no more likely without encouragement; worst outcome no more
-# likely with it.  Each column is scaled by 1 / Pr(Z=z) of its own arm.
-_A_UB_SIGNS = (_pattern([[(d, 1, 1, 0) for d in (0, 1)],
-                         [(d, 0, 0, 1) for d in (0, 1)]])
-               - _pattern([[(d, 1, 1, 1) for d in (0, 1)],
-                           [(d, 0, 0, 0) for d in (0, 1)]]))
+
+
+@functools.cache
+def _patterns():
+    """``A_eq`` and the signs of ``A_ub``, fixed 0/1 patterns built on the
+    first call and kept."""
+    import numpy as np
+
+    def pattern(rows):
+        """0/1 matrix with one row per list of (d, y, k, z) cells."""
+        a = np.zeros((len(rows), 16))
+        for i, cells in enumerate(rows):
+            a[i, [_cell_index(*cell) for cell in cells]] = 1.0
+        return a
+
+    a_eq = pattern(
+        # observational matching: the chosen potential outcome equals Y, so
+        # each observed cell's mass splits between two cells C[d, y, k, z]
+        [[(1, y, k, z) for k in (0, 1)] if d
+         else [(0, y1, y, z) for y1 in (0, 1)] for y, d, z in _MATCHED]
+        # no inefficient choice without encouragement
+        + [[(1, 0, 1, 0)], [(0, 1, 0, 0)]]
+        # encouragement induces exactly the minimal inefficient mass
+        + [[(0, 1, 0, 1), (1, 0, 1, 1)]])
+    # best outcome no more likely without encouragement; worst outcome no
+    # more likely with it
+    a_ub_signs = (pattern([[(d, 1, 1, 0) for d in (0, 1)],
+                           [(d, 0, 0, 1) for d in (0, 1)]])
+                  - pattern([[(d, 1, 1, 1) for d in (0, 1)],
+                             [(d, 0, 0, 0) for d in (0, 1)]]))
+    return a_eq, a_ub_signs
 
 
 def build_polyhedron(dist: RoyDistribution):
@@ -197,11 +256,16 @@ def build_polyhedron(dist: RoyDistribution):
     pattern is fixed; a distribution sets only ``b_eq`` and the
     1 / Pr(Z=z) scaling of ``A_ub``.
     """
-    inv_pz = np.array([1.0 / dist.pr_z(0), 1.0 / dist.pr_z(1)])
-    b_eq = np.concatenate([dist.p[_MATCHED_INDEX],
-                           [0.0, 0.0, min_efficiency_loss(dist)]])
-    a_ub = _A_UB_SIGNS * inv_pz[_CELL_ARM]
-    return _A_EQ.copy(), b_eq, a_ub, np.zeros(2)
+    import numpy as np
+
+    a_eq, a_ub_signs = _patterns()
+    f = dist._cells
+    b_eq = np.array([f[4 * y + 2 * d + z] for y, d, z in _MATCHED]
+                    + [0.0, 0.0, min_efficiency_loss(dist)])
+    # each column is scaled by 1 / Pr(Z=z) of its cell's arm, and z is the
+    # last axis of the cell index
+    a_ub = a_ub_signs * np.tile([1.0 / dist.pr_z(0), 1.0 / dist.pr_z(1)], 8)
+    return a_eq.copy(), b_eq, a_ub, np.zeros(2)
 
 
 def potential_outcome_bounds(dist: RoyDistribution, verify=True):

@@ -1134,13 +1134,46 @@ class TestImports:
              "partialid.datamodel", "partialid.density",
              "partialid.latepoint", "partialid.sets", *bounds])
 
+    def test_cli_import_loads_no_dataclasses_or_csv(self):
+        # only the tuning overrides and the --records-out writer use them
+        for name in ("dataclasses", "csv"):
+            assert _modules_after("import partialid.cli", name) == []
+
+    def test_roy_import_loads_no_numpy(self):
+        assert _modules_after("import partialid.roy", "numpy") == []
+
     def test_roy_loads_only_roy_code(self):
-        # the cells are no sample, so the data model stays unloaded
-        loaded = _modules_after_run(
-            ["roy", "bounds", "--cells", ",".join(["0.125"] * 8)],
-            "partialid")
-        assert loaded == ["partialid", "partialid.cli", "partialid.errors",
-                          "partialid.roy", "partialid.simplex"]
+        # the cells are no sample, so the data model stays unloaded, and the
+        # Roy model reads them without numpy
+        argv = ["roy", "bounds", "--cells", ",".join(["0.125"] * 8)]
+        assert _modules_after_run(argv, "partialid") == \
+            ["partialid", "partialid.cli", "partialid.errors",
+             "partialid.roy"]
+        assert _modules_after_run(argv, "numpy") == []
+
+    def test_roy_input_loads_numpy_and_the_data_model(self, binary_csv):
+        argv = ["roy", "bounds", "--input", binary_csv]
+        assert "numpy" in _modules_after_run(argv, "numpy")
+        assert "partialid.datamodel" in _modules_after_run(argv, "partialid")
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["roy", "bounds", "--cells", "0.1,0.15,0.1,0.1,0.2,0.05,0.15,0.15"],
+        ["structures", "analyze", "--space"]],
+        ids=["version", "roy-cells", "structures"])
+    def test_runs_with_numpy_blocked(self, space_json, argv):
+        # a None entry in sys.modules makes every `import numpy` fail
+        if argv[0] == "structures":
+            argv = [*argv, space_json]
+        code = ("import sys\n{}sys.argv = ['partialid', *sys.argv[1:]]\n"
+                "from partialid.cli import main\nmain()")
+        outs = [subprocess.run(
+            [sys.executable, "-c", code.format(block), *argv],
+            env=_child_env(), capture_output=True, text=True)
+            for block in ("sys.modules['numpy'] = None\n", "")]
+        for out in outs:
+            assert (out.returncode, out.stderr) == (0, "")
+        assert outs[0].stdout == outs[1].stdout != ""
 
     def test_dilate_loads_only_dilation_code(self, intervals_csv):
         loaded = _modules_after_run(

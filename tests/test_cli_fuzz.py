@@ -165,15 +165,32 @@ def _extension(draw, space):
 
 
 def _roy_cells(draw):
-    """Eight cell probabilities: normalised weights, or now and then a bad
-    vector."""
+    """Eight cell probabilities: normalised weights, exact zeros among them;
+    cells at 0 and 1's edges (5e-324, 2**-53 and 1 - 2**-53); normalised
+    weights with one cell moved so the sum sits just inside or just outside
+    1 +- 1e-8; or now and then a bad vector."""
     if _rarely(draw):
         return draw(st.sampled_from(["0.5,0.5", "nan,0,0,0,0,0,0,1",
                                      "-0.1,0.1,0,0,0,0,0,1",
                                      "0.2,0.2,0.2,0.2,0.2,0.2,0.2,0.2"]))
-    weights = draw(st.lists(st.integers(0, 6), min_size=8, max_size=8).filter(
-        any))
-    return ",".join(repr(w / sum(weights)) for w in weights)
+    kind = draw(st.sampled_from(["weights", "edges", "sum"]))
+    if kind == "edges":
+        # tiny cells around one cell at 1 or 1 - 2**-53, or two halves
+        cells = draw(st.lists(st.sampled_from([0.0, 5e-324, 2.0 ** -53]),
+                              min_size=8, max_size=8))
+        big = draw(st.sampled_from([[1.0], [1.0 - 2.0 ** -53],
+                                    [0.5, 0.5], [0.5, 0.5 - 2.0 ** -53]]))
+        for i, value in zip(draw(st.permutations(range(8))), big):
+            cells[i] = value
+    else:
+        weights = draw(st.lists(st.integers(0, 6), min_size=8,
+                                max_size=8).filter(any))
+        cells = [w / sum(weights) for w in weights]
+        if kind == "sum":
+            cells[draw(st.integers(0, 7))] += draw(st.sampled_from(
+                [-1.0, 1.0])) * 1e-8 * draw(st.sampled_from(
+                    [1.0 - 1e-6, 1.0, 1.0 + 1e-6]))
+    return ",".join(map(repr, cells))
 
 
 @st.composite
