@@ -576,6 +576,14 @@ def run(argv=None):
         print(f"error: out of memory{str(exc) and f': {exc}'}",
               file=sys.stderr)
         return 2
+    except ModuleNotFoundError as exc:
+        # an install without its dependency; any other missing module is
+        # a fault of the program and keeps its traceback
+        if exc.name != "numpy":
+            raise
+        print("error: this command needs numpy, which is not installed",
+              file=sys.stderr)
+        return 2
     report = {"command": " ".join(["partialid"] + argv), **report}
     if args.timing:
         report["timing_seconds"] = time.perf_counter() - start

@@ -115,7 +115,8 @@ def _signed_weights(sample):
     0.  Returns the weights and that product."""
     z, n1 = sample.z, np.count_nonzero(sample.z)
     n0 = z.size - n1
-    w = np.where(sample.d == z, 1.0, -1.0) * np.where(z == 1, n0, n1)
+    # indexed by 2d + z
+    w = np.array([n1, -n0, -n1, n0], dtype=float)[2 * sample.d + z]
     return w, float(n1 * n0)
 
 

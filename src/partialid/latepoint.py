@@ -169,6 +169,23 @@ _GROUPS = 48
 _LOW, _HIGH = 1, 2
 
 
+def _layout():
+    """The group layout every table starts from, read-only: each group's
+    band position, core memberships (indexed by d), Z=1 indicator as
+    float, (D, Z) cell indicators indexed [d, z], and Z=1 mask."""
+    g = np.arange(_GROUPS)
+    z, d = g // 12 % 2, g // 24
+    arrays = (g % 3, g // 3 % 2 == 1, g // 6 % 2 == 1, z.astype(float),
+              np.array([[(d == dv) & (z == zv) for zv in (0, 1)]
+                        for dv in (0, 1)], dtype=float), z == 1)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+_POS, _INSIDE0, _INSIDE1, _Z1, _CELL, _IS_Z1 = _layout()
+
+
 class _Moments:
     """Grouped moment table of one fit, shared by every estimator that
     reads it.
@@ -193,22 +210,20 @@ class _Moments:
     def __init__(self, sample: Sample, set1: IntervalUnion,
                  set0: IntervalUnion, band=None):
         y = sample.y
-        pos = 0 if band is None else (y <= band[0]) + 2 * (y >= band[1])
-        cell = 2 * sample.d.astype(np.intp) + sample.z
-        self.code = ((cell * 2 + set1.contains(y)) * 2
-                     + set0.contains(y)) * 3 + pos
+        # int8 arithmetic (codes stay below 48), widened once for bincount
+        code = ((2 * sample.d + sample.z) * 2 + set1.contains(y)) * 2
+        code = (code + set0.contains(y)) * 3
+        if band is not None:
+            code += y <= band[0]
+            code += np.int8(2) * (y >= band[1])
+        self.code = code.astype(np.intp)
         self.sample = sample
         self.n = sample.n
-        g = np.arange(_GROUPS)
-        self.pos = g % 3
-        self.inside = (g // 3 % 2 == 1, g // 6 % 2 == 1)  # indexed by d
-        z, d = g // 12 % 2, g // 24
-        self.z1 = z.astype(float)
-        self.cell = np.array([[(d == dv) & (z == zv) for zv in (0, 1)]
-                              for dv in (0, 1)], dtype=float)  # [d, z]
+        self.pos, self.z1, self.cell = _POS, _Z1, _CELL
+        self.inside = (_INSIDE0, _INSIDE1)  # indexed by d
         self.count, self.sum_y, self.y_mean, self.ss_y = _group_sums(
             self.code, y, _GROUPS)
-        m1 = int(self.count[z == 1].sum()) / self.n
+        m1 = int(self.count[_IS_Z1].sum()) / self.n
         self.m = (1.0 - m1, m1)  # indexed by z
         self.mass = self.region_masses()
 
@@ -301,8 +316,9 @@ class _Moments:
         ``slopes``, ``grad`` and the outputs carry the leading spec axis.
         Returns ``(sd, Sigma)``; a variance that overflows raises
         ``DataError``."""
-        Sigma = self.cov([*weights, self.z1], [*with_y, False])
         with np.errstate(over="ignore", invalid="ignore"):
+            # outcomes near 1e153 overflow the squares already
+            Sigma = self.cov([*weights, self.z1], [*with_y, False])
             full = np.concatenate(
                 [grad, np.sum(grad * slopes, axis=-1, keepdims=True)], axis=-1)
             var = (full[..., None, :] @ Sigma @ full[..., None])[..., 0, 0]
@@ -315,15 +331,19 @@ class _Moments:
 def _group_sums(code, y, groups):
     """Per-group count, sum and mean of y, and squares about the mean, in
     two passes since ``bincount`` adds in sequence: rough means, then the
-    residual sums correct them (Chan, Golub & LeVeque 1983)."""
+    residual sums correct them (Chan, Golub & LeVeque 1983).  Squares
+    that overflow leave a non-finite sum of squares, and the only reader,
+    ``_Moments.delta_sd``, raises ``DataError`` on it."""
     count = np.bincount(code, minlength=groups)
     safe = np.maximum(count, 1)
     rough = np.bincount(code, weights=y, minlength=groups) / safe
     resid = y - rough[code]
-    shift, sq = (np.bincount(code, weights=w, minlength=groups)
-                 for w in (resid, resid * resid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift, sq = (np.bincount(code, weights=w, minlength=groups)
+                     for w in (resid, resid * resid))
+        ss = sq - shift * shift / safe
     y_mean = rough + shift / safe
-    return count, y_mean * count, y_mean, sq - shift * shift / safe
+    return count, y_mean * count, y_mean, ss
 
 
 def estimate_late(sample: Sample, set1: IntervalUnion,

@@ -299,5 +299,8 @@ def potential_outcome_bounds(dist: RoyDistribution, verify=True):
     # m - Pr(Y=0, D=1, Z=1) <= Pr(Y=0, D=0, Z=1) holds exactly; the cap
     # keeps it so after rounding, and with it l1 <= u1
     l1 = (f[7] + max(0.0, min(m_el - f[3], f[1]))) / pz1
-    u1 = (py1z1 + min(m_el, f[1])) / pz1
+    # u1's numerator adds its cells in another order than pz1 does, so it
+    # can round an ulp above 1; each other end's numerator is at most a
+    # rounded partial sum of its arm's mass, so it stays at or below 1
+    u1 = min((py1z1 + min(m_el, f[1])) / pz1, 1.0)
     return {"z0": (l0, u0), "z1": (l1, u1), "min_efficiency_loss": m_el}

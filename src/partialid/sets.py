@@ -5,6 +5,13 @@ and disjoint; endpoints may be ``-inf``/``+inf``.  Because all downstream
 uses integrate continuous densities or count continuously distributed
 observations, boundary conventions only matter up to measure zero; we keep
 every interval closed so that threshold ties (``f >= b``) are included.
+
+Membership compares the points with each interval's two ends, O(n k) for
+k intervals.  The estimated regions hold a few intervals (at most 10 on
+the benchmark's inputs and the coverage settings), where that beats a
+binary search of the ends: at n = 5k it takes 0.011 ms against 0.033 ms
+for k = 3 and 0.059 against 0.070 ms for k = 16; the search wins from
+some k below 64 (README).
 """
 
 from __future__ import annotations
@@ -31,9 +38,6 @@ class IntervalUnion:
             else:
                 merged.append([lo, hi])
         self.intervals = tuple((lo, hi) for lo, hi in merged)
-        # left and right ends for O(log k) membership via searchsorted
-        self._lo, self._hi = np.array(self.intervals,
-                                      dtype=float).reshape(-1, 2).T
 
     def __bool__(self):
         return bool(self.intervals)
@@ -49,13 +53,13 @@ class IntervalUnion:
         return f"IntervalUnion({body})"
 
     def contains(self, y):
-        """Vectorised membership test (closed intervals)."""
+        """Vectorised membership test (closed intervals): two comparisons
+        per interval, OR-ed together."""
         y = np.asarray(y, dtype=float)
-        if not self:
-            return np.zeros(y.shape, dtype=bool)
-        # the last interval starting at or before y holds y iff y <= its end
-        i = np.searchsorted(self._lo, y, side="right") - 1
-        return (i >= 0) & (y <= self._hi[i])
+        inside = np.zeros(y.shape, dtype=bool)
+        for lo, hi in self.intervals:
+            inside |= (y >= lo) & (y <= hi)
+        return inside
 
     def union(self, other):
         return IntervalUnion(self.intervals + other.intervals)

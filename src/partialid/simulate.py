@@ -144,11 +144,9 @@ def draw_sample(design: SimDesign, n, seed) -> Sample:
         idx = np.flatnonzero(z == zval)
         if idx.size == 0:
             continue
-        mass1 = cells[1].mass
-        take1 = rng.random(idx.size) < mass1
-        d[idx] = take1.astype(np.int8)
-        for dval in (0, 1):
-            sub = idx[d[idx] == dval]
+        take1 = rng.random(idx.size) < cells[1].mass
+        d[idx] = take1
+        for dval, sub in ((0, idx[~take1]), (1, idx[take1])):
             if sub.size:
                 y[sub] = cells[dval].draw(rng, sub.size)
     return Sample(y=y, d=d, z=z)

@@ -194,6 +194,22 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "late", *argv, "--input", str(path))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("c", [1e153, 1e167])
+    def test_squares_overflow_is_2_with_one_line(self, capsys, tmp_path, c):
+        # outcomes a few ulps about c, all in the band's tails: the
+        # covariance's sums of squares (c = 1e153) or the squared residual
+        # sums of the group table (c = 1e167) overflow before the sigma's
+        # quadratic form does
+        s = make_sample(120, seed=0)
+        k = np.random.default_rng(0).integers(-4, 5, s.n)
+        y = c + (k + s.d) * math.ulp(c)
+        path = write_sample_csv(tmp_path / "ulps.csv",
+                                Sample(y=y, d=s.d, z=s.z))
+        code, out, err = run_cli(capsys, "late", "point", "--band=0,3",
+                                 "--input", str(path))
+        assert (code, out, err) == (2, "", "error: outcomes too large for "
+                                    "the plug-in variance: it overflows\n")
+
     def test_infinite_band_is_2(self, capsys, sample_csv):
         code, _, err = run_cli(capsys, "late", "point", "--input", sample_csv,
                                "--band=-inf,inf")
@@ -1023,6 +1039,16 @@ with contextlib.redirect_stdout(io.StringIO()), \\
     run({list(argv)!r})""", prefix)
 
 
+def _run_blocked(module, argv):
+    """``partialid argv`` through ``main`` in a fresh interpreter where
+    every import of ``module`` fails, as a ``CompletedProcess``."""
+    code = (f"import sys\nsys.modules[{module!r}] = None\n"
+            "sys.argv = ['partialid', *sys.argv[1:]]\n"
+            "from partialid.cli import main\nmain()")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=_child_env(), capture_output=True, text=True)
+
+
 _LATE_MODULES = {"partialid.density", "partialid.latepoint",
                  "partialid.latebounds"}
 
@@ -1174,6 +1200,29 @@ class TestImports:
         for out in outs:
             assert (out.returncode, out.stderr) == (0, "")
         assert outs[0].stdout == outs[1].stdout != ""
+
+    @pytest.mark.parametrize("argv", [
+        ["late", "point", "--input"], ["late", "bounds", "--input"],
+        ["late", "test", "--input"], ["roy", "bounds", "--input"],
+        ["dilate", "region", "--a=0", "--b=1", "--input"],
+        ["simulate", "coverage", "--n=300", "--m=2"]],
+        ids=["late-point", "late-bounds", "late-test", "roy-input",
+             "dilate-region", "simulate"])
+    def test_numpy_commands_exit_2_with_numpy_blocked(self, sample_csv,
+                                                      argv):
+        if argv[-1] == "--input":
+            argv = [*argv, sample_csv]
+        out = _run_blocked("numpy", argv)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == ("error: this command needs numpy, which is "
+                              "not installed\n")
+
+    def test_missing_internal_module_keeps_its_traceback(self, sample_csv):
+        out = _run_blocked("partialid.latepoint",
+                           ["late", "point", "--input", sample_csv])
+        assert out.returncode == 1
+        assert out.stderr.startswith("Traceback")
+        assert "ModuleNotFoundError" in out.stderr
 
     def test_dilate_loads_only_dilation_code(self, intervals_csv):
         loaded = _modules_after_run(

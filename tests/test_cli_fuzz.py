@@ -3,19 +3,22 @@
 Each example runs one command through ``cli.run(argv)``, drawing it
 afresh, so command groups follow one another in the same process in random
 order.
-Inputs are small: ``y,d,z`` CSVs with ties, integer outcomes, tiny arms
-and d = z; interval CSVs; structure-space JSON.  Half the time the
-outcomes or interval endpoints are mapped by y -> a y + c, with a = 10^k
-for k in -300...300 and c = 0 or +-10^j, so the data sit at any magnitude
-and any offset a float holds; the hypothesis ends of ``dilate region`` are
-drawn as far as +-10^308 from the data.  Whatever the draw, the command
-exits 0, 1, 2 or 3; a failure prints one line before any usage text; a
-success prints strict JSON.  Warnings are raised as errors.
+Inputs are small: ``y,d,z`` CSVs with ties, integer outcomes, tiny arms,
+d = z and outcomes a few ulps apart about +-10^j; interval CSVs;
+structure-space JSON.  Half the time the outcomes or interval endpoints
+are mapped by y -> a y + c, with a = 10^k for k in -300...300 and c = 0 or
++-10^j, so the data sit at any magnitude and any offset a float holds; the
+hypothesis ends of ``dilate region`` are drawn as far as +-10^308 from the
+data.  A second test runs ``late`` commands on the ulp spreads alone.
+Whatever the draw, the command exits 0, 1, 2 or 3; a failure prints one
+line before any usage text; a success prints strict JSON.  Warnings are
+raised as errors.
 """
 
 import contextlib
 import io
 import json
+import math
 import warnings
 
 from hypothesis import HealthCheck, given, settings
@@ -68,16 +71,21 @@ def affine_maps(draw):
 
 
 @st.composite
-def outcome_columns(draw, ds, binary=False):
-    """Outcomes for treatments ``ds``: binary, integers 0-4, or normal
-    draws (raw or rounded to tenths) shifted by 2 under treatment."""
+def outcome_columns(draw, ds, kinds=("normal", "tenths", "integers",
+                                     "binary", "ulps")):
+    """Outcomes for treatments ``ds``, of one of ``kinds``: binary,
+    integers 0-4, normal draws (raw or rounded to tenths) shifted by 2
+    under treatment, or c + k ulp(c) for c = +-10^j, j in 0...300, and k
+    within 4 (one ulp more under treatment)."""
     n = len(ds)
-    kinds = ["binary"] if binary else ["normal", "tenths", "integers",
-                                       "binary"]
     kind = "constant" if _rarely(draw) and _rarely(draw) else draw(
         st.sampled_from(kinds))
     if kind == "constant":
         return ["1"] * n
+    if kind == "ulps":
+        c = draw(st.sampled_from([1.0, -1.0])) * draw(_powers_of_ten(0, 300))
+        ks = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        return [repr(c + (k + d) * math.ulp(c)) for k, d in zip(ks, ds)]
     if kind in ("binary", "integers"):
         top = 1 if kind == "binary" else 4
         return [str(v) for v in draw(st.lists(
@@ -89,9 +97,10 @@ def outcome_columns(draw, ds, binary=False):
 
 
 @st.composite
-def sample_csvs(draw, binary=False):
+def sample_csvs(draw, binary=False, kinds=None):
     """A ``y,d,z`` CSV, mostly of 20 to 300 rows (the tuning rules take 20
-    at least), now and then of 1 to 19."""
+    at least), now and then of 1 to 19.  Outcomes of ``kinds`` (see
+    ``outcome_columns``) are left unmapped."""
     n = draw(st.integers(1, 19) if _rarely(draw) else st.integers(20, 300))
     zs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     design = draw(st.sampled_from(["coin", "complier", "d=z", "tiny arm"]))
@@ -107,9 +116,11 @@ def sample_csvs(draw, binary=False):
         if design == "complier":
             for k in draw(st.lists(st.integers(0, n - 1), max_size=n // 5)):
                 ds[k] = 1 - ds[k]
-    ys = draw(outcome_columns(ds, binary=binary))
-    if not binary:
-        ys = list(map(draw(affine_maps()) or str, ys))
+    if kinds is not None or binary:
+        ys = draw(outcome_columns(ds, kinds or ["binary"]))
+    else:
+        ys = list(map(draw(affine_maps()) or str,
+                      draw(outcome_columns(ds))))
     rows = [f"{y},{d},{z}" for y, d, z in zip(ys, ds, zs)]
     return "y,d,z\n" + "\n".join(rows) + "\n"
 
@@ -194,12 +205,14 @@ def _roy_cells(draw):
 
 
 @st.composite
-def commands(draw, tmp_path):
-    """The argv of one command; input files are written under tmp_path."""
-    group, command = draw(st.sampled_from(_COMMANDS))
+def commands(draw, tmp_path, commands=_COMMANDS, kinds=None):
+    """The argv of one of ``commands``, on ``y,d,z`` outcomes of ``kinds``
+    for ``late`` (see ``sample_csvs``); input files are written under
+    tmp_path."""
+    group, command = draw(st.sampled_from(commands))
     if group == "late":
         path = tmp_path / "sample.csv"
-        path.write_text(draw(sample_csvs()))
+        path.write_text(draw(sample_csvs(kinds=kinds)))
         argv = ["late", command, f"--input={path}"]
         argv += _flag(draw, "--alpha", *_ALPHA)
         argv += _flag(draw, "--b", ["1e-3", "0.05", "0.3", "2"],
@@ -281,12 +294,26 @@ def _no_constant(name):
     raise AssertionError(f"bare {name} in the report")
 
 
+_FUZZ = settings(max_examples=EXAMPLES, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                        HealthCheck.too_slow])
+
+
 @given(data=st.data())
-@settings(max_examples=EXAMPLES, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                 HealthCheck.too_slow])
+@_FUZZ
 def test_cli_contract(tmp_path, data):
-    argv = data.draw(commands(tmp_path))
+    check_contract(data.draw(commands(tmp_path)))
+
+
+@given(data=st.data())
+@_FUZZ
+def test_late_contract_on_ulp_spreads(tmp_path, data):
+    check_contract(data.draw(commands(tmp_path, _COMMANDS[:3], ["ulps"])))
+
+
+def check_contract(argv):
+    """Run ``argv`` in process: exit 0 to 3; a failure prints one line
+    before any usage text, a success strict JSON; no warning."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -582,6 +582,25 @@ class TestMomentTableOracle:
                 assert np.all(np.abs(got - ref)
                               <= 1e-12 * np.abs(ref).max()), key
 
+    def test_group_layout_is_read_only(self):
+        # every table shares the module's layout arrays, so none may be
+        # written through one table; splitting and stacking make new ones
+        s = make_sample(500, seed=3)
+        tab = latepoint._Moments(s, IntervalUnion([(1.0, 3.0)]),
+                                 IntervalUnion([(2.0, 4.0)]), (0.0, 5.0))
+        layout = [tab.pos, tab.z1, tab.cell, *tab.inside]
+        assert all(a is b for a, b in zip(layout, (
+            latepoint._POS, latepoint._Z1, latepoint._CELL,
+            latepoint._INSIDE0, latepoint._INSIDE1)))
+        for array in [*layout, latepoint._IS_Z1]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        split = tab.split(s.y <= 2.0)
+        stack = tab.with_tails(TailSpec.all_specs())
+        for array in (split.pos, split.z1, split.cell, *split.inside,
+                      *stack.inside):
+            assert array.flags.writeable
+
     def test_rounded_outcomes_on_the_band_ends(self):
         # closed cores and tails: an outcome on M_l or M_u lies in the tail
         s = make_sample(1500, seed=31)

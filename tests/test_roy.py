@@ -485,11 +485,6 @@ class TestBoundProperties:
             lo, hi = bounds[f"z{z}"]
             assert lo <= hi
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="FOUND: u1 adds Pr(Y=1, Z=1) and Pr(Y=0, D=0, Z=1) in another "
-               "order than Pr(Z=1), so on cells at 1's edge it ends an ulp "
-               "above 1")
     def test_ends_stay_in_the_unit_interval_at_the_edges(self):
         # found by the CLI fuzz's edge cells; they sum to 1 + 2**-51, within
         # tolerance.  In exact arithmetic u1 <= 1 whatever the sum.
@@ -563,6 +558,15 @@ def old_potential_outcome_bounds(p):
     return {"z0": (l0, u0), "z1": (l1, u1), "min_efficiency_loss": m_el}
 
 
+def capped_at_one(bounds):
+    """The oracle's bounds with each end above 1 set to 1: its numerators
+    add cells in another order than the arm masses, so an end that is 1
+    exactly can round an ulp above it.  Every other end is kept as is."""
+    return {key: value if key == "min_efficiency_loss"
+            else tuple(min(end, 1.0) for end in value)
+            for key, value in bounds.items()}
+
+
 def old_to_jsonable(p):
     return {f"pr_y{y}_d{d}_z{z}": float(p[y, d, z])
             for y in (0, 1) for d in (0, 1) for z in (0, 1)}
@@ -594,7 +598,7 @@ def assert_matches_numpy_oracle(cells, oracle_cells=None):
     assert_identical(check_roy_refutable(dist), old_check_roy_refutable(p))
     assert_identical(min_efficiency_loss(dist), old_min_efficiency_loss(p))
     assert_identical(potential_outcome_bounds(dist),
-                     old_potential_outcome_bounds(p))
+                     capped_at_one(old_potential_outcome_bounds(p)))
     assert_identical(dist.to_jsonable(), old_to_jsonable(p))
 
 

@@ -59,7 +59,7 @@ class TestIntervalUnion:
     def test_jsonable(self):
         assert IntervalUnion([(0, 1)]).to_jsonable() == [[0.0, 1.0]]
 
-    @given(st.lists(st.tuples(ends, ends, st.booleans()), max_size=6),
+    @given(st.lists(st.tuples(ends, ends, st.booleans()), max_size=64),
            st.lists(st.floats(allow_nan=True), max_size=10))
     @settings(max_examples=300, deadline=None)
     def test_contains_matches_endpoint_search(self, raw, extra):
