@@ -162,14 +162,6 @@ def _add_tuning(parser):
                              "relative to the per-state density peak")
 
 
-def _clamp_threads(threads):
-    """``--threads`` clamped to [1, os.cpu_count()]; None stays None, which
-    ``run_coverage`` reads as os.cpu_count()."""
-    if threads is None:
-        return None
-    return min(max(threads, 1), os.cpu_count() or 1)
-
-
 def _positive_finite(flag, value):
     """A tuning flag's value, which must be a positive finite number."""
     if not (math.isfinite(value) and value > 0):
@@ -415,8 +407,6 @@ def _cmd_dilate_region(args):
 
 
 def _cmd_simulate_coverage(args):
-    if args.n < 2:
-        raise ConfigError("n must be at least 2")
     design = _lib.SimDesign.sec33()
     cfg = _override(_lib.default_simulation_config(
         args.n, design.band, alpha=args.alpha, seed=args.seed,
@@ -424,7 +414,7 @@ def _cmd_simulate_coverage(args):
     estimator = "union" if args.union else "known"
     result = _lib.run_coverage(design, estimator, args.n, args.m, cfg,
                                seed=args.seed,
-                               threads=_clamp_threads(args.threads))
+                               threads=args.threads)
     if args.records_out:
         import csv
 
@@ -543,10 +533,9 @@ def build_parser() -> _Parser:
     p.add_argument("--records-out", default=None,
                    help="write per-replication CSV here")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap on parallel workers, clamped to "
-                        "[1, number of CPUs] (default: number of CPUs); "
-                        "below n = 20000 replications run on one thread, "
-                        "where a second one slows them")
+                   help="cap on parallel workers, at most the number of "
+                        "CPUs (the default); small n runs on one thread, "
+                        "where a second one slows it")
     _add_seed(p)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate_coverage)

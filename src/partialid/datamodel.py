@@ -161,8 +161,11 @@ def default_simulation_config(n, band, alpha=0.05, seed=0, tails=None):
 
     The trimming level is applied relative to the per-state peak of the
     estimated density difference, so one b works across designs whose
-    density scales differ.
+    density scales differ.  Requires n >= 2: the trimming rate divides by
+    log n.
     """
+    if n < 2:
+        raise ConfigError("n must be at least 2")
     return RunConfig(
         band=tuple(band),
         h=theorem_bandwidth(n),

@@ -44,12 +44,13 @@ class DensityEstimate:
 
 def default_grid(band, h):
     """512 equispaced points padding the trimming band by one kernel
-    support."""
+    support, each kept once where a span a few ulps wide repeats them."""
     m_l, m_u = band
     if not math.isfinite((m_u + h) - (m_l - h)):
         raise ConfigError(f"band [{m_l}, {m_u}] padded by h = {h} on each "
                           "side spans more than a float holds")
-    return np.linspace(m_l - h, m_u + h, 512)
+    grid = np.linspace(m_l - h, m_u + h, 512)  # never decreasing
+    return grid[np.diff(grid, prepend=-math.inf) > 0]
 
 
 def kernel_sum(y, w, h, points):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, PartialIdError, WeakIdentificationError
+from .errors import ConfigError, DataError, WeakIdentificationError
 from .datamodel import RunConfig, Sample, check_seed
 from .density import default_grid, estimate_density_diff
 from .latepoint import (MIN_MASS, TailSpec, conservative_union_ci,
@@ -218,12 +218,12 @@ def true_identified_late(design: SimDesign):
     return num1 / den1 - num0 / den0
 
 
-def _one_replication(design, n, cfg: RunConfig, estimator, truth, seed):
+def _one_replication(design, n, cfg: RunConfig, estimator, truth, grid,
+                     seed):
     record = {"error": None, "estimate": None, "sigma": None,
               "ci": None, "covered": None}
     try:
         sample = draw_sample(design, n, seed)
-        grid = default_grid(cfg.band, cfg.h)
         est = estimate_density_diff(None, sample, None, cfg.h, grid)
         if estimator == "known":
             late = known_tail_estimate(sample, est, cfg.tails, cfg.b,
@@ -239,7 +239,7 @@ def _one_replication(design, n, cfg: RunConfig, estimator, truth, seed):
             ci = tuple(res["ci"])
         record["ci"] = tuple(ci)
         record["covered"] = bool(ci[0] <= truth <= ci[1])
-    except PartialIdError as exc:
+    except (DataError, WeakIdentificationError) as exc:  # not ConfigError
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record
 
@@ -271,12 +271,15 @@ def run_coverage(design: SimDesign, estimator, n, m, cfg: RunConfig,
 
     ``estimator`` is 'known' (known-tail plug-in interval) or 'union'
     (convex hull over all tail configurations).  Each replication draws
-    from its own child seed.  At n below ``_POOL_MIN_N`` they run in the
-    calling thread; from there on they run on a thread pool of
-    ``min(threads, os.cpu_count(), m)`` workers, ``threads=None`` meaning
-    ``os.cpu_count()``.  The records are the same either way.  Failed
-    replications are recorded and counted, not dropped, and do not count
-    as covered.
+    from its own child seed and reads the one grid built here.  At n below
+    ``_POOL_MIN_N`` they run in the calling thread; from there on, on a
+    thread pool of ``min(threads, os.cpu_count(), m)`` workers, the only
+    clamp of ``threads``: ``None`` means the CPU count, and one worker or
+    fewer means no pool.  The records are the same either way.  A
+    replication records the ``DataError`` or ``WeakIdentificationError``
+    of its draw, counted and never covered; a ``ConfigError`` (``cfg.h``
+    too large for the grid or too small for the outcomes' span, n below 2)
+    ends the run before any record is returned.
     """
     if estimator not in ("known", "union"):
         raise ConfigError("estimator must be 'known' or 'union'")
@@ -284,10 +287,11 @@ def run_coverage(design: SimDesign, estimator, n, m, cfg: RunConfig,
         raise ConfigError("at least 2 replications are required")
     check_seed(seed)
     truth = true_identified_late(design)
+    grid = default_grid(cfg.band, cfg.h)
     child_seeds = np.random.SeedSequence(seed).spawn(m)
 
     def work(k):
-        return _one_replication(design, n, cfg, estimator, truth,
+        return _one_replication(design, n, cfg, estimator, truth, grid,
                                 child_seeds[k])
 
     cpus = os.cpu_count() or 1

@@ -13,7 +13,7 @@ import pytest
 
 import partialid
 import partialid.simulate
-from partialid.cli import _clamp_threads, _render, build_parser, run
+from partialid.cli import _render, build_parser, run
 from partialid.datamodel import Sample
 
 from conftest import gen_inputs, make_sample, write_sample_csv
@@ -340,6 +340,32 @@ def test_late_bandwidth_rule_names_the_spread(capsys, tmp_path, command,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["point", "bounds", "test"])
+def test_late_on_outcomes_a_few_ulps_apart(capsys, tmp_path, command):
+    # 300 rows of 1e5 + k ulp(1e5), k in 0..39: the bandwidth rule gives h
+    # of a few ulps, over which 512 equispaced grid points repeat; the
+    # grid keeps each once, so no command rejects its own grid
+    rng = np.random.default_rng(9)
+    d, z = rng.integers(0, 2, (2, 300))
+    y = 1e5 + rng.integers(0, 40, 300) * math.ulp(1e5)
+    path = write_sample_csv(tmp_path / "ulps.csv", Sample(y=y, d=d, z=z))
+    code, out, err = run_cli(capsys, "late", command, "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]
+
+
+@pytest.mark.parametrize("command", ["point", "bounds", "test"])
+def test_late_on_a_degenerate_quantile_band_is_2(capsys, tmp_path, command):
+    # 198 of 200 outcomes tied: the 1% and 99% quantiles are both the tie
+    rng = np.random.default_rng(4)
+    d, z = rng.integers(0, 2, (2, 200))
+    y = np.r_[-1.0, np.zeros(198), 1.0]
+    path = write_sample_csv(tmp_path / "tied.csv", Sample(y=y, d=d, z=z))
+    code, out, err = run_cli(capsys, "late", command, "--input", str(path))
+    assert (code, out, err) == (2, "", "error: degenerate 1%/99% quantile "
+                                       "band\n")
+
+
 class TestTiedOutcomes:
     # the tuning rules run on every `late` command, overrides or not, and
     # must not build a density grid from the tied outcomes ("grid must be
@@ -627,6 +653,17 @@ class TestRoy:
         assert (child.returncode, child.stdout) == (2, "")
         assert child.stderr == "error: cell probabilities must sum to one\n"
 
+    @pytest.mark.parametrize("cells,message", [
+        ("0,0,0,0,0,0,1", "--cells expects 8 comma-separated probabilities "
+                          "p_{ydz} ordered y,d,z lexicographically (z "
+                          "fastest)"),
+        ("0,0,0,0,0,0,0,x", "--cells values must be numeric: could not "
+                            "convert string to float: 'x'")],
+        ids=["seven-values", "non-number"])
+    def test_malformed_cells_are_2(self, capsys, cells, message):
+        code, out, err = run_cli(capsys, "roy", "bounds", "--cells", cells)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("cells", ["nan,0,0,0,0,0,0,1",
                                        "inf,0,0,0,0,0,0,1"])
     def test_non_finite_cells_are_2(self, capsys, cells):
@@ -717,6 +754,61 @@ class TestStructures:
                                "--hypothesis", "1,3")
         assert code == 2
         assert err == "error: hypothesis contains unknown structures\n"
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"structures": []}, "missing key 'outcomes' in {path}"),
+        ({"outcomes": ["a"], "structures": [{"predicts": ["a"]}]},
+         "each structure needs 'name' and 'predicts'"),
+        ({"outcomes": ["a"], "structures": [{"name": "s", "predicts": ["a"]},
+                                            {"name": "s", "predicts": ["a"]}]},
+         "duplicate structure name 's'"),
+        ({"outcomes": ["a"],
+          "structures": [{"name": "s", "predicts": ["a"], "theta": 0},
+                         {"name": "t", "predicts": ["a"]}]},
+         "either all structures carry a theta label or none"),
+        ({"outcomes": ["a"], "structures": []},
+         "the structure space must be nonempty"),
+        (_one_structure(predicts=[]), "structure 's' generates no outcomes"),
+        (_one_structure(predicts=["q"]),
+         "structure 's' maps outside the alphabet")],
+        ids=["missing-key", "no-name", "duplicate-name", "partial-theta",
+             "empty-space", "no-outcomes", "outside-alphabet"])
+    def test_invalid_space_is_2(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "structures", "analyze", "--space",
+                                 str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("change,message", [
+        ({"outcomes": ["a", "b", "c", "d"]},
+         "the extension must keep the same outcome alphabet"),
+        ({"structures": [{"name": "x", "predicts": ["a"], "theta": 0}]},
+         "the extension must contain every original structure"),
+        ({"structures": [{"name": "x", "predicts": ["a", "c"], "theta": 0},
+                         {"name": "y", "predicts": ["b"], "theta": 1},
+                         {"name": "z", "predicts": ["b", "c"], "theta": 1}]},
+         "extension changes the observation map of 'x'"),
+        ({"structures": [{"name": "x", "predicts": ["a"]},
+                         {"name": "y", "predicts": ["b"]},
+                         {"name": "z", "predicts": ["b", "c"]}]},
+         "the extension drops the parameter map"),
+        ({"structures": [{"name": "x", "predicts": ["a"], "theta": 5},
+                         {"name": "y", "predicts": ["b"], "theta": 1},
+                         {"name": "z", "predicts": ["b", "c"], "theta": 1}]},
+         "extension changes the parameter of 'x'")],
+        ids=["alphabet", "drops-a-structure", "observation-map", "drops-theta",
+             "parameter"])
+    def test_invalid_extension_is_2(self, capsys, tmp_path, space_json,
+                                    change, message):
+        with open(space_json) as fh:
+            payload = {**json.load(fh), "assumption": None, **change}
+        path = tmp_path / "extension.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "structures", "analyze", "--space",
+                                 space_json, "--extension", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("fixture,argv", [
@@ -897,6 +989,28 @@ class TestDilate:
         assert all(map(math.isfinite, res["confidence_region"]))
 
 
+def _record_pools(monkeypatch):
+    """The list that collects each thread pool's ``max_workers``, with a
+    recorder, which starts no thread, in place of the pool."""
+    workers = []
+
+    class Recorder:
+        def __init__(self, max_workers=None):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    return workers
+
+
 class TestSimulate:
     def test_coverage_smoke_and_records(self, capsys, tmp_path):
         rec = tmp_path / "records.csv"
@@ -925,31 +1039,30 @@ class TestSimulate:
         (None, None), (-3, 1), (0, 1), (1, 1), (3, 3), (4, 3), (10**9, 3)])
     def test_threads_clamped_to_cpu_count(self, monkeypatch, requested,
                                          want):
+        # run_coverage is the one clamp: given the raw value it builds the
+        # pool that the value clamped to [1, cpu count] builds, and at 1
+        # worker or fewer none
+        from partialid.datamodel import default_simulation_config
+        from partialid.simulate import SimDesign, run_coverage
+
+        design = SimDesign.sec33()
+        n = partialid.simulate._POOL_MIN_N
+        cfg = default_simulation_config(n, design.band, tails=design.tails)
+
+        def pools(threads):
+            workers = _record_pools(monkeypatch)
+            run_coverage(design, "known", n, 4, cfg, seed=0, threads=threads)
+            return workers
+
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _clamp_threads(requested) == want
+        assert pools(requested) == pools(want) == ([] if want == 1 else [3])
 
     @pytest.mark.parametrize("requested,want",
                              [("1000000", 3), ("2", 2), (None, 3)])
     def test_pool_gets_clamped_threads(self, capsys, monkeypatch, requested,
                                        want):
-        # a recorder in place of the pool: no thread is started
-        workers = []
-
-        class Recorder:
-            def __init__(self, max_workers=None):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+        workers = _record_pools(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         flags = [] if requested is None else ["--threads", requested]
         code, _, _ = run_cli(capsys, "simulate", "coverage", "--n",
                              str(partialid.simulate._POOL_MIN_N), "--m", "4",
@@ -991,6 +1104,19 @@ class TestSimulate:
                                "--m", "2")
         assert code == 2
         assert err == "error: n must be at least 2\n"
+
+    @pytest.mark.parametrize("h,message", [
+        ("1e308", "band [-2.5, 7.0] padded by h = 1e+308 on each side spans "
+                  "more than a float holds"),
+        ("1e-320", "bandwidth h = 1e-320 is too small: the span of the "
+                   "outcomes and points in units of h overflows")],
+        ids=["grid", "span"])
+    def test_configuration_error_ends_the_run(self, capsys, h, message):
+        # no replication records it: the run exits 2 with one line
+        code, out, err = run_cli(capsys, "simulate", "coverage", "--n", "100",
+                                 "--m", "3", "--h", h)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
 
 def _child_env(**env):

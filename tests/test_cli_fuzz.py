@@ -9,7 +9,8 @@ structure-space JSON.  Half the time the outcomes or interval endpoints
 are mapped by y -> a y + c, with a = 10^k for k in -300...300 and c = 0 or
 +-10^j, so the data sit at any magnitude and any offset a float holds; the
 hypothesis ends of ``dilate region`` are drawn as far as +-10^308 from the
-data.  A second test runs ``late`` commands on the ulp spreads alone.
+data.  A second test runs ``late`` commands on the ulp spreads alone, and
+a third checks that ``dilate region`` maps its report as it maps the data.
 Whatever the draw, the command exits 0, 1, 2 or 3; a failure prints one
 line before any usage text; a success prints strict JSON.  Warnings are
 raised as errors.
@@ -21,7 +22,7 @@ import json
 import math
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from partialid.cli import run
@@ -309,6 +310,97 @@ def test_cli_contract(tmp_path, data):
 @_FUZZ
 def test_late_contract_on_ulp_spreads(tmp_path, data):
     check_contract(data.draw(commands(tmp_path, _COMMANDS[:3], ["ulps"])))
+
+
+@st.composite
+def dilate_pairs(draw, tmp_path):
+    """``dilate region`` argv on intervals with ends in hundredths of -3 to
+    5, and the same argv on their map y -> a y + c with a > 0, the
+    hypothesis ends mapped alike; returns the two argvs, a, c and the
+    largest |value| unmapped.  Distinct ends stay distinct under the map,
+    so it keeps each column's ties and order."""
+    # each end one rounding of k / 100: equal hundredths, equal floats
+    rows = draw(st.lists(st.tuples(st.integers(-300, 300),
+                                   st.integers(0, 200)).map(
+        lambda t: (t[0] / 100, (t[0] + t[1]) / 100)), min_size=2,
+        max_size=40))
+    ends = sorted(draw(st.lists(st.sampled_from([-50.0, -2.0, 0.0, 0.5, 3.0,
+                                                 50.0]),
+                                min_size=2, max_size=2)))
+    a = draw(st.sampled_from([1e-3, 0.1, 3.0, 10.0, 1e5]))
+    c = draw(st.sampled_from([0.0, -7.0, 2.5, 1e3]))
+    flags = ([f"--boot={draw(st.sampled_from([100, 150]))}"]
+             + _flag(draw, "--alpha", ["0.05", "0.1", "0.5"])
+             + _flag(draw, "--grid-points", ["1", "2", "25"])
+             + _flag(draw, "--seed", ["0", "7"]))
+    argvs = []
+    for name, f in (("base", lambda v: v), ("mapped", lambda v: a * v + c)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("y_l,y_u\n" + "".join(
+            f"{f(lo)!r},{f(hi)!r}\n" for lo, hi in rows))
+        argvs.append(["dilate", "region", f"--input={path}",
+                      f"--a={f(ends[0])!r}", f"--b={f(ends[1])!r}", *flags])
+    top = max(max(abs(v) for row in rows for v in row), *map(abs, ends))
+    return argvs, a, c, top
+
+
+def _report(argv):
+    """``run(argv)``'s exit code and, on success, its results."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, json.loads(out.getvalue())["results"] if code == 0 else None
+
+
+@given(data=st.data())
+@_FUZZ
+def test_dilate_region_is_affine_equivariant(tmp_path, data):
+    """On y -> a y + c (a > 0) the means, the set ends and the grid's ends
+    map alike, the critical value stays and the statistics scale by a^2.
+
+    Every mapped value is off by at most an ulp of |c| + a top, and a
+    mean of n of them by n more, so E = (n + 4) ulp bounds the error of a
+    mapped mean, end or shortfall.  A squared shortfall a s + e then
+    differs from a^2 s^2 by at most 2 a |s| E + E^2.  A grid point on the
+    radius may change sides: a set end may then move by one grid step."""
+    (base_argv, mapped_argv), a, c, top = data.draw(dilate_pairs(tmp_path))
+    code, base = _report(base_argv)
+    mapped_code, mapped = _report(mapped_argv)
+    assert mapped_code == code
+    if code:
+        return
+    n = base["n"]
+    err = (n + 4) * math.ulp(abs(c) + a * top)
+    step = a * (base["grid"]["hi"] - base["grid"]["lo"]) / max(
+        base["grid"]["points"] - 1, 1)
+
+    def close(got, want, slack=0.0):
+        return abs(got - (a * want + c)) <= err + slack
+
+    for key in ("mean_lower", "mean_upper"):
+        assert close(mapped[key], base[key])
+    assert close(mapped["grid"]["lo"], base["grid"]["lo"])
+    assert close(mapped["grid"]["hi"], base["grid"]["hi"])
+    assert mapped["critical_value"] == base["critical_value"]
+    for key in ("estimated_set", "confidence_region"):
+        got, want = mapped[key], base[key]
+        if len(got) == len(want) and all(map(close, got, want)):
+            continue
+        event(f"{key}: a grid point on the radius changed sides")
+        if got and want:  # else the only point in the set was on it
+            assert all(close(g, w, step) for g, w in zip(got, want))
+    lo_h, hi_h = base["hypothesis"]
+    shortfalls = {
+        "statistic_nonrefutable": (base["mean_upper"] - lo_h,
+                                   hi_h - base["mean_lower"]),
+        "statistic_confirmable": (hi_h - base["mean_upper"],
+                                  base["mean_lower"] - lo_h)}
+    for key, parts in shortfalls.items():
+        bound = math.sqrt(n) * sum(2 * a * abs(min(s, 0.0)) * err + err * err
+                                   for s in parts)
+        assert abs(mapped[key] - a * a * base[key]) <= (
+            bound + 4 * math.ulp(mapped[key]))
 
 
 def check_contract(argv):

@@ -158,6 +158,12 @@ class TestRunConfig:
         assert cfg.b == theorem_trimming(1000)
         assert cfg.kappa == default_threshold(1000)
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_simulation_default_needs_two_observations(self, n):
+        # the trimming rate divides by log n, which is 0 at n = 1
+        with pytest.raises(ConfigError, match="^n must be at least 2$"):
+            default_simulation_config(n, (-2.5, 7.0))
+
     def test_jsonable_carries_tuning(self):
         cfg = default_simulation_config(1000, (-2.5, 7.0))
         out = cfg.to_jsonable()

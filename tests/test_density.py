@@ -1,6 +1,8 @@
 """The kernel, the weighted kernel sum, and the signed density-difference
 estimator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +255,15 @@ class TestDensityDiff:
         assert grid[0] == pytest.approx(-1.0 - h)
         assert grid[-1] == pytest.approx(2.0 + h)
         assert grid.size == 512
+        assert np.array_equal(grid, np.linspace(-1.0 - h, 2.0 + h, 512))
+
+    def test_default_grid_keeps_each_point_once(self):
+        # a band 20 ulps wide padded by one: 512 points over 23 floats
+        ulp = math.ulp(1e5)
+        grid = default_grid((1e5, 1e5 + 20 * ulp), ulp)
+        assert (np.diff(grid) > 0).all()
+        assert grid[0] == 1e5 - ulp and grid[-1] == 1e5 + 21 * ulp
+        assert grid.size == 23
 
     @pytest.mark.parametrize("band,h", [((-1e308, 1e308), 0.5),
                                         ((0.0, 1.7e308), 1e307)])

@@ -194,6 +194,32 @@ class TestBoundsOracle:
         assert (be_f.t_lower, be_f.t_upper) == (be.t_lower, be.t_upper)
         assert be_f.flags == be.flags and be_f.n == be.n
 
+    def test_saturated_threshold_is_flagged(self):
+        # the collected min-pair mass minus |delta| is Pr(D=1 | Z=1) -
+        # mass0, so a d=0 contrast mass above Pr(D=1 | Z=1) leaves the gap
+        # more than all the mass a threshold can collect
+        rng = np.random.default_rng(0)
+        n = 4000
+        z = (rng.random(n) < 0.5).astype(int)
+        d = (rng.random(n) < np.where(z == 1, 0.2, 0.1)).astype(int)
+        y = np.where(d == 1, rng.normal(0, 1, n),
+                     np.where(z == 1, rng.normal(5, 1, n),
+                              rng.normal(0, 0.3, n)))
+        s = Sample(y=y, d=d, z=z)
+        set1 = IntervalUnion([(-2.0, 2.0)])
+        set0 = IntervalUnion([(-1.0, 1.0)])
+        de = estimate_delta(s, set1, set0, kappa=0.1)
+        tab = _Moments(s, set1, set0)
+        collected = float(np.sum(tab.column(tab.min_pair_parts())[tab.code])
+                          / tab.n)
+        assert collected - abs(de.delta) == pytest.approx(
+            d[z == 1].mean() - de.mass0, abs=1e-12)
+        assert collected < abs(de.delta)
+        be = estimate_bounds(s, set1, set0, de, h=theorem_bandwidth(n))
+        assert be.regime == "below"
+        assert "threshold_saturated" in be.flags
+        assert be.lower <= be.upper
+
     def test_weak_identification(self):
         s, set1, set0 = gap_population()
         empty = IntervalUnion([(100.0, 101.0)])

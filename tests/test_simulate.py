@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, optimize, stats
 
+import partialid.simulate
 from partialid.datamodel import RunConfig, Sample, default_empirical_config
 from partialid.density import default_grid, estimate_density_diff
 from partialid.errors import ConfigError, WeakIdentificationError
@@ -634,6 +635,30 @@ class TestRunCoverage:
         assert res.n_errors == len(errors)
         assert any(e.startswith("DataError: both instrument arms")
                    for e in errors)
+
+    @pytest.mark.parametrize("n,h,threads,message", [
+        (1, 0.4, 1, "^n must be at least 2$"),
+        (300, 1e308, 1, r"^band \[-2\.5, 7\.0\] padded by h = 1e\+308"),
+        (300, 1e-320, 1, "^bandwidth h = 1e-320 is too small"),
+        (_POOL_MIN_N, 1e-320, 2, "^bandwidth h = 1e-320 is too small")],
+        ids=["n", "grid", "span", "span-pool"])
+    def test_configuration_error_ends_the_run(self, monkeypatch, n, h,
+                                              threads, message):
+        # a ConfigError is no replication's outcome: it leaves run_coverage
+        # and no record is returned
+        calls = []
+        real = partialid.simulate._one_replication
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(partialid.simulate, "_one_replication", counted)
+        with pytest.raises(ConfigError, match=message):
+            run_coverage(SimDesign.sec33(), "known", n, 3,
+                         coverage_cfg(600, h=h), seed=0, threads=threads)
+        if threads == 1:  # the grid's error comes first, else the first draw's
+            assert len(calls) == (0 if h == 1e308 else 1)
 
     def test_union_estimator_runs(self):
         design = SimDesign.sec33()

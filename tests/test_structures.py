@@ -330,6 +330,17 @@ class TestJsonLoader:
         with pytest.raises(DataError, match="unknown"):
             load_space_json(p)
 
+    def test_theta_must_cover_every_structure(self):
+        with pytest.raises(DataError, match="^theta must be defined for "
+                                            "every structure$"):
+            FiniteStructureSpace(frozenset("a"), {"x": {"a"}, "y": {"a"}},
+                                 {"x": 0})
+
+    def test_identified_set_of_an_unknown_outcome(self):
+        space = FiniteStructureSpace(frozenset("a"), {"x": {"a"}}, {"x": 0})
+        with pytest.raises(DataError, match="^unknown outcome 'q'$"):
+            space.identified_set("q")
+
     def test_identified_set_needs_theta(self):
         space = FiniteStructureSpace(frozenset("a"), {"x": {"a"}})
         with pytest.raises(ConfigError):
