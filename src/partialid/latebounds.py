@@ -28,9 +28,6 @@ from .density import kernel_sum
 from .latepoint import MIN_MASS, _Moments, _one_spec
 from .sets import IntervalUnion
 
-#: density floor below which the threshold-variance correction is flagged
-DENSITY_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class DeltaEstimate:
@@ -160,7 +157,10 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
     tie is flagged), over the larger complier mass.  'above' is 'below' on
     the label swap, whose LATE is the negative: the bounds and sigmas come
     back negated and exchanged, the thresholds and flags as they are.
-    ``h`` is the fit's bandwidth, which each threshold's density reuses.
+    ``h`` is the fit's bandwidth.  It decides only whether a finite
+    threshold's term counts: the term is t (see ``_bound``) where the
+    smaller sub-density's kernel sum at t is positive, else 0.  That
+    sweep validates ``h``.
     """
     if delta.regime == "above":
         be = estimate_bounds(*_label_swap(sample, set1, set0, delta), h)
@@ -191,10 +191,8 @@ def estimate_bounds(sample: Sample, set1: IntervalUnion,
     if sat_lo or sat_hi:
         flags.append("threshold_saturated")
 
-    lower, sig_lo, comp_lo = _bound(tab, set1, delta, t_lower, "low", h)
-    upper, sig_hi, comp_hi = _bound(tab, set1, delta, t_upper, "high", h)
-    if comp_lo["unstable"] or comp_hi["unstable"]:
-        flags.append("variance_unstable_low_density_at_threshold")
+    lower, sig_lo, _ = _bound(tab, set1, delta, t_lower, "low", h)
+    upper, sig_hi, _ = _bound(tab, set1, delta, t_upper, "high", h)
 
     return BoundEstimate(
         lower=lower, upper=upper, regime=delta.regime, n=sample.n,
@@ -218,10 +216,10 @@ def _bound(tab, set1, delta, t, direction, h):
     cut.  The bound is a function of six means (see ``_Moments.delta_sd``):
     its gradient holds the fixed-threshold ratio terms plus the threshold
     term, the estimated threshold's effect through the collected mass.
-    Returns ``(L, sigma, components)``: ``grad``, its ``threshold`` part,
-    ``Sigma``, ``min_density_at_t`` and ``unstable``, set when that density
-    is under ``DENSITY_FLOOR`` and the floor scales a nonzero threshold
-    term."""
+    That term is t times the criterion's coefficients, in the outcome's
+    units whatever the density; ``h`` only tells a flat collected mass,
+    where it is 0.  Returns ``(L, sigma, components)``: ``grad``, its
+    ``threshold`` part and ``Sigma``."""
     y = tab.sample.y
     tab = tab.split((y <= t) if direction == "low" else (y >= t))
     corr_parts = {z: w * tab.cut for z, w in tab.min_pair_parts().items()}
@@ -241,31 +239,21 @@ def _bound(tab, set1, delta, t, direction, h):
     grad = np.array([1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
     grad[3 if delta.mass1 >= delta.mass0 else 4] = -L
 
-    # an infinite threshold cuts nothing or the whole side, so the collected
-    # mass does not move with it: the threshold term stays zero and, with no
-    # density floor in the variance, nothing is unstable
+    # the threshold solves G(t) = |delta| for the collected mass G, so it
+    # moves by 1/G'(t) per unit of |delta|, and the Y-weighted correction
+    # moves by t G'(t) per unit of t: by t per unit of |delta|, whatever the
+    # density.  Where G is flat at t (an infinite t, or no outcome of the
+    # smaller sub-density within h of it) t does not move: the term is 0.
     threshold = np.zeros(6)
-    min_dens, unstable = 0.0, False
     if np.isfinite(t):
         # the smaller sub-density at the threshold: the Z=0 arm's inside
         # the d=1 region, the Z=1 arm's outside
         arm = 0 if set1.contains(t) else 1
-        s, in_arm = tab.sample, tab.sample.z == arm
-        min_dens = float(kernel_sum(s.y[in_arm & (s.d == 1)], 1.0, h,
-                                    t)[0]) / np.count_nonzero(in_arm)
-        # the threshold solves g(t) = |delta| = mass0 - mass1, which gives
-        # its gradient in the means, and the Y-weighted correction moves
-        # with t at t times the density there; both rates change sign with
-        # the direction, so their ratio does not
-        g_slope = max(min_dens, DENSITY_FLOOR)
-        threshold[3:] = np.array([-1.0, 1.0, -1.0]) * (t * min_dens) / g_slope
-        # at t * min_dens = 0 the term is 0 whatever the floor
-        unstable = min_dens < DENSITY_FLOOR and bool(threshold.any())
+        s = tab.sample
+        if kernel_sum(s.y[(s.z == arm) & (s.d == 1)], 1.0, h, t)[0] > 0:
+            threshold[3:] = np.array([-1.0, 1.0, -1.0]) * t
     grad, threshold = (grad + threshold) / denom, threshold / denom
 
     sigma, Sigma = tab.delta_sd(weights, with_y, slopes, grad)
-    components = {
-        "grad": grad, "threshold": threshold, "Sigma": Sigma,
-        "unstable": unstable, "min_density_at_t": min_dens,
-    }
+    components = {"grad": grad, "threshold": threshold, "Sigma": Sigma}
     return L, float(sigma), components

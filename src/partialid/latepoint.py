@@ -132,8 +132,10 @@ def estimate_trimmed_sets(est: DensityEstimate, tails: TailSpec, b_n, band,
             "estimated density difference is nowhere positive",
             mass=float(min(np.max(est.f1), np.max(est.f0))))
     m_l, m_u = band
-    core1 = superlevel_set(est.grid, est.f1, lev1, m_l, m_u)
-    core0 = superlevel_set(est.grid, est.f0, lev0, m_l, m_u)
+    # a relative level that overflows (b > 1) lies above the whole fit
+    core1, core0 = (superlevel_set(est.grid, f, lev, m_l, m_u)
+                    if lev < np.inf else IntervalUnion()
+                    for f, lev in ((est.f1, lev1), (est.f0, lev0)))
     return (core1.union(tails.tail_set(1, band)),
             core0.union(tails.tail_set(0, band)))
 

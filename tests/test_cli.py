@@ -354,6 +354,23 @@ def test_late_on_outcomes_a_few_ulps_apart(capsys, tmp_path, command):
     assert json.loads(out)["results"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["point", "bounds"])
+def test_relative_level_that_overflows_has_an_empty_core(capsys, tmp_path,
+                                                         command):
+    # outcomes 0 and 2e-155: the data-driven b is 1.4e154 and the peak of
+    # the fit near 1e155, so the relative level b * peak overflows to inf;
+    # it lies above the whole fit, and its core is empty rather than NaN
+    cells = [(0, 0, 62), (0, 1, 52), (1, 0, 45), (1, 1, 52)]
+    rows = [(0.0, d, z) for d, z, count in cells for _ in range(count)]
+    y, d, z = map(np.array, zip(*rows + [(2e-155, 0, 1)] * 3))
+    path = write_sample_csv(tmp_path / "tiny.csv", Sample(y=y, d=d, z=z))
+    code, out, err = run_cli(capsys, "late", command, "--input", str(path),
+                             "--threshold-scale", "relative")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["b"] > 1e154
+
+
 @pytest.mark.parametrize("command", ["point", "bounds", "test"])
 def test_late_on_a_degenerate_quantile_band_is_2(capsys, tmp_path, command):
     # 198 of 200 outcomes tied: the 1% and 99% quantiles are both the tie

@@ -22,7 +22,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from partialid.cli import run
 from partialid.datamodel import (Sample, default_empirical_config,
@@ -43,7 +44,8 @@ SIZES = st.integers(1000, 3000)
 # 0.1 puts most draws in a bound regime, 1 most in the point regime
 KAPPA_SCALES = st.sampled_from([0.1, 1.0])
 SHIFTS = st.floats(-100.0, 100.0, allow_nan=False)
-POWERS = st.integers(-4, 4)
+# the far powers put a threshold's density far from 1 in y's units
+POWERS = st.sampled_from([-20, -17, *range(-4, 5), 17, 20])
 SWAPPED_TAILS = {"upper1": "upper0", "lower1": "lower0",
                  "upper0": "upper1", "lower0": "lower1"}
 
@@ -181,12 +183,19 @@ class TestShift:
 class TestRelativeScale:
     """y -> a y with a = 2^k on the relative scale, b given and h and the
     band times a: the estimate, the bounds, their thresholds and sigmas
-    scale by a bit for bit, and the masses and the gap stay."""
+    scale by a bit for bit, and the masses and the gap stay.  The examples
+    are bound-regime draws whose density at a threshold, in y's units, is
+    under 1e-6 at a = 2^17 and 2^20 and over 1e3 at 2^-17 and 2^-20, so no
+    constant in y's units may enter the sigmas."""
 
     @SETTINGS
     @given(seed=SEEDS, n=SIZES, k=POWERS, kappa_scale=KAPPA_SCALES,
            b=st.sampled_from([0.05, 0.1, 0.2]),
            h=st.sampled_from([0.2, 0.4]))
+    @example(seed=0, n=2000, k=17, kappa_scale=0.1, b=0.1, h=0.4)
+    @example(seed=1, n=2000, k=20, kappa_scale=0.1, b=0.1, h=0.4)
+    @example(seed=2, n=2000, k=-17, kappa_scale=0.1, b=0.1, h=0.4)
+    @example(seed=3, n=2000, k=-20, kappa_scale=0.1, b=0.1, h=0.4)
     def test_scale(self, via, seed, n, k, kappa_scale, b, h):
         y, d, z = gap_draw(n, seed)
         a = 2.0 ** k

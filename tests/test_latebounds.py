@@ -7,9 +7,9 @@ import pytest
 
 from partialid.datamodel import Sample, theorem_bandwidth
 from partialid.errors import ConfigError, WeakIdentificationError
-from partialid.latebounds import (DENSITY_FLOOR, DeltaEstimate, _bound,
-                                  _label_swap, _scan_threshold,
-                                  estimate_bounds, estimate_delta)
+from partialid.latebounds import (DeltaEstimate, _bound, _label_swap,
+                                  _scan_threshold, estimate_bounds,
+                                  estimate_delta)
 from partialid.latepoint import (_Moments, _late_variance,
                                  estimate_late)
 from partialid.sets import IntervalUnion
@@ -258,7 +258,7 @@ class TestBoundVariance:
                                                              beyond):
         # past the data by more than h the kernel density is 0, so the cut
         # and the variance no longer move with t: the infinite t gives the
-        # same sigma, with a zero threshold term and no density floor
+        # same sigma, with a zero threshold term
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
         sig, comp = bound_at(s, set1, set0, de, t, which, h=0.5)
@@ -266,23 +266,21 @@ class TestBoundVariance:
         assert math.isfinite(sig) and sig == far
         assert not comp["threshold"].any()
         assert not far_comp["threshold"].any()
-        assert comp["min_density_at_t"] == 0.0
-        assert comp["unstable"] is False
-        # the finite t's density is 0 too, so its threshold term, t * 0
-        # times the criterion's coefficients, is 0 and the density floor
-        # never enters its variance
-        assert far_comp["unstable"] is False
 
     @pytest.mark.parametrize("which", ["lower", "upper"])
-    def test_density_below_the_floor_flags(self, which):
-        # inside h of the cell's top value 7 the density is positive but
-        # below the floor, and the floor scales the nonzero threshold term
+    def test_threshold_term_is_t_however_small_the_density(self, which):
+        # inside h of the cell's top value 7 the kernel density is positive
+        # but tiny (about 6e-8); the collected mass still grows there, so
+        # the threshold term is t times the criterion's coefficients over
+        # the larger complier mass, in full, and nothing flags it
         s, set1, set0 = gap_population()
         de = estimate_delta(s, set1, set0, kappa=0.01)
-        _, comp = bound_at(s, set1, set0, de, 7.5 - 1e-7, which, h=0.5)
-        assert 0.0 < comp["min_density_at_t"] < DENSITY_FLOOR
-        assert comp["threshold"].any()
-        assert comp["unstable"] is True
+        t = 7.5 - 1e-7
+        _, comp = bound_at(s, set1, set0, de, t, which, h=0.5)
+        denom = max(de.mass1, de.mass0)
+        assert np.array_equal(comp["threshold"],
+                              np.r_[0.0, 0.0, 0.0, -t, t, -t] / denom)
+        assert set(comp) == {"grad", "threshold", "Sigma"}
 
     def test_full_bounds_with_variance_and_ci(self):
         s, set1, set0 = gap_population()

@@ -55,12 +55,17 @@ class ObsColumns:
 
 
 def oracle_estimate(cols):
-    """Point estimate and complier masses, d=1 mass checked first."""
+    """Point estimate and complier masses, d=1 mass checked first.  A mass
+    under the floor raises with ``terms``, the size of its two arm parts
+    (probabilities), which bounds the rounding of their difference."""
     num0, num1 = (float(np.mean(cols.y * c)) for c in cols.mass)
     den0, den1 = (float(np.mean(c)) for c in cols.mass)
-    for mass in (den1, den0):
+    for d, mass in ((1, den1), (0, den0)):
         if mass < MIN_MASS:
-            raise WeakIdentificationError("oracle", mass=mass)
+            exc = WeakIdentificationError("oracle", mass=mass)
+            parts = cols.arm_means(cols.mass_parts(d))
+            exc.terms = sum(abs(parts[z]) / cols.m[z] for z in (0, 1))
+            raise exc
     return num1 / den1 - num0 / den0, den1, den0
 
 
@@ -413,7 +418,10 @@ def check_union_against_oracle(sample, est, band, b_n, scale):
                            match="all 16 tail conditions") as info:
             conservative_union_ci(sample, est, b_n, band,
                                   threshold_scale=scale)
-        assert_close(info.value.mass, error.mass)
+        # a complier mass within 1e-12 of its arm parts; a level's error
+        # (no ``terms``) is the same computation on both sides
+        assert_close(info.value.mass, error.mass,
+                     getattr(error, "terms", None))
         return 16
     res = conservative_union_ci(sample, est, b_n, band, threshold_scale=scale)
     assert [m.tails for m in res["members"]] == list(expected)
@@ -531,7 +539,9 @@ class TestOneEvaluationPath:
                 estimate_late(sample, set1, set0)
             return
         got = estimate_late(sample, set1, set0)
-        assert_close(got.point, want.point)
+        # within 1e-12 of the two complier means it subtracts
+        p1, p2, p3, p4 = late_variance(sample, set1, set0)[1]["pi"]
+        assert_close(got.point, want.point, abs(p1 / p3) + abs(p2 / p4))
         for key in ("mass1", "mass0", "sigma"):
             assert_close(getattr(got, key), getattr(want, key))
 
