@@ -48,8 +48,7 @@ _EXPORTS = {
                    "load_space_json", "nonrefutable_sets"),
     "dilation": ("CharacterizingFunction", "bootstrap_critical_value",
                  "confidence_region", "estimated_identified_set",
-                 "interval_data_stats", "interval_mean_distance",
-                 "interval_mean_model"),
+                 "interval_data_stats", "interval_mean_model"),
     "simulate": ("CoverageResult", "HalfDensity", "SimDesign", "draw_sample",
                  "run_coverage", "true_identified_late"),
 }

@@ -10,16 +10,17 @@ set.
 
 The shipped model is the interval-data mean: each observation is an
 interval [y_l, y_u] known to contain the latent outcome, and theta = E[Y*]
-is partially identified as [mean(y_l), mean(y_u)].  The sup-norm distance
-from theta to the empirical evidence has an exact expression through the
-largest mean shift achievable by a vertical CDF band of given height.
+is partially identified as [mean(y_l), mean(y_u)].  A vertical CDF band
+of height r moves each mean by at most a piecewise-linear shift S(r), so
+each side of a set ends at that mean moved by S at the radius; once r
+passes the band's largest headroom, the side reaches the data's extreme,
+which is kept exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,16 +30,10 @@ from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class CharacterizingFunction:
-    """Finite-grid model summary for dilation methods.
-
-    ``distance(thetas, sample)`` returns, at each theta of an array, the
-    smallest sup-norm distance between the empirical CDF evidence and any
-    distribution whose identified set contains theta (0 when theta is
-    already identified-set feasible).
-    """
+    """Finite-grid model summary for dilation methods: the theta grid on
+    which the sets are reported."""
 
     theta_grid: np.ndarray
-    distance: Callable
 
     def __post_init__(self):
         grid = np.asarray(self.theta_grid, dtype=float)
@@ -129,53 +124,40 @@ def _shift_knots(values, direction):
     return gaps, head
 
 
-def _invert_mean_shift(values, target, direction):
-    """Smallest band height whose maximal mean shift reaches ``target``, at
-    each target of an array (a scalar gives a float): the exact inverse of
-    a piecewise-linear shift.
+def _reach_end(values, mean, radius, closed, direction):
+    """Where the band of height ``radius`` moves ``mean`` to, and whether
+    that end is kept.
 
-    shift(eps) = sum_k gap_k * min(head_k, eps) increases and is linear
-    between consecutive heads, so its inverse interpolates the swapped
-    knots (shift at each head, head) linearly from (0, 0).  With the heads
-    ascending, the shift at the i-th head is A_i, the gap-weighted sum of
-    the lower heads, plus head_i times G_i, the total gap at or above head
-    i.  A target no band of height 1 reaches (beyond a 1e-12 rounding
-    allowance) gives inf; one within that allowance gives the largest head
-    (0 without one), where the shift stops growing.
+    The shift S(r) = sum_k gap_k * min(head_k, r) increases strictly up to
+    the largest head and is flat after it, where it has moved the mean to
+    the data's extreme: ``direction='down'`` lowers it toward the smallest
+    value, ``'up'`` raises it toward the largest.  The extreme is kept once
+    the radius passes the largest head, or reaches it when ``closed``.
     """
-    target = np.asarray(target, dtype=float)
     gaps, head = _shift_knots(values, direction)
-    top = float(np.sum(gaps * np.minimum(head, 1.0)))
-    if direction == "down":  # heads 1 - F decrease along the values
-        gaps, head = gaps[::-1], head[::-1]
-    below = np.cumsum(gaps * head) - gaps * head  # A_i
-    above = np.cumsum(gaps[::-1])[::-1]  # G_i
-    eps = np.interp(target, np.append(0.0, below + head * above),
-                    np.append(0.0, head))
-    eps = np.where(target <= 0, 0.0,
-                   np.where(top < target - 1e-12, math.inf, eps))
-    return eps if eps.ndim else float(eps)
+    largest = head.max(initial=0.0)
+    if radius >= largest:
+        end = values.min() if direction == "down" else values.max()
+        return float(end), closed or radius > largest
+    shift = float(np.sum(gaps * np.minimum(head, radius)))
+    return (mean - shift if direction == "down" else mean + shift), closed
 
 
-def interval_mean_distance(theta, sample):
-    """Sup-norm distance from the interval-data evidence to the nearest
-    distribution band whose mean interval contains theta, at each theta of
-    an array (a scalar gives a float)."""
+def _dilated(T, sample, radius, closed):
+    """Grid points inside the reach of a band of height ``radius`` (its
+    ends too when ``closed``); the mean interval is always inside."""
     arr, mean_l, mean_u = _check_intervals(sample)
-    theta = np.asarray(theta, dtype=float)
-    dist = np.zeros(theta.shape)
-    low, high = theta < mean_l, theta > mean_u
-    if low.any():
-        dist[low] = _invert_mean_shift(arr[:, 0], mean_l - theta[low], "down")
-    if high.any():
-        dist[high] = _invert_mean_shift(arr[:, 1], theta[high] - mean_u, "up")
-    return dist if dist.ndim else float(dist)
+    lo, lo_kept = _reach_end(arr[:, 0], mean_l, radius, closed, "down")
+    hi, hi_kept = _reach_end(arr[:, 1], mean_u, radius, closed, "up")
+    grid = T.theta_grid
+    above = (grid >= lo) if lo_kept else (grid > lo)
+    below = (grid <= hi) if hi_kept else (grid < hi)
+    return grid[(above | (grid >= mean_l)) & (below | (grid <= mean_u))]
 
 
 def interval_mean_model(theta_grid) -> CharacterizingFunction:
     """Characterizing function of the interval-data mean on a theta grid."""
-    return CharacterizingFunction(theta_grid=theta_grid,
-                                  distance=interval_mean_distance)
+    return CharacterizingFunction(theta_grid=theta_grid)
 
 
 def estimated_identified_set(T: CharacterizingFunction, sample):
@@ -183,8 +165,7 @@ def estimated_identified_set(T: CharacterizingFunction, sample):
     dilation radius log n / sqrt(n) of the empirical CDF: it shrinks to
     zero while staying above the 1/sqrt(n) noise scale."""
     n = _as_columns(sample).shape[0]
-    radius = math.log(n) / math.sqrt(n)
-    return T.theta_grid[T.distance(T.theta_grid, sample) < radius]
+    return _dilated(T, sample, math.log(n) / math.sqrt(n), closed=False)
 
 
 def confidence_region(T: CharacterizingFunction, sample, alpha, n_boot,
@@ -194,7 +175,7 @@ def confidence_region(T: CharacterizingFunction, sample, alpha, n_boot,
     kept, erring toward coverage."""
     cstar = bootstrap_critical_value(sample, n_boot, alpha, seed)
     radius = cstar / math.sqrt(_as_columns(sample).shape[0])
-    return T.theta_grid[T.distance(T.theta_grid, sample) <= radius], cstar
+    return _dilated(T, sample, radius, closed=True), cstar
 
 
 def interval_data_stats(sample, a, b):

@@ -26,7 +26,7 @@ import pytest
 from partialid.cli import run as cli_run
 from partialid.datamodel import RunConfig, Sample, theorem_bandwidth
 from partialid.dilation import (bootstrap_critical_value,
-                                interval_mean_distance)
+                                confidence_region, interval_mean_model)
 from partialid.latebounds import (_scan_threshold, estimate_bounds,
                                   estimate_delta)
 from partialid.latepoint import TailSpec
@@ -339,17 +339,17 @@ class TestCriterion6Dilation:
     def test_confidence_region_coverage(self):
         # intervals [L, L+1] with L ~ N(0,1): true mean interval is [0, 1].
         # The region covers the identified set iff both endpoints sit
-        # within the bootstrap radius of the evidence.
+        # within the bootstrap radius of the evidence: the region on the
+        # grid {0, 1} keeps both.
         reps, n, hits = 500, 200, 0
+        model = interval_mean_model(np.array([0.0, 1.0]))
         root = np.random.SeedSequence(77)
         for k, child in enumerate(root.spawn(reps)):
             rng = np.random.default_rng(child)
             lows = rng.normal(size=n)
             arr = np.column_stack([lows, lows + 1.0])
-            cstar = bootstrap_critical_value(arr, 300, 0.05, seed=k)
-            radius = cstar / math.sqrt(n)
-            if (interval_mean_distance(0.0, arr) <= radius
-                    and interval_mean_distance(1.0, arr) <= radius):
+            region, _ = confidence_region(model, arr, 0.05, 300, seed=k)
+            if region.size == 2:
                 hits += 1
         assert hits / reps >= 0.93
 

@@ -50,6 +50,45 @@ def test_positional_arguments_the_tracer_reads(qualname, position, parameter):
     assert params[position] == parameter
 
 
+def test_counts_read_real_arguments_and_results(tmp_path):
+    # `_counts` reads positional arguments and attributes of the results;
+    # fed real calls, made as the CLI makes them, each boundary gives its
+    # counts rather than raising
+    from partialid.datamodel import load_sample_csv
+    from partialid.density import default_grid, estimate_density_diff
+    from partialid.dilation import confidence_region, interval_mean_model
+    from partialid.latebounds import estimate_bounds, estimate_delta
+    from partialid.sets import IntervalUnion
+    from conftest import make_sample, write_sample_csv
+
+    counts = load_tracer()._counts
+    sample = make_sample(800, seed=4)
+    args = (str(write_sample_csv(tmp_path / "s.csv", sample)),)
+    assert counts("datamodel.load_sample_csv", args,
+                  load_sample_csv(*args), None) == {"rows": 800}
+
+    grid = default_grid((-1.0, 6.0), 0.4)
+    args = (None, sample, None, 0.4, grid)
+    assert counts("density.estimate_density_diff", args,
+                  estimate_density_diff(*args), None) \
+        == {"obs_x_grid": 800 * len(grid)}
+
+    set1, set0 = IntervalUnion([(2.0, 4.5)]), IntervalUnion([(0.5, 2.5)])
+    for kappa in (10.0, 0.01):  # the point regime, then a bound regime
+        delta = estimate_delta(sample, set1, set0, kappa)
+        args = (sample, set1, set0, delta)
+        assert counts("latebounds.estimate_bounds", args,
+                      estimate_bounds(*args, h=0.4), None) \
+            == {"bound_regime": int(kappa < 1)}
+
+    lows = np.random.default_rng(0).normal(size=100)
+    args = (interval_mean_model(np.linspace(-1.0, 2.0, 31)),
+            np.column_stack([lows, lows + 1.0]), 0.05, 100, 0)
+    result = confidence_region(*args)
+    assert counts("dilation.confidence_region", args, result, None) \
+        == {"kept": result[0].size, "scanned": 31}
+    assert 0 < result[0].size < 31
+
 def test_roy_bounds_accept_verify_false():
     from partialid.roy import RoyDistribution, potential_outcome_bounds
 

@@ -1006,6 +1006,30 @@ class TestDilate:
         assert all(map(math.isfinite, res["confidence_region"]))
 
 
+    @pytest.mark.parametrize("k", [-300, -60, 60, 300])
+    def test_sets_scale_exactly_with_y(self, capsys, tmp_path, k):
+        # y times 2^k, with --a and --b alike, maps both ends of both sets
+        # bit for bit and keeps the critical value: the lower ends are the
+        # data's own extreme, -0.2, compared with no allowance in y's units
+        rows = [(-0.2, 1.9), (-0.2, 1.0), (0.0, 0.7), (1.5, 2.1)]
+        reports = []
+        for scale in (1.0, 2.0 ** k):
+            path = tmp_path / f"four-{len(reports)}.csv"
+            path.write_text("y_l,y_u\n" + "".join(
+                f"{lo * scale!r},{hi * scale!r}\n" for lo, hi in rows))
+            code, out, err = run_cli(
+                capsys, "dilate", "region", "--input", str(path),
+                f"--a={-0.5 * scale!r}", f"--b={0.5 * scale!r}",
+                "--boot", "100", "--seed", "1")
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out)["results"])
+        base, scaled = reports
+        assert base["estimated_set"][0] == base["confidence_region"][0] \
+            == -0.2
+        for key in ("estimated_set", "confidence_region"):
+            assert scaled[key] == [2.0 ** k * end for end in base[key]]
+        assert scaled["critical_value"] == base["critical_value"]
+
 def _record_pools(monkeypatch):
     """The list that collects each thread pool's ``max_workers``, with a
     recorder, which starts no thread, in place of the pool."""
@@ -1219,8 +1243,7 @@ _ROOT_NAMES = {
                   "nonrefutable_sets",
     "dilation": "CharacterizingFunction bootstrap_critical_value "
                 "confidence_region estimated_identified_set "
-                "interval_data_stats interval_mean_distance "
-                "interval_mean_model",
+                "interval_data_stats interval_mean_model",
     "simulate": "CoverageResult HalfDensity SimDesign draw_sample "
                 "run_coverage true_identified_late",
 }
@@ -1409,7 +1432,7 @@ class TestImports:
     def test_root_names_resolve_to_their_owners(self):
         owners = {name: module for module, names in _ROOT_NAMES.items()
                   for name in [module, *names.split()]}
-        assert len(owners) == 68
+        assert len(owners) == 67
         assert partialid.__all__ == sorted(owners)
         assert [n for n in dir(partialid) if not n.startswith("_")] == \
             partialid.__all__

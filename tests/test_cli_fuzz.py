@@ -327,7 +327,8 @@ def dilate_pairs(draw, tmp_path):
     ends = sorted(draw(st.lists(st.sampled_from([-50.0, -2.0, 0.0, 0.5, 3.0,
                                                  50.0]),
                                 min_size=2, max_size=2)))
-    a = draw(st.sampled_from([1e-3, 0.1, 3.0, 10.0, 1e5]))
+    a = draw(st.sampled_from([1e-3, 0.1, 3.0, 10.0, 1e5, 2.0 ** -20, 0.25,
+                              2.0 ** 60]))
     c = draw(st.sampled_from([0.0, -7.0, 2.5, 1e3]))
     flags = ([f"--boot={draw(st.sampled_from([100, 150]))}"]
              + _flag(draw, "--alpha", ["0.05", "0.1", "0.5"])
@@ -363,7 +364,9 @@ def test_dilate_region_is_affine_equivariant(tmp_path, data):
     mean of n of them by n more, so E = (n + 4) ulp bounds the error of a
     mapped mean, end or shortfall.  A squared shortfall a s + e then
     differs from a^2 s^2 by at most 2 a |s| E + E^2.  A grid point on the
-    radius may change sides: a set end may then move by one grid step."""
+    radius may change sides: a set end may then move by one grid step.
+    With a a power of two and c = 0 every step of the report scales
+    exactly, so every value maps bit for bit and no point changes sides."""
     (base_argv, mapped_argv), a, c, top = data.draw(dilate_pairs(tmp_path))
     code, base = _report(base_argv)
     mapped_code, mapped = _report(mapped_argv)
@@ -371,6 +374,17 @@ def test_dilate_region_is_affine_equivariant(tmp_path, data):
     if code:
         return
     n = base["n"]
+    if c == 0 and math.frexp(a)[0] == 0.5:  # a power of two
+        for key in ("mean_lower", "mean_upper"):
+            assert mapped[key] == a * base[key]
+        for key in ("estimated_set", "confidence_region"):
+            assert mapped[key] == [a * end for end in base[key]]
+        assert mapped["grid"] == {**base["grid"], "lo": a * base["grid"]["lo"],
+                                  "hi": a * base["grid"]["hi"]}
+        assert mapped["critical_value"] == base["critical_value"]
+        for key in ("statistic_nonrefutable", "statistic_confirmable"):
+            assert mapped[key] == a * a * base[key]
+        return
     err = (n + 4) * math.ulp(abs(c) + a * top)
     step = a * (base["grid"]["hi"] - base["grid"]["lo"]) / max(
         base["grid"]["points"] - 1, 1)

@@ -5,12 +5,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from partialid.dilation import (CharacterizingFunction, _invert_mean_shift,
-                                _shift_knots, bootstrap_critical_value,
-                                confidence_region, estimated_identified_set,
-                                interval_data_stats, interval_mean_distance,
+from partialid.dilation import (CharacterizingFunction, _check_intervals,
+                                _dilated, _shift_knots,
+                                bootstrap_critical_value, confidence_region,
+                                estimated_identified_set, interval_data_stats,
                                 interval_mean_model)
 from partialid.errors import ConfigError, DataError
 
@@ -31,6 +31,51 @@ def _max_mean_shift(values, eps, direction):
     """
     gaps, head = _shift_knots(values, direction)
     return float(np.sum(gaps * np.minimum(head, eps)))
+
+
+def _invert_mean_shift(values, target, direction):
+    """Smallest band height whose maximal mean shift reaches ``target``, at
+    each target of an array (a scalar gives a float): the exact inverse of
+    a piecewise-linear shift.
+
+    shift(eps) = sum_k gap_k * min(head_k, eps) increases and is linear
+    between consecutive heads, so its inverse interpolates the swapped
+    knots (shift at each head, head) linearly from (0, 0).  With the heads
+    ascending, the shift at the i-th head is A_i, the gap-weighted sum of
+    the lower heads, plus head_i times G_i, the total gap at or above head
+    i.  A target no band of height 1 reaches (beyond a 1e-12 rounding
+    allowance) gives inf; one within that allowance gives the largest head
+    (0 without one), where the shift stops growing.
+    """
+    target = np.asarray(target, dtype=float)
+    gaps, head = _shift_knots(values, direction)
+    top = float(np.sum(gaps * np.minimum(head, 1.0)))
+    if direction == "down":  # heads 1 - F decrease along the values
+        gaps, head = gaps[::-1], head[::-1]
+    below = np.cumsum(gaps * head) - gaps * head  # A_i
+    above = np.cumsum(gaps[::-1])[::-1]  # G_i
+    eps = np.interp(target, np.append(0.0, below + head * above),
+                    np.append(0.0, head))
+    eps = np.where(target <= 0, 0.0,
+                   np.where(top < target - 1e-12, math.inf, eps))
+    return eps if eps.ndim else float(eps)
+
+
+def interval_mean_distance(theta, sample):
+    """Sup-norm distance from the interval-data evidence to the nearest
+    distribution band whose mean interval contains theta, at each theta of
+    an array (a scalar gives a float): the sets' oracle, a grid point being
+    in the estimated set when its distance is below the radius and in the
+    region when it is at most the radius."""
+    arr, mean_l, mean_u = _check_intervals(sample)
+    theta = np.asarray(theta, dtype=float)
+    dist = np.zeros(theta.shape)
+    low, high = theta < mean_l, theta > mean_u
+    if low.any():
+        dist[low] = _invert_mean_shift(arr[:, 0], mean_l - theta[low], "down")
+    if high.any():
+        dist[high] = _invert_mean_shift(arr[:, 1], theta[high] - mean_u, "up")
+    return dist if dist.ndim else float(dist)
 
 
 def bisect_inverse(values, target, direction):
@@ -84,11 +129,9 @@ class TestConfig:
 
     def test_characterizing_function_validation(self):
         with pytest.raises(ConfigError):
-            CharacterizingFunction(theta_grid=np.empty(0),
-                                   distance=interval_mean_distance)
+            CharacterizingFunction(theta_grid=np.empty(0))
         with pytest.raises(ConfigError):
-            CharacterizingFunction(theta_grid=np.zeros((2, 2)),
-                                   distance=interval_mean_distance)
+            CharacterizingFunction(theta_grid=np.zeros((2, 2)))
 
 
 class TestBootstrap:
@@ -283,6 +326,45 @@ class TestIntervalMeanDistance:
             interval_mean_distance(0.0, np.array([[0.0], [1.0]]))
 
 
+# A grid point whose oracle distance is within TIE of the radius lies on
+# the band's reach up to rounding, where the oracle's inverse and the
+# sets' forward shift each round their own way, so either verdict passes.
+# Such ties are the data's extremes at a radius equal to the largest head
+# (at small n, c*/sqrt(n) lands on a head k/n or one ulp off it), radius 0
+# on data of one distinct value, and rounded data whose reach ends on a
+# grid point.  Over 1,500 drawn examples, every point decided the other
+# way was an extreme within 1.7e-14 of the radius, or at radius 0.
+TIE = 1e-9
+
+
+def assert_oracle_points(got, grid, dist, radius, closed):
+    """``got`` holds the grid points whose oracle distance is below
+    ``radius`` (at most it when ``closed``), in grid order, up to ties."""
+    kept = np.isin(grid, got)
+    assert list(got) == list(grid[kept])
+    inside = (dist <= radius) if closed else (dist < radius)
+    differ = kept != inside
+    tie = np.abs(dist - radius) <= TIE
+    if differ.any():
+        event("a grid point that ties the radius is decided the other way")
+    assert not (differ & ~tie).any()
+
+
+@st.composite
+def interval_data(draw):
+    """Interval data with n >= 2, continuous or rounded to 0.1, with some
+    lower ends tied at the smallest and upper ends at the largest."""
+    n = draw(st.integers(2, 300))
+    x = interval_sample(n, seed=draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        x = np.round(x, 1)
+    # lowering y_l to the minimum and raising y_u to the maximum keep
+    # every y_l <= y_u
+    x[:draw(st.integers(0, n)), 0] = x[:, 0].min()
+    x[:draw(st.integers(0, n)), 1] = x[:, 1].max()
+    return x
+
+
 class TestSetAndRegion:
     def test_estimated_set_brackets_sample_means(self):
         x = interval_sample(400, seed=4)
@@ -328,24 +410,61 @@ class TestSetAndRegion:
         assert list(cr) == list(grid[oracle <= cstar / math.sqrt(n)])
         assert 0 < cr.size < est.size < grid.size
 
-    def test_one_distance_call_per_set(self):
-        x = interval_sample(100, seed=1)
-        calls = []
+    @given(x=interval_data(), k=st.sampled_from([1, 2, 5, 201]),
+           with_means=st.booleans(), alpha=st.sampled_from([0.05, 0.5]),
+           seed=st.integers(0, 3))
+    @settings(max_examples=250, deadline=None)
+    def test_keeps_the_oracle_grid_points_on_drawn_data(self, x, k,
+                                                        with_means, alpha,
+                                                        seed):
+        # at the two shipped radii, and at each side's largest head, 2^-20
+        # below and above it
+        n = x.shape[0]
+        lo, hi = x[:, 0].min(), x[:, 1].max()
+        grid = np.linspace(lo, hi, k)
+        if with_means:
+            grid = np.unique(np.concatenate(
+                [grid, [lo, hi, x[:, 0].mean(), x[:, 1].mean()]]))
+        T = interval_mean_model(grid)
+        dist = interval_mean_distance(grid, x)
+        assert_oracle_points(estimated_identified_set(T, x), grid, dist,
+                             math.log(n) / math.sqrt(n), closed=False)
+        cr, cstar = confidence_region(T, x, alpha, 100, seed=seed)
+        assert_oracle_points(cr, grid, dist, cstar / math.sqrt(n),
+                             closed=True)
+        for col, direction in ((0, "down"), (1, "up")):
+            largest = _shift_knots(x[:, col], direction)[1].max(initial=0.0)
+            for radius in (largest - 2.0 ** -20, largest,
+                           largest + 2.0 ** -20):
+                if radius < 0:
+                    continue
+                for closed in (False, True):
+                    assert_oracle_points(_dilated(T, x, radius, closed),
+                                         grid, dist, radius, closed)
 
-        def distance(thetas, sample):
-            calls.append(np.shape(thetas))
-            return interval_mean_distance(thetas, sample)
-
-        T = CharacterizingFunction(np.linspace(-2.0, 3.0, 51), distance)
-        est = estimated_identified_set(T, x)
-        cr, _ = confidence_region(T, x, 0.05, 100, seed=0)
-        assert calls == [(51,), (51,)]
-        assert 0 < cr.size < est.size
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_the_extreme_at_the_largest_head(self, rounded):
+        # a band as high as the largest head moves each mean exactly to the
+        # data's extreme: the closed region keeps it and the open set does
+        # not, while a band any higher keeps it in both, at any scale
+        x = interval_sample(50, seed=3)
+        if rounded:
+            x = np.round(x, 1)
+        for scale in (1.0, 2.0 ** -300, 2.0 ** 300):
+            y = x * scale
+            lo, hi = y[:, 0].min(), y[:, 1].max()
+            T = interval_mean_model(np.linspace(lo, hi, 201))
+            for col, direction, end in ((0, "down", lo), (1, "up", hi)):
+                largest = _shift_knots(y[:, col], direction)[1].max()
+                assert end not in _dilated(T, y, largest, closed=False)
+                assert end in _dilated(T, y, largest, closed=True)
+                above = np.nextafter(largest, 1.0)
+                assert end in _dilated(T, y, above, closed=False)
 
     def test_grid_scan_is_fast(self):
-        # 201 grid points, each a distance from one sort of the 20k values,
-        # take well under a second; 80 bisection steps per point, each with
-        # a sort, took 22 s on a 2-core machine
+        # 201 grid points against one sort of the 20k values per side take
+        # well under a second; 80 bisection steps per point, each with a
+        # sort, took 22 s on a 2-core machine
         x = interval_sample(20_000, seed=5)
         T = interval_mean_model(np.linspace(x[:, 0].min(), x[:, 1].max(),
                                             201))
@@ -354,10 +473,6 @@ class TestSetAndRegion:
         cr, _ = confidence_region(T, x, 0.05, 500, seed=1)
         assert time.perf_counter() - start < 10.0
         assert 0 < cr.size < est.size
-
-    def test_model_without_distance_is_rejected(self):
-        with pytest.raises(TypeError, match="distance"):
-            CharacterizingFunction(theta_grid=np.array([0.0]))
 
 
 # Inference on a design with a known identified set: Y* ~ N(0, 1), seen as
